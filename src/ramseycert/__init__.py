@@ -42,6 +42,7 @@ from .graphs import (
     IndependentSetCensus,
     build_g0,
     count_independent_sets,
+    g0_census,
     has_clique_of_order,
     is_independent,
     max_clique,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, TextIO
 
-from .graphs import IndependentSetCensus, build_g0, count_independent_sets
+from .graphs import IndependentSetCensus, g0_census
 
 
 def surjection_count(t: int, k: int) -> int:
@@ -59,7 +59,7 @@ def paper_upper_bound_p_ind(t: int, census: Optional[IndependentSetCensus] = Non
     if t % 2 != 0:
         raise ValueError("construction requires even t")
     if census is None:
-        census = count_independent_sets(build_g0(t), t)
+        census = g0_census(t)
     return census.total_nonempty * Fraction(t, 2 ** (t - 1)) ** t
 
 

@@ -1,11 +1,13 @@
 """Command-line frontend for the whole pipeline.
 
 Subcommands: build-graph, census, certify, generate, verify, bounds-table,
-recheck, verify-g0. Exit codes: 0 success/verified, 1 unverified outcome
-or failed recheck, 2 parameter errors, 3 node-budget aborts. Diagnostics
-go to stderr; artifacts go to files and stdout. Every run echoes its full
-resolved parameter set, including a defaulted seed, so any output can be
-reproduced.
+recheck, verify-g0. The census of the orthogonality graph comes from its
+closed form (graphs.g0_census); only `census --graph-file` runs the
+exhaustive search, under a node budget. Exit codes: 0 success/verified,
+1 unverified outcome or failed recheck, 2 parameter errors, 3 node-budget
+aborts of `census --graph-file`. Diagnostics go to stderr; artifacts go
+to files and stdout. Every run echoes its full resolved parameter set,
+including a defaulted seed, so any output can be reproduced.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .bounds import asymptotic_bound_table, certify_max_N, exact_decimal, write_bounds_csv
 from .coloring import (
@@ -33,9 +33,9 @@ from .coloring import (
 )
 from .graphs import (
     CensusBudgetExceeded,
-    IndependentSetCensus,
     build_g0,
     count_independent_sets,
+    g0_census,
     max_clique,
     read_graph_file,
     write_graph_file,
@@ -49,8 +49,6 @@ EXIT_BUDGET = 3
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_MAX_TRIES = 64
 
-CACHE_ENV_VAR = "RAMSEYCERT_CACHE_DIR"
-
 
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
@@ -59,42 +57,6 @@ def _diag(message: str) -> None:
 def _echo_params(command: str, params: dict) -> None:
     rendered = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
     _diag(f"params: command={command} {rendered}")
-
-
-def _cache_dir(override: Optional[str]) -> Path:
-    if override:
-        return Path(override)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "ramseycert"
-
-
-def load_or_compute_census(
-    t: int, node_budget: Optional[int], cache_dir: Path
-) -> IndependentSetCensus:
-    """Census of the t-dimensional orthogonality graph, cached on disk.
-
-    The cache key is t plus the graph fingerprint, so a stale or foreign
-    file can never be mistaken for the right census.
-    """
-    g0 = build_g0(t)
-    fingerprint = g0.fingerprint()
-    path = cache_dir / f"census_t{t}_{fingerprint[:16]}.json"
-    if path.exists():
-        payload = json.loads(path.read_text(encoding="ascii"))
-        if payload.get("graph_fingerprint") == fingerprint:
-            census = IndependentSetCensus.from_json_dict(payload["census"])
-            if census.t == t and census.n == g0.n:
-                _diag(f"census: loaded cache {path}")
-                return census
-        _diag(f"census: ignoring stale cache {path}")
-    census = count_independent_sets(g0, t, node_budget=node_budget)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"graph_fingerprint": fingerprint, "census": census.to_json_dict()}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="ascii")
-    _diag(f"census: computed and cached at {path}")
-    return census
 
 
 def cmd_build_graph(args) -> int:
@@ -115,19 +77,22 @@ def cmd_census(args) -> int:
             raise ValueError(f"--t {args.t} contradicts graph file t={t}")
     elif args.t is not None:
         t = args.t
-        g = build_g0(t)
     else:
         raise ValueError("census needs --t or --graph-file")
     out = args.out or f"census_t{t}.csv"
+    node_budget = args.node_budget if args.graph_file else None
     _echo_params(
         "census",
-        {"t": t, "graph_file": args.graph_file, "node_budget": args.node_budget, "out": out},
+        {"t": t, "graph_file": args.graph_file, "node_budget": node_budget, "out": out},
     )
-    try:
-        census = count_independent_sets(g, t, node_budget=args.node_budget)
-    except CensusBudgetExceeded as exc:
-        _diag(f"census aborted after {exc.nodes} nodes; partial counts {exc.partial_counts}")
-        raise
+    if args.graph_file:
+        try:
+            census = count_independent_sets(g, t, node_budget=node_budget)
+        except CensusBudgetExceeded as exc:
+            _diag(f"census aborted after {exc.nodes} nodes; partial counts {exc.partial_counts}")
+            raise
+    else:
+        census = g0_census(t)
     with open(out, "w", encoding="ascii") as fh:
         fh.write("k,i_k\n")
         for k, count in enumerate(census.counts):
@@ -144,14 +109,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cache = _cache_dir(args.cache_dir)
-    _echo_params(
-        "certify",
-        {"t": args.t, "m": args.m, "node_budget": args.node_budget, "cache_dir": cache},
-    )
-    census = None
-    if args.m > 0:
-        census = load_or_compute_census(args.t, args.node_budget, cache)
+    _echo_params("certify", {"t": args.t, "m": args.m})
+    census = g0_census(args.t) if args.m > 0 else None
     best_n, report = certify_max_N(args.t, args.m, census)
     if report.p_ind is not None:
         print(f"p_ind = {report.p_ind} (~{exact_decimal(report.p_ind)})")
@@ -196,7 +155,6 @@ def cmd_verify(args) -> int:
     spec = ColoringSpec.from_json_dict(
         json.loads(Path(args.spec_file).read_text(encoding="ascii"))
     )
-    cache = _cache_dir(args.cache_dir)
     cert_out = args.certificate_out or str(
         Path(args.spec_file).with_suffix(".certificate.json")
     )
@@ -205,18 +163,10 @@ def cmd_verify(args) -> int:
         {
             "spec_file": args.spec_file,
             "max_tries": args.max_tries,
-            "threads": args.threads,
             "certificate_out": cert_out,
-            "cache_dir": cache,
-            "node_budget": args.node_budget,
         },
     )
-    census = None
-    if spec.kind == "blowup" and spec.m > 0:
-        census = load_or_compute_census(spec.t, args.node_budget, cache)
-    cert, failures = produce_certificate(
-        spec, max_tries=args.max_tries, census=census, threads=args.threads
-    )
+    cert, failures = produce_certificate(spec, max_tries=args.max_tries)
     for seed, witness in failures:
         _diag(
             f"try seed={seed}: monochromatic K_{cert.t} found, "
@@ -250,20 +200,8 @@ def cmd_bounds_table(args) -> int:
 
 def cmd_recheck(args) -> int:
     cert = load_certificate(args.certificate_file)
-    cache = _cache_dir(args.cache_dir)
-    _echo_params(
-        "recheck",
-        {
-            "certificate_file": args.certificate_file,
-            "threads": args.threads,
-            "cache_dir": cache,
-            "node_budget": args.node_budget,
-        },
-    )
-    census = None
-    if cert.spec.kind == "blowup" and cert.spec.m > 0:
-        census = load_or_compute_census(cert.spec.t, args.node_budget, cache)
-    ok, reasons = recheck_certificate(cert, census=census, threads=args.threads)
+    _echo_params("recheck", {"certificate_file": args.certificate_file})
+    ok, reasons = recheck_certificate(cert)
     if ok:
         print("recheck: OK")
         return EXIT_OK
@@ -300,15 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="count independent sets by size")
     p.add_argument("--t", type=int)
     p.add_argument("--graph-file")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument(
+        "--node-budget",
+        type=int,
+        default=DEFAULT_NODE_BUDGET,
+        help="search-node cap of the exhaustive census of --graph-file",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("certify", help="largest N with expected mono-clique count below 1")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("generate", help="write a coloring spec (and optional edge dump)")
@@ -323,10 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="seed-retry search for a clique-free coloring")
     p.add_argument("--spec-file", required=True)
     p.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--certificate-out")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds-table", help="compare lower-bound growth rates")
@@ -337,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recheck", help="re-verify a certificate from scratch")
     p.add_argument("--certificate-file", required=True)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_recheck)
 
     p = sub.add_parser("verify-g0", help="check a graph file against the construction")

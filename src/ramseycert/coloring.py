@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import rng
 from .bounds import ExpectationReport, expected_mono_count
-from .graphs import BitGraph, build_g0, count_independent_sets, has_clique_of_order
+from .graphs import BitGraph, build_g0, g0_census, has_clique_of_order
 
 KIND_BLOWUP = "blowup"
 KIND_ERDOS = "erdos"
@@ -33,10 +32,9 @@ KIND_PRODUCT = "product"
 
 TAG_BLOWUP = "blowup"
 TAG_PAIR = "pair"
-TAG_SAMPLE = "sample"
 
 MAX_VERTICES = 1 << 32  # vertex-index capacity of one coloring
-EXHAUSTIVE_LIMIT = 10_000  # beyond this only sampling-mode search is offered
+EXHAUSTIVE_LIMIT = 10_000  # largest N whose color classes are materialized
 EDGE_DUMP_LIMIT = 2_000
 
 CERTIFICATE_FORMAT = "ramseycert.certificate/1"
@@ -292,72 +290,33 @@ def color_class_graphs(
     return {c: BitGraph(N, rows[c]) for c in wanted}
 
 
-def _sample_search(coloring: EdgeColoring, t: int, tries: int) -> tuple[Optional[MonoWitness], int]:
-    """Sampling-mode search for large N: random t-subsets, never exhaustive."""
-    N = coloring.N
-    seed = coloring.spec.seed
-    for trial in range(tries):
-        verts: list[int] = []
-        slot = 0
-        while len(verts) < t:
-            v = rng.uniform_below(N, seed, TAG_SAMPLE, trial, slot)
-            slot += 1
-            if v not in verts:
-                verts.append(v)
-        verts.sort()
-        color = coloring.color_of(verts[0], verts[1])
-        if all(
-            coloring.color_of(verts[a], verts[b]) == color
-            for a in range(t)
-            for b in range(a + 1, t)
-        ):
-            return MonoWitness(color, tuple(verts)), tries
-    return None, tries
+def _search_mono(coloring: EdgeColoring, t: int) -> tuple[Optional[MonoWitness], int]:
+    """Search every color class exhaustively for a t-clique.
 
-
-def _search_mono(
-    coloring: EdgeColoring, t: int, threads: int = 1, sample_tries: int = 10_000
-) -> tuple[Optional[MonoWitness], int, bool]:
-    """Search every color class for a t-clique.
-
-    Returns (witness, search nodes, exhaustive). Scans colors ascending;
-    the per-class search is deterministic, and the threaded path picks
-    the lowest-color witness, so the outcome never depends on thread
-    count. Beyond the exhaustive guard only sampling is performed.
+    Returns (witness, search nodes). Scans colors ascending and the
+    per-class search is deterministic, so the witness is too. Past the
+    materialization guard color_class_graphs raises ValueError.
     """
     if t < 1:
         raise ValueError(f"clique target must be positive, got {t}")
     if coloring.N < t:
         raise ValueError("target exceeds vertex count")
-    if coloring.N > EXHAUSTIVE_LIMIT:
-        witness, nodes = _sample_search(coloring, t, sample_tries)
-        return witness, nodes, False
     graphs = color_class_graphs(coloring)
-    colors = sorted(graphs)
     nodes = 0
-    if threads <= 1:
-        for c in colors:
-            result = has_clique_of_order(graphs[c], t)
-            nodes += result.nodes
-            if result.found:
-                return MonoWitness(c, tuple(sorted(result.witness))), nodes, True
-        return None, nodes, True
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda c: (c, has_clique_of_order(graphs[c], t)), colors))
-    nodes = sum(r.nodes for _, r in results)
-    for c, result in results:  # colors ascending
+    for c in sorted(graphs):
+        result = has_clique_of_order(graphs[c], t)
+        nodes += result.nodes
         if result.found:
-            return MonoWitness(c, tuple(sorted(result.witness))), nodes, True
-    return None, nodes, True
+            return MonoWitness(c, tuple(sorted(result.witness))), nodes
+    return None, nodes
 
 
-def find_mono_clique(coloring: EdgeColoring, t: int, threads: int = 1) -> Optional[MonoWitness]:
+def find_mono_clique(coloring: EdgeColoring, t: int) -> Optional[MonoWitness]:
     """First monochromatic t-clique in deterministic order, or None.
 
-    A None return is exhaustive (every color class fully searched)
-    whenever N is within the materialization guard.
+    A None return is exhaustive: every color class was fully searched.
     """
-    witness, _, _ = _search_mono(coloring, t, threads=threads)
+    witness, _ = _search_mono(coloring, t)
     return witness
 
 
@@ -452,16 +411,14 @@ def verify_coloring(
     seed: Optional[int] = None,
     t: Optional[int] = None,
     census=None,
-    threads: int = 1,
-    sample_tries: int = 10_000,
 ) -> Certificate:
     """Regenerate the coloring, search it, and wrap the outcome.
 
     The expectation report is attached for blowup and uniform random
-    colorings (the census of the orthogonality graph is computed on
-    demand when m > 0 and none is supplied); product colorings carry no
+    colorings (the closed-form census of the orthogonality graph is used
+    when m > 0 and none is supplied); product colorings carry no
     expectation. verified is True exactly when the exhaustive search
-    found nothing.
+    found nothing; N past EXHAUSTIVE_LIMIT raises ValueError.
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     target = spec.t if t is None else t
@@ -469,9 +426,7 @@ def verify_coloring(
         raise ValueError(f"clique target must be at least 2, got {target}")
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
-    witness, nodes, exhaustive = _search_mono(
-        coloring, target, threads=threads, sample_tries=sample_tries
-    )
+    witness, nodes = _search_mono(coloring, target)
     elapsed = time.perf_counter() - start
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
@@ -481,20 +436,19 @@ def verify_coloring(
     expectation = None
     if spec.kind == KIND_BLOWUP or (spec.kind == KIND_ERDOS and spec.ell == 2):
         if spec.kind == KIND_BLOWUP and spec.m > 0 and census is None:
-            census = count_independent_sets(build_g0(spec.t), spec.t)
+            census = g0_census(spec.t)
         expectation = expected_mono_count(target, spec.m, spec.N, census)
     return Certificate(
         spec=spec,
         seed=used_seed,
         t=target,
-        verified=exhaustive and witness is None,
-        exhaustive=exhaustive,
+        verified=witness is None,
+        exhaustive=True,
         witness=witness,
         expectation=expectation,
         search_stats={
             "nodes": nodes,
             "wall_time_sec": round(elapsed, 6),
-            "threads": threads,
             "tries": 1,
         },
     )
@@ -505,7 +459,6 @@ def produce_certificate(
     t: Optional[int] = None,
     max_tries: int = 1,
     census=None,
-    threads: int = 1,
 ) -> tuple[Certificate, list[tuple[int, MonoWitness]]]:
     """Seed-retry loop: try spec.seed, spec.seed+1, ... until verification.
 
@@ -522,7 +475,7 @@ def produce_certificate(
     cert = None
     for k in range(max_tries):
         used_seed = (spec.seed + k) & rng.MASK64
-        cert = verify_coloring(spec, seed=used_seed, t=t, census=census, threads=threads)
+        cert = verify_coloring(spec, seed=used_seed, t=t, census=census)
         cert.search_stats["tries"] = k + 1
         if cert.verified:
             break
@@ -531,9 +484,7 @@ def produce_certificate(
     return cert, failures
 
 
-def recheck_certificate(
-    cert: Certificate, census=None, threads: int = 1
-) -> tuple[bool, list[str]]:
+def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch.
 
     Checks internal consistency, replays the search at the certificate's
@@ -550,9 +501,7 @@ def recheck_certificate(
             reasons.append("witness is not monochromatic under the regenerated coloring")
     if reasons:
         return False, reasons
-    fresh = verify_coloring(
-        cert.spec, seed=cert.seed, t=cert.t, census=census, threads=threads
-    )
+    fresh = verify_coloring(cert.spec, seed=cert.seed, t=cert.t, census=census)
     if not certificates_match(fresh.to_json_dict(), cert.to_json_dict()):
         reasons.append("certificate does not reproduce from its spec and seed")
     return not reasons, reasons

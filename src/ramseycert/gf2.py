@@ -127,16 +127,21 @@ class VectorSet:
             return False
 
 
+def check_construction_t(t: int) -> None:
+    """Reject a dimension the orthogonality-graph construction does not cover."""
+    if t % 2 != 0:
+        raise ValueError("construction requires even t")
+    if not 2 <= t <= MAX_DIMENSION:
+        raise ValueError(f"t must be between 2 and {MAX_DIMENSION}, got {t}")
+
+
 def enumerate_even_weight(t: int) -> VectorSet:
     """All vectors of even Hamming weight in F_2^t, ascending by encoding.
 
     The result has exactly 2^(t-1) members: bits 1..t-1 are free and bit 0
     is forced to the parity that makes the total weight even.
     """
-    if t % 2 != 0:
-        raise ValueError("construction requires even t")
-    if not 2 <= t <= MAX_DIMENSION:
-        raise ValueError(f"t must be between 2 and {MAX_DIMENSION}, got {t}")
+    check_construction_t(t)
     members = tuple(
         BitVector(t, (x << 1) | (x.bit_count() & 1)) for x in range(1 << (t - 1))
     )

@@ -3,19 +3,21 @@
 Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so neighborhood intersections are single big-int
 ANDs. The clique searches are branch-and-bound with greedy-coloring upper
-bounds; the independent-set census is a depth-first extension over
-vertices in ascending index. Everything here is deterministic: the same
-graph always produces the same witness, the same counts, and the same
-traversal order.
+bounds; the independent-set census of an arbitrary graph is a
+depth-first extension over vertices in ascending index, and that of the
+orthogonality graph has a closed form. Everything here is deterministic:
+the same graph always produces the same witness, the same counts, and
+the same traversal order.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .gf2 import BitVector, enumerate_even_weight
+from .gf2 import BitVector, check_construction_t, enumerate_even_weight
 
 
 class CensusBudgetExceeded(RuntimeError):
@@ -96,15 +98,6 @@ class BitGraph:
                 low = rest & -rest
                 yield i, i + 1 + low.bit_length() - 1
                 rest ^= low
-
-    def fingerprint(self) -> str:
-        """Stable hash of the adjacency structure (labels excluded)."""
-        h = hashlib.sha256()
-        h.update(f"n={self.n}".encode())
-        for row in self.adj:
-            h.update(b"/")
-            h.update(row.to_bytes((self.n + 7) // 8 or 1, "little"))
-        return h.hexdigest()
 
 
 def build_g0(t: int) -> BitGraph:
@@ -314,13 +307,6 @@ class IndependentSetCensus:
         payload = f"census|t={self.t}|n={self.n}|" + ",".join(map(str, self.counts))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "n": self.n, "counts": list(self.counts)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "IndependentSetCensus":
-        return cls(t=int(d["t"]), n=int(d["n"]), counts=tuple(int(c) for c in d["counts"]))
-
 
 def count_independent_sets(
     g: BitGraph, max_size: int, node_budget: Optional[int] = None
@@ -357,6 +343,57 @@ def count_independent_sets(
     if g.n and max_size >= 1:
         extend((1 << g.n) - 1, 0)
     return IndependentSetCensus(t=max_size, n=g.n, counts=tuple(counts))
+
+
+def _gaussian_binomial(n: int, k: int) -> int:
+    """Number of k-dimensional subspaces of F_2^n."""
+    count = 1
+    for i in range(k):
+        # each partial product is itself a Gaussian binomial, so the division is exact
+        count = count * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)
+    return count
+
+
+def g0_census(t: int) -> IndependentSetCensus:
+    """Closed-form census of build_g0(t): equal to count_independent_sets(build_g0(t), t).
+
+    The independent sets are the sets of pairwise-orthogonal even-weight
+    vectors, i.e. the subsets of totally isotropic subspaces of the
+    even-weight space E. E has radical <1>, and E/<1> is symplectic of
+    dimension 2n with n = (t-2)/2, where
+      I(k) = [n choose k]_2 * prod_{i<k} (2^(n-i) + 1)
+    counts the isotropic k-subspaces. An isotropic d-subspace of E either
+    contains 1 (I(d-1) of them) or is one of 2^d complements of <1> over
+    an isotropic d-subspace of the quotient, so S(d) = I(d-1) + 2^d I(d).
+    Moebius inversion over the subspace lattice counts the k-subsets that
+    span F_2^d:
+      span(k, d) = sum_j (-1)^(d-j) 2^C(d-j, 2) [d choose j]_2 C(2^j, k),
+    and counts[k] = sum_d S(d) span(k, d). Exact integers throughout.
+    """
+    check_construction_t(t)
+    n = (t - 2) // 2
+
+    def isotropic(k: int) -> int:
+        if not 0 <= k <= n:
+            return 0
+        count = _gaussian_binomial(n, k)
+        for i in range(k):
+            count *= (1 << (n - i)) + 1
+        return count
+
+    counts = [0] * (t + 1)
+    for d in range(n + 2):
+        subspaces = isotropic(d - 1) + (1 << d) * isotropic(d)
+        for k in range(t + 1):
+            spanning = sum(
+                (-1) ** (d - j)
+                * (1 << comb(d - j, 2))
+                * _gaussian_binomial(d, j)
+                * comb(1 << j, k)
+                for j in range(d + 1)
+            )
+            counts[k] += subspaces * spanning
+    return IndependentSetCensus(t=t, n=1 << (t - 1), counts=tuple(counts))
 
 
 def is_independent(g: BitGraph, vertices: Sequence[int]) -> bool:

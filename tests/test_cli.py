@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 import ramseycert
-from ramseycert.cli import CACHE_ENV_VAR, main
+from ramseycert.cli import main
 from ramseycert.coloring import certificate_core
 
 
 @pytest.fixture(autouse=True)
 def isolated_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
     monkeypatch.chdir(tmp_path)
 
 
@@ -65,30 +64,43 @@ def test_census_requires_input(capsys):
 
 
 def test_census_budget_abort(capsys, tmp_path):
+    graph_path = tmp_path / "g.graph"
+    run(capsys, "build-graph", "--t", "4", "--out", str(graph_path))
     code, _, err = run(
         capsys,
-        "census", "--t", "4", "--node-budget", "5", "--out", str(tmp_path / "c.csv"),
+        "census", "--graph-file", str(graph_path), "--node-budget", "5",
+        "--out", str(tmp_path / "c.csv"),
     )
     assert code == 3
     assert "partial counts" in err
 
 
 def test_certify_t4_m1(capsys):
-    code, out, err = run(capsys, "certify", "--t", "4", "--m", "1")
+    code, out, _ = run(capsys, "certify", "--t", "4", "--m", "1")
     assert code == 0
     assert "certified N=9, r(4;3) >= 10, E = 2898/4096" in out
     assert "p_ind = 23/128" in out
-    assert "computed and cached" in err
-    # second run reuses the cache
-    code, out, err = run(capsys, "certify", "--t", "4", "--m", "1")
+    code, _, _ = run(capsys, "certify", "--t", "4", "--m", "1")
     assert code == 0
-    assert "loaded cache" in err
 
 
 def test_certify_t4_m0(capsys):
     code, out, _ = run(capsys, "certify", "--t", "4", "--m", "0")
     assert code == 0
     assert "certified N=6, r(4;2) >= 7, E = 15/32" in out
+
+
+@pytest.mark.parametrize(
+    "t, m, n",
+    [(8, 1, 173), (8, 2, 740), (8, 3, 3202), (10, 1, 710), (10, 2, 5221)],
+)
+def test_certify_from_closed_form_census(capsys, tmp_path, monkeypatch, t, m, n):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    code, out, _ = run(capsys, "certify", "--t", str(t), "--m", str(m))
+    assert code == 0
+    assert f"certified N={n}, r({t};{m + 2}) >= {n + 1}" in out
+    # neither the working directory nor the home directory gains a file
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certify_nothing_certifiable(capsys):
@@ -197,17 +209,6 @@ def test_verify_missing_spec_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_verify_census_budget_abort(capsys, tmp_path):
-    spec_path = _write_spec(tmp_path, capsys, seed=1)
-    code, _, err = run(
-        capsys,
-        "verify", "--spec-file", str(spec_path), "--node-budget", "3",
-        "--certificate-out", str(tmp_path / "cert.json"),
-    )
-    assert code == 3
-    assert "node budget" in err
-
-
 def test_recheck_roundtrip_and_tamper(capsys, tmp_path):
     spec_path = _write_spec(tmp_path, capsys, seed=1)
     cert_path = tmp_path / "cert.json"
@@ -228,12 +229,11 @@ def test_recheck_roundtrip_and_tamper(capsys, tmp_path):
 def test_verify_deterministic_across_runs_and_threads(capsys, tmp_path):
     spec_path = _write_spec(tmp_path, capsys, seed=1)
     certs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+    for name in ("a", "b", "c"):
         path = tmp_path / f"cert_{name}.json"
         run(
             capsys,
-            "verify", "--spec-file", str(spec_path),
-            "--threads", threads, "--certificate-out", str(path),
+            "verify", "--spec-file", str(spec_path), "--certificate-out", str(path),
         )
         payload = json.loads(path.read_text())
         certs.append(
@@ -284,11 +284,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "ramseycert.cli", "certify", "--t", "4", "--m", "0"],
         capture_output=True,
         text=True,
-        env={
-            "PATH": "",
-            "PYTHONPATH": str(package_root),
-            CACHE_ENV_VAR: str(tmp_path / "cache"),
-        },
+        env={"PATH": "", "PYTHONPATH": str(package_root)},
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ from ramseycert.graphs import (
     CensusBudgetExceeded,
     build_g0,
     count_independent_sets,
+    g0_census,
     has_clique_of_order,
     is_independent,
     max_clique,
@@ -132,16 +133,43 @@ def census_oracle(g, cap):
 
 
 def test_census_g0_2():
-    census = count_independent_sets(build_g0(2), 2)
-    assert census.counts == (1, 2, 1)
-    assert census.total_nonempty == 3
-    assert census.total_with_empty == 4
+    dfs = count_independent_sets(build_g0(2), 2)
+    for census in (dfs, g0_census(2)):
+        assert census.counts == (1, 2, 1)
+        assert census.total_nonempty == 3
+        assert census.total_with_empty == 4
+    assert g0_census(2).fingerprint() == dfs.fingerprint()
 
 
 def test_census_g0_4_matches_exhaustive_oracle(g0_4, census_4):
-    assert list(census_4.counts) == census_oracle(g0_4, 4)
-    assert census_4.counts == (1, 8, 16, 12, 3)
-    assert census_4.total_nonempty == 39
+    for census in (census_4, g0_census(4)):
+        assert list(census.counts) == census_oracle(g0_4, 4)
+        assert census.counts == (1, 8, 16, 12, 3)
+        assert census.total_nonempty == 39
+    assert g0_census(4).fingerprint() == census_4.fingerprint()
+
+
+def test_g0_census_matches_dfs_at_t6(census_6):
+    closed = g0_census(6)
+    assert closed.counts == census_6.counts
+    assert closed.fingerprint() == census_6.fingerprint()
+
+
+def test_g0_census_t8_matches_recorded_dfs_counts():
+    # count_independent_sets(build_g0(8), 8), recorded once; the DFS takes seconds
+    census = g0_census(8)
+    assert census.counts == (1, 128, 4096, 44352, 202608, 554400, 1063440, 1539360, 1736820)
+    assert census.n == 128
+
+
+@pytest.mark.parametrize("t", [3, 0, 32])
+def test_g0_census_rejects_what_build_g0_rejects(t):
+    with pytest.raises(ValueError) as expected:
+        build_g0(t)
+    with pytest.raises(ValueError) as got:
+        g0_census(t)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) in ("construction requires even t", f"t must be between 2 and 30, got {t}")
 
 
 def test_census_complete_graph():

@@ -21,9 +21,10 @@ from pathlib import Path
 
 from .bounds import asymptotic_bound_table, certify_max_N, exact_decimal, write_bounds_csv
 from .coloring import (
+    EDGE_DUMP_LIMIT,
+    KIND_BLOWUP,
     ColoringSpec,
     canonical_json_bytes,
-    generate_blowup_coloring,
     load_certificate,
     produce_certificate,
     recheck_certificate,
@@ -125,11 +126,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .coloring import EDGE_DUMP_LIMIT
-
     if args.edge_dump and args.N > EDGE_DUMP_LIMIT:
         raise ValueError(f"edge dumps are limited to N <= {EDGE_DUMP_LIMIT}, got {args.N}")
-    seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(63)
+    seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
     spec_out = args.spec_out or f"coloring_t{args.t}_m{args.m}_N{args.N}.json"
     _echo_params(
         "generate",
@@ -142,12 +141,14 @@ def cmd_generate(args) -> int:
             "edge_dump": args.edge_dump,
         },
     )
-    coloring = generate_blowup_coloring(args.t, args.m, args.N, seed)
-    payload = canonical_json_bytes(coloring.spec.to_json_dict())
+    spec = ColoringSpec(
+        kind=KIND_BLOWUP, t=args.t, m=args.m, ell=args.m + 2, N=args.N, seed=seed
+    )
+    payload = canonical_json_bytes(spec.to_json_dict())
     Path(spec_out).write_bytes(payload)
     sys.stdout.write(payload.decode("ascii"))
     if args.edge_dump:
-        write_edge_dump(coloring, args.edge_dump)
+        write_edge_dump(regenerate(spec), args.edge_dump)
     return EXIT_OK
 
 

@@ -9,10 +9,18 @@ deterministic coin. Colors are never stored per pair: the m tables plus
 the counter-based stream reconstruct every color on demand, so a spec
 and a seed fully determine the coloring.
 
-Verification searches every color class exhaustively for a t-clique and
-wraps the outcome, together with the exact expectation arithmetic, in a
+Verification accounts for every color class: a blowup class i cannot
+hold a t-clique, because f_i maps one injectively onto a t-clique of the
+orthogonality graph, whose clique number is at most t-1 (Lemma 1), so
+every class is searched exhaustively or discharged by Lemma 1. The
+outcome, together with the exact expectation arithmetic, goes into a
 Certificate. A verified certificate at N vertices is a concrete proof
 that r(t; m+2) >= N+1.
+
+Color classes are built from the tables, not pair by pair: the class-i
+row of x is the pullback through f_i of the graph neighborhood of f_i(x),
+minus the rows of earlier classes, and only the pairs no map separates
+draw a coin.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from typing import Optional
 
 from . import rng
 from .bounds import ExpectationReport, expected_mono_count
-from .graphs import BitGraph, build_g0, g0_census, has_clique_of_order
+from .gf2 import check_construction_t
+from .graphs import BitGraph, _bits_to_list, build_g0, g0_census, has_clique_of_order
 
 KIND_BLOWUP = "blowup"
 KIND_ERDOS = "erdos"
@@ -57,8 +66,7 @@ class ColoringSpec:
             raise ValueError(f"N must be in 1..{MAX_VERTICES}, got {self.N}")
         rng.check_seed(self.seed)
         if self.kind == KIND_BLOWUP:
-            if self.t % 2 != 0 or self.t < 2:
-                raise ValueError("construction requires even t >= 2")
+            check_construction_t(self.t)
             if self.m < 0:
                 raise ValueError(f"m must be non-negative, got {self.m}")
             if self.ell != self.m + 2:
@@ -118,7 +126,7 @@ class EdgeColoring:
     """A total symmetric coloring of the pairs of [N], values in 1..ell.
 
     Immutable after construction; color_of is a pure function of
-    (spec, seed, pair), so instances are safely shareable across threads.
+    (spec, seed, pair).
     """
 
     def __init__(
@@ -271,14 +279,36 @@ class MonoWitness:
         return cls(color=int(d["color"]), vertices=tuple(int(v) for v in d["vertices"]))
 
 
+def _check_exhaustive(N: int) -> None:
+    if N > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"N={N} exceeds the exhaustive materialization guard {EXHAUSTIVE_LIMIT}")
+
+
 def color_class_graphs(
     coloring: EdgeColoring, colors: Optional[list[int]] = None
 ) -> dict[int, BitGraph]:
-    """Materialize the requested color classes as graphs, one pass over all pairs."""
+    """Materialize the requested color classes as graphs."""
+    N, ell = coloring.N, coloring.ell
+    _check_exhaustive(N)
+    wanted = list(range(1, ell + 1)) if colors is None else list(colors)
+    for c in wanted:
+        if not 1 <= c <= ell:
+            raise ValueError(f"no color {c} in a coloring with colors 1..{ell}")
+    rows = _class_rows(coloring, set(wanted))
+    return {c: BitGraph(N, rows[c]) for c in wanted}
+
+
+def _class_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
+    """Adjacency rows of the classes in `wanted`, keyed by color."""
+    if not wanted:
+        return {}
+    kind = coloring.spec.kind
+    if kind == KIND_BLOWUP:
+        return _blowup_rows(coloring, wanted)
+    if kind == KIND_PRODUCT:
+        return _product_rows(coloring, wanted)
+    # uniform random colorings have no structure to exploit: one pass over all pairs
     N = coloring.N
-    if N > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"N={N} exceeds the exhaustive materialization guard {EXHAUSTIVE_LIMIT}")
-    wanted = list(range(1, coloring.ell + 1)) if colors is None else list(colors)
     rows = {c: [0] * N for c in wanted}
     color_of = coloring.color_of
     for x in range(N):
@@ -287,36 +317,130 @@ def color_class_graphs(
             if row is not None:
                 row[x] |= 1 << y
                 row[y] |= 1 << x
-    return {c: BitGraph(N, rows[c]) for c in wanted}
+    return rows
 
 
-def _search_mono(coloring: EdgeColoring, t: int) -> tuple[Optional[MonoWitness], int]:
-    """Search every color class exhaustively for a t-clique.
+def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
+    """Blowup class rows by pullback; coins only for pairs no map separates.
 
-    Returns (witness, search nodes). Scans colors ascending and the
-    per-class search is deterministic, so the witness is too. Past the
-    materialization guard color_class_graphs raises ValueError.
+    With fibers F[v] = {x : f_i(x) = v}, the pairs f_i separates across an
+    edge at x are R[f_i(x)], R[v] = OR of F[u] over the neighbors u of v.
+    """
+    spec = coloring.spec
+    N, m = spec.N, spec.m
+    adj = coloring._g0.adj
+    leftover = bool(wanted - set(range(1, m + 1)))
+    last = m if leftover else max(wanted, default=0)
+    rows: dict[int, list[int]] = {}
+    taken = [0] * N  # pairs at x colored by the maps so far
+    for i in range(1, last + 1):
+        table = coloring._tables[i - 1]
+        fibers: dict[int, int] = {}
+        for x, v in enumerate(table):
+            fibers[v] = fibers.get(v, 0) | (1 << x)
+        image = 0
+        for v in fibers:
+            image |= 1 << v
+        pulled = {}
+        for v in fibers:
+            r = 0
+            for u in _bits_to_list(adj[v] & image):
+                r |= fibers[u]
+            pulled[v] = r
+        row = [pulled[v] & ~done for v, done in zip(table, taken)]
+        if i in wanted:
+            rows[i] = row
+        taken = [done | r for done, r in zip(taken, row)]
+    if leftover:
+        full = (1 << N) - 1
+        heads = [0] * N  # pairs whose coin gives color m+2
+        for x in range(N):
+            bit = 1 << x
+            unseparated = (full ^ taken[x]) >> (x + 1) << (x + 1)  # partners y > x
+            ahead = rng.pair_coins(spec.seed, TAG_PAIR, x, unseparated)
+            heads[x] |= ahead
+            for y in _bits_to_list(ahead):
+                heads[y] |= bit
+        if m + 1 in wanted:
+            rows[m + 1] = [
+                full ^ (1 << x) ^ done ^ h for x, (done, h) in enumerate(zip(taken, heads))
+            ]
+        if m + 2 in wanted:
+            rows[m + 2] = heads
+    return rows
+
+
+def _product_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
+    """Product class rows from the factors' class rows.
+
+    A first-factor class gives (a, b) the row of a with every bit widened
+    to a block of N2 bits, shared by the N2 vertices of block a; a
+    second-factor class gives (a, b) the row of b shifted into block a.
+    """
+    c1, c2 = coloring._factors
+    N1, N2, ell1 = c1.N, c2.N, c1.ell
+    rows: dict[int, list[int]] = {}
+    first = _class_rows(c1, {c for c in wanted if c <= ell1})
+    widen = {ord("0"): "0" * N2, ord("1"): "1" * N2}
+    for c, factor_rows in first.items():
+        wide = [int(format(r, "b").translate(widen), 2) for r in factor_rows]
+        rows[c] = [r for r in wide for _ in range(N2)]
+    second = _class_rows(c2, {c - ell1 for c in wanted if c > ell1})
+    for c, factor_rows in second.items():
+        rows[ell1 + c] = [r << (a * N2) for a in range(N1) for r in factor_rows]
+    return rows
+
+
+def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
+    """Colors in which Lemma 1 rules out a t-clique of `spec`.
+
+    Blowup class i of a t0-spec pulls back the order-t0 graph through
+    f_i, which is injective on any clique of the class; Lemma 1 caps that
+    graph's clique number at t0-1, so no class i <= m holds K_t once
+    t >= t0. A product class is discharged when its factor's class is.
+    """
+    if spec.kind == KIND_BLOWUP:
+        return set(range(1, spec.m + 1)) if t >= spec.t else set()
+    if spec.kind == KIND_PRODUCT:
+        f1, f2 = spec.factors
+        return _lemma1_colors(f1, t) | {f1.ell + c for c in _lemma1_colors(f2, t)}
+    return set()
+
+
+def _search_mono(
+    coloring: EdgeColoring, t: int
+) -> tuple[Optional[MonoWitness], int, list[int]]:
+    """Search every color class Lemma 1 does not discharge for a t-clique.
+
+    Returns (witness, search nodes, colors searched). Scans colors
+    ascending and the per-class search is deterministic, so the witness
+    is too; it is the one an all-class search finds, since discharged
+    classes hold no t-clique. Past the materialization guard
+    color_class_graphs raises ValueError.
     """
     if t < 1:
         raise ValueError(f"clique target must be positive, got {t}")
     if coloring.N < t:
         raise ValueError("target exceeds vertex count")
-    graphs = color_class_graphs(coloring)
+    discharged = _lemma1_colors(coloring.spec, t)
+    colors = [c for c in range(1, coloring.ell + 1) if c not in discharged]
+    graphs = color_class_graphs(coloring, colors)
     nodes = 0
-    for c in sorted(graphs):
+    for k, c in enumerate(colors):
         result = has_clique_of_order(graphs[c], t)
         nodes += result.nodes
         if result.found:
-            return MonoWitness(c, tuple(sorted(result.witness))), nodes
-    return None, nodes
+            return MonoWitness(c, tuple(sorted(result.witness))), nodes, colors[: k + 1]
+    return None, nodes, colors
 
 
 def find_mono_clique(coloring: EdgeColoring, t: int) -> Optional[MonoWitness]:
     """First monochromatic t-clique in deterministic order, or None.
 
-    A None return is exhaustive: every color class was fully searched.
+    A None return is exhaustive: every color class was fully searched or
+    discharged by Lemma 1.
     """
-    witness, _ = _search_mono(coloring, t)
+    witness, _, _ = _search_mono(coloring, t)
     return witness
 
 
@@ -418,15 +542,18 @@ def verify_coloring(
     colorings (the closed-form census of the orthogonality graph is used
     when m > 0 and none is supplied); product colorings carry no
     expectation. verified is True exactly when the exhaustive search
-    found nothing; N past EXHAUSTIVE_LIMIT raises ValueError.
+    found nothing; N past EXHAUSTIVE_LIMIT raises ValueError before the
+    coloring is drawn. search_stats lists the colors searched and those
+    discharged by Lemma 1.
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     target = spec.t if t is None else t
     if target < 2:
         raise ValueError(f"clique target must be at least 2, got {target}")
+    _check_exhaustive(spec.N)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
-    witness, nodes = _search_mono(coloring, target)
+    witness, nodes, searched = _search_mono(coloring, target)
     elapsed = time.perf_counter() - start
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
@@ -450,6 +577,8 @@ def verify_coloring(
             "nodes": nodes,
             "wall_time_sec": round(elapsed, 6),
             "tries": 1,
+            "searched_colors": searched,
+            "lemma1_colors": sorted(_lemma1_colors(spec, target)),
         },
     )
 

@@ -2,7 +2,7 @@
 
 Every drawn value is a pure function of its key, never of generation
 order, so colorings can be rebuilt pair by pair in any order, on any
-platform, with any number of worker threads, and come out identical.
+platform, and come out identical.
 The mixer is the splitmix64 finalizer, applied sponge-style over the
 tag constant and the index sequence; tag constants come from blake2b so
 they are stable across interpreter runs (unlike hash()).
@@ -65,3 +65,27 @@ def uniform_below(bound: int, seed: int, tag: str, *indices: int) -> int:
         if value < bound:
             return value
         attempt += 1
+
+
+def pair_coins(seed: int, tag: str, x: int, ys: int) -> int:
+    """The bits y of the mask ys whose coin uniform_below(2, seed, tag, x, y) is 1.
+
+    Same bits as one uniform_below call per pair: a bound of 2 never
+    rejects, so each coin is the low bit of stream64(seed, tag, x, y, 0).
+    The key state up to x is mixed once for the whole row, and the two
+    remaining splitmix64 rounds are inlined.
+    """
+    key = _mix(_mix(seed ^ _tag_constant(tag)) ^ (x & MASK64))
+    heads = 0
+    while ys:
+        low = ys & -ys
+        ys ^= low
+        z = key ^ (low.bit_length() - 1)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z ^= z >> 31
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        if (z ^ (z >> 31)) & 1:
+            heads |= low
+    return heads

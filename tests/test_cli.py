@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ramseycert
+from ramseycert import cli, coloring
 from ramseycert.cli import main
 from ramseycert.coloring import certificate_core
 
@@ -131,6 +133,46 @@ def test_generate_defaults_seed_but_prints_it(capsys, tmp_path):
     assert code == 0
     seed = json.loads(spec_path.read_text())["seed"]
     assert f"seed={seed}" in err
+
+
+def test_generate_default_seed_is_64_bit(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(random.SystemRandom, "getrandbits", lambda self, k: (1 << k) - 1)
+    spec_path = tmp_path / "spec.json"
+    code, _, _ = run(
+        capsys, "generate", "--t", "4", "--m", "1", "--N", "9", "--spec-out", str(spec_path)
+    )
+    assert code == 0
+    assert json.loads(spec_path.read_text())["seed"] == (1 << 64) - 1
+
+
+def test_generate_large_n_writes_spec_without_drawing(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coloring drawn only to write its spec")
+
+    # build_g0(30) alone would need 2^29 rows: refuse it too, so a regression
+    # fails here instead of exhausting memory
+    monkeypatch.setattr(coloring, "build_g0", refuse)
+    monkeypatch.setattr(coloring, "generate_blowup_coloring", refuse)
+    monkeypatch.setattr(cli, "regenerate", refuse)
+    spec_path = tmp_path / "spec.json"
+    code, out, _ = run(
+        capsys,
+        "generate", "--t", "30", "--m", "2", "--N", "100000000",
+        "--seed", "7", "--spec-out", str(spec_path),
+    )
+    assert code == 0
+    spec = {"kind": "blowup", "t": 30, "m": 2, "ell": 4, "N": 100000000, "seed": 7}
+    assert json.loads(spec_path.read_text()) == spec
+    assert json.loads(out) == spec
+
+
+def test_generate_rejects_t_outside_construction(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "generate", "--t", "32", "--m", "1", "--N", "9", "--spec-out", str(tmp_path / "s")
+    )
+    assert code == 2
+    assert "t must be between 2 and 30" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_generate_edge_dump(capsys, tmp_path):

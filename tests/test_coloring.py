@@ -1,15 +1,20 @@
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from ramseycert import coloring as coloring_module
 from ramseycert import rng
 from ramseycert.coloring import (
     Certificate,
     ColoringSpec,
+    EdgeColoring,
     MonoWitness,
     canonical_json_bytes,
+    certificate_core,
     certificates_match,
     color_class_graphs,
     find_mono_clique,
@@ -24,7 +29,7 @@ from ramseycert.coloring import (
     verify_coloring,
     write_edge_dump,
 )
-from ramseycert.graphs import has_clique_of_order
+from ramseycert.graphs import g0_census, has_clique_of_order
 
 BLOWUP_SPEC_N9 = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=1)
 
@@ -115,6 +120,114 @@ def test_blowup_classes_are_clique_free():
         graphs = color_class_graphs(coloring, colors=[1, 2])
         for c in (1, 2):
             assert not has_clique_of_order(graphs[c], 4)
+
+
+def pair_loop_classes(coloring, colors):
+    """The class rows from one color_of call per pair: the reference."""
+    rows = {c: [0] * coloring.N for c in colors}
+    for (x, y), c in all_pair_colors(coloring).items():
+        if c in rows:
+            rows[c][x] |= 1 << y
+            rows[c][y] |= 1 << x
+    return rows
+
+
+def random_coloring(rand: random.Random, depth: int = 0) -> EdgeColoring:
+    """A small random blowup, uniform random or (nested) product coloring."""
+    kind = rand.random()
+    if kind < 0.3 and depth < 2:
+        first = random_coloring(rand, depth + 1)
+        second = random_coloring(rand, depth + 1)
+        if first.N * second.N <= 150:
+            return product_coloring(first, second)
+    if kind < 0.85:
+        return generate_blowup_coloring(
+            rand.choice((2, 4, 6)), rand.randint(0, 3), rand.randint(1, 40), rand.getrandbits(64)
+        )
+    return generate_erdos_coloring(rand.randint(1, 25), rand.randint(2, 4), rand.getrandbits(64))
+
+
+def test_class_graphs_match_color_of_pair_loop():
+    rand = random.Random(2024)
+    kinds = set()
+    for _ in range(80):
+        coloring = random_coloring(rand)
+        kinds.add(coloring.spec.kind)
+        ell = coloring.ell
+        subset = sorted(rand.sample(range(1, ell + 1), rand.randint(1, ell)))
+        for colors in (None, subset):
+            graphs = color_class_graphs(coloring, colors)
+            wanted = list(range(1, ell + 1)) if colors is None else subset
+            expected = pair_loop_classes(coloring, wanted)
+            assert sorted(graphs) == wanted
+            for c in wanted:
+                assert graphs[c].adj == expected[c], (coloring.spec, c)
+    assert kinds == {"blowup", "erdos", "product"}
+
+
+def test_class_graphs_reject_colors_outside_palette():
+    coloring = generate_blowup_coloring(4, 1, 9, 0)
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match="no color"):
+            color_class_graphs(coloring, colors=[1, bad])
+
+
+def test_all_class_search_finds_the_same_witness():
+    # discharging the blowup classes by Lemma 1 must not change which
+    # witness comes first: search every class in color order and compare
+    compared = 0
+    for seed in range(12):
+        for t, m, N in ((4, 1, 12), (4, 2, 14), (4, 0, 9)):
+            coloring = generate_blowup_coloring(t, m, N, seed)
+            witness = find_mono_clique(coloring, t)
+            graphs = color_class_graphs(coloring)
+            full = None
+            for c in sorted(graphs):
+                result = has_clique_of_order(graphs[c], t)
+                if result.found:
+                    full = MonoWitness(c, tuple(sorted(result.witness)))
+                    break
+            assert witness == full, (t, m, N, seed)
+            compared += witness is not None
+    assert compared >= 10
+
+
+def test_target_below_spec_t_searches_blowup_classes():
+    # Lemma 1 discharges only targets of at least spec.t: the order-6
+    # graph has triangles, so a triangle target finds one in class 1
+    spec = ColoringSpec(kind="blowup", t=6, m=2, ell=4, N=40, seed=3)
+    cert = verify_coloring(spec, t=3)
+    assert cert.witness is not None and cert.witness.color == 1
+    assert cert.witness.holds_in(regenerate(spec))
+    assert cert.search_stats["lemma1_colors"] == []
+    assert cert.search_stats["searched_colors"] == [1]
+    assert find_mono_clique(regenerate(spec), 3) == cert.witness
+
+
+def test_search_stats_name_searched_and_discharged_colors(census_4):
+    cert = verify_coloring(BLOWUP_SPEC_N9, census=census_4)
+    assert cert.verified
+    assert cert.search_stats["searched_colors"] == [2, 3]
+    assert cert.search_stats["lemma1_colors"] == [1]
+    ok, _ = recheck_certificate(cert, census=census_4)
+    assert ok
+
+    factor = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=3, seed=5)
+    prod = ColoringSpec(kind="product", t=4, m=0, ell=6, N=9, seed=0, factors=(factor, factor))
+    cert = verify_coloring(prod)
+    assert cert.search_stats["lemma1_colors"] == [1, 4]
+    assert cert.search_stats["searched_colors"] == [2, 3, 5, 6]
+
+
+def test_t8_m2_certificate_core_is_pinned():
+    # the core recorded before the blowup classes were discharged by Lemma 1
+    spec = ColoringSpec(kind="blowup", t=8, m=2, ell=4, N=740, seed=1)
+    cert = verify_coloring(spec, census=g0_census(8))
+    assert cert.verified
+    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
+    assert hashlib.sha256(core).hexdigest() == (
+        "232d390895748fc3425004ee0c633b9206587f445fee91ad10c6ae445cf0420e"
+    )
 
 
 def test_leftover_colors_are_balanced():
@@ -294,6 +407,16 @@ def test_erdos_multicolor_certificate_has_no_expectation():
 def test_verify_rejects_n_beyond_exhaustive_guard():
     # past the guard no exhaustive search is possible, so nothing is certified
     big = ColoringSpec(kind="erdos", t=3, m=0, ell=2, N=10_001, seed=77)
+    with pytest.raises(ValueError, match="exceeds the exhaustive materialization guard 10000"):
+        verify_coloring(big)
+
+
+def test_verify_guard_comes_before_drawing_the_coloring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("regenerate called for a spec past the guard")
+
+    monkeypatch.setattr(coloring_module, "regenerate", refuse)
+    big = ColoringSpec(kind="blowup", t=6, m=2, ell=4, N=200_000, seed=1)
     with pytest.raises(ValueError, match="exceeds the exhaustive materialization guard 10000"):
         verify_coloring(big)
 

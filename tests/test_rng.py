@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ramseycert import rng
 
@@ -50,3 +52,16 @@ def test_seed_validation():
         rng.check_seed(-1)
     with pytest.raises(ValueError):
         rng.check_seed(rng.MAX_SEED + 1)
+
+
+@given(
+    seed=st.integers(0, rng.MAX_SEED),
+    x=st.integers(0, (1 << 32) - 1),
+    ys=st.integers(0, (1 << 200) - 1),
+)
+def test_pair_coins_equal_uniform_below(seed, x, ys):
+    heads = rng.pair_coins(seed, "pair", x, ys)
+    assert heads & ~ys == 0
+    for y in range(200):
+        if ys >> y & 1:
+            assert heads >> y & 1 == rng.uniform_below(2, seed, "pair", x, y)

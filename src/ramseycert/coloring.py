@@ -12,10 +12,11 @@ and a seed fully determine the coloring.
 Verification accounts for every color class: a blowup class i cannot
 hold a t-clique, because f_i maps one injectively onto a t-clique of the
 orthogonality graph, whose clique number is at most t-1 (Lemma 1), so
-every class is searched exhaustively or discharged by Lemma 1. The
-outcome, together with the exact expectation arithmetic, goes into a
-Certificate. A verified certificate at N vertices is a concrete proof
-that r(t; m+2) >= N+1.
+every class is searched exhaustively or discharged by Lemma 1; a
+product's classes are decided on its factors. The outcome, together
+with the exact expectation arithmetic, goes into a Certificate. A
+verified certificate at N vertices is a concrete proof that
+r(t; m+2) >= N+1.
 
 Color classes are built from the tables, not pair by pair: the class-i
 row of x is the pullback through f_i of the graph neighborhood of f_i(x),
@@ -33,7 +34,14 @@ from typing import Optional
 from . import rng
 from .bounds import ExpectationReport, expected_mono_count
 from .gf2 import check_construction_t
-from .graphs import BitGraph, _bits_to_list, build_g0, g0_census, has_clique_of_order
+from .graphs import (
+    BitGraph,
+    CliqueSearch,
+    _bits_to_list,
+    build_g0,
+    g0_census,
+    has_clique_of_order,
+)
 
 KIND_BLOWUP = "blowup"
 KIND_ERDOS = "erdos"
@@ -108,18 +116,50 @@ class ColoringSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ColoringSpec":
-        factors = d.get("factors")
-        return cls(
-            kind=d["kind"],
-            t=int(d["t"]),
-            m=int(d["m"]),
-            ell=int(d["ell"]),
-            N=int(d["N"]),
-            seed=int(d["seed"]),
-            factors=None
-            if factors is None
-            else tuple(cls.from_json_dict(f) for f in factors),
-        )
+        """Parse a spec document; ValueError names the first malformed field."""
+        return _spec_from_json(d, "spec")
+
+
+_TYPE_NAMES = {
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _typed(value, kind: type, name: str, nullable: bool = False):
+    """`value` if it has type `kind` (or is None when nullable), else ValueError naming it."""
+    if value is None and nullable:
+        return None
+    # JSON true/false parse to bool, which Python counts as int
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _field(d: dict, key: str, kind: type, where: str, nullable: bool = False):
+    """d[key], checked by _typed; ValueError if the key is missing."""
+    if key not in d:
+        raise ValueError(f"{where}.{key} is missing")
+    return _typed(d[key], kind, f"{where}.{key}", nullable)
+
+
+def _spec_from_json(d, where: str) -> ColoringSpec:
+    _typed(d, dict, where)
+    factors = _typed(d.get("factors"), list, f"{where}.factors", nullable=True)
+    if factors is not None:
+        factors = tuple(_spec_from_json(f, f"{where}.factors[{i}]") for i, f in enumerate(factors))
+    return ColoringSpec(
+        kind=_field(d, "kind", str, where),
+        t=_field(d, "t", int, where),
+        m=_field(d, "m", int, where),
+        ell=_field(d, "ell", int, where),
+        N=_field(d, "N", int, where),
+        seed=_field(d, "seed", int, where),
+        factors=factors,
+    )
 
 
 class EdgeColoring:
@@ -213,8 +253,15 @@ def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
 
     Vertex v encodes the pair (v // N2, v % N2); pairs differing in the
     first coordinate take the first factor's color, pairs inside a block
-    take the second factor's color shifted past the first palette. If
-    neither factor has a monochromatic K_t, the product has none.
+    take the second factor's color shifted past the first palette.
+
+    Product class c <= ell1 holds a K_t exactly when factor 1's class c
+    does: such a clique has one vertex per block and projects injectively
+    onto one, and a factor clique lifts to any choice of one vertex per
+    block. Class ell1+c holds a K_t exactly when factor 2's class c does,
+    since that clique lies inside one block. So the product holds a
+    monochromatic K_t iff a factor does, and verification decides each
+    product class on its factor.
     """
     if c1.N * c2.N > MAX_VERTICES:
         raise ValueError(f"product vertex count {c1.N * c2.N} exceeds capacity")
@@ -276,7 +323,16 @@ class MonoWitness:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MonoWitness":
-        return cls(color=int(d["color"]), vertices=tuple(int(v) for v in d["vertices"]))
+        return _witness_from_json(d, "witness")
+
+
+def _witness_from_json(d, where: str) -> MonoWitness:
+    _typed(d, dict, where)
+    vertices = _field(d, "vertices", list, where)
+    return MonoWitness(
+        color=_field(d, "color", int, where),
+        vertices=tuple(_typed(v, int, f"{where}.vertices[{i}]") for i, v in enumerate(vertices)),
+    )
 
 
 def _check_exhaustive(N: int) -> None:
@@ -407,31 +463,69 @@ def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
     return set()
 
 
+def _first_clique_class(
+    coloring: EdgeColoring, colors: list[int], t: int
+) -> tuple[Optional[int], Optional[CliqueSearch], int]:
+    """The first of `colors` (ascending) whose class holds a t-clique.
+
+    Returns (that color or None, the search that found the clique, the
+    search nodes spent). A product decides each class on the factor that
+    owns it (see product_coloring), recursively, so only factor classes
+    are built and the search it returns ran on a factor. A coloring on
+    fewer than t vertices holds no t-clique.
+    """
+    if coloring.N < t or not colors:
+        return None, None, 0
+    if coloring.spec.kind == KIND_PRODUCT:
+        c1, c2 = coloring._factors
+        ell1 = c1.ell
+        c, result, nodes = _first_clique_class(c1, [c for c in colors if c <= ell1], t)
+        if c is not None:
+            return c, result, nodes
+        c, result, more = _first_clique_class(c2, [c - ell1 for c in colors if c > ell1], t)
+        return None if c is None else ell1 + c, result, nodes + more
+    graphs = color_class_graphs(coloring, colors)
+    nodes = 0
+    for c in colors:
+        result = has_clique_of_order(graphs[c], t)
+        nodes += result.nodes
+        if result.found:
+            return c, result, nodes
+    return None, None, nodes
+
+
 def _search_mono(
     coloring: EdgeColoring, t: int
-) -> tuple[Optional[MonoWitness], int, list[int]]:
+) -> tuple[Optional[MonoWitness], int, list[int], list[int]]:
     """Search every color class Lemma 1 does not discharge for a t-clique.
 
-    Returns (witness, search nodes, colors searched). Scans colors
-    ascending and the per-class search is deterministic, so the witness
-    is too; it is the one an all-class search finds, since discharged
-    classes hold no t-clique. Past the materialization guard
-    color_class_graphs raises ValueError.
+    Returns (witness, search nodes, colors searched, colors decided on
+    factors). Scans colors ascending and the per-class search is
+    deterministic, so the witness is too; it is the one an all-class
+    search finds, since discharged classes hold no t-clique. A product
+    decides its classes on its factors and builds one product class, for
+    the witness search, only at the first color a factor says holds a
+    t-clique; its nodes are the factor searches' plus that search's.
+    Past the materialization guard it raises ValueError.
     """
     if t < 1:
         raise ValueError(f"clique target must be positive, got {t}")
     if coloring.N < t:
         raise ValueError("target exceeds vertex count")
+    _check_exhaustive(coloring.N)
     discharged = _lemma1_colors(coloring.spec, t)
     colors = [c for c in range(1, coloring.ell + 1) if c not in discharged]
-    graphs = color_class_graphs(coloring, colors)
-    nodes = 0
-    for k, c in enumerate(colors):
-        result = has_clique_of_order(graphs[c], t)
+    c, result, nodes = _first_clique_class(coloring, colors, t)
+    searched = colors if c is None else colors[: colors.index(c) + 1]
+    on_factors = searched if coloring.spec.kind == KIND_PRODUCT else []
+    if c is None:
+        return None, nodes, searched, on_factors
+    if on_factors:
+        result = has_clique_of_order(color_class_graphs(coloring, [c])[c], t)
         nodes += result.nodes
-        if result.found:
-            return MonoWitness(c, tuple(sorted(result.witness))), nodes, colors[: k + 1]
-    return None, nodes, colors
+        if not result.found:
+            raise AssertionError(f"a factor clique of class {c} did not lift to the product")
+    return MonoWitness(c, tuple(sorted(result.witness))), nodes, searched, on_factors
 
 
 def find_mono_clique(coloring: EdgeColoring, t: int) -> Optional[MonoWitness]:
@@ -440,7 +534,7 @@ def find_mono_clique(coloring: EdgeColoring, t: int) -> Optional[MonoWitness]:
     A None return is exhaustive: every color class was fully searched or
     discharged by Lemma 1.
     """
-    witness, _, _ = _search_mono(coloring, t)
+    witness, _, _, _ = _search_mono(coloring, t)
     return witness
 
 
@@ -486,22 +580,38 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Certificate":
+        """Parse a certificate document; ValueError names the first malformed field."""
+        where = "certificate"
+        _typed(d, dict, where)
         if d.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {d.get('format')!r}")
-        witness = d.get("witness")
-        expectation = d.get("expectation")
+        witness = _field(d, "witness", dict, where, nullable=True)
+        expectation = _field(d, "expectation", dict, where, nullable=True)
         return cls(
-            spec=ColoringSpec.from_json_dict(d["spec"]),
-            seed=int(d["seed"]),
-            t=int(d["t"]),
-            verified=bool(d["verified"]),
-            exhaustive=bool(d["exhaustive"]),
-            witness=None if witness is None else MonoWitness.from_json_dict(witness),
+            spec=_spec_from_json(_field(d, "spec", dict, where), f"{where}.spec"),
+            seed=_field(d, "seed", int, where),
+            t=_field(d, "t", int, where),
+            verified=_field(d, "verified", bool, where),
+            exhaustive=_field(d, "exhaustive", bool, where),
+            witness=None if witness is None else _witness_from_json(witness, f"{where}.witness"),
             expectation=None
             if expectation is None
-            else ExpectationReport.from_json_dict(expectation),
-            search_stats=dict(d.get("search_stats", {})),
+            else _expectation_from_json(expectation, f"{where}.expectation"),
+            search_stats=dict(_typed(d.get("search_stats", {}), dict, f"{where}.search_stats")),
         )
+
+
+def _expectation_from_json(d: dict, where: str) -> ExpectationReport:
+    for key in ("t", "m", "N"):
+        _field(d, key, int, where)
+    for key in ("per_set_mono_exact", "expected_count_exact"):
+        _field(d, key, str, where)
+    for key in ("p_ind_exact", "census_fingerprint"):
+        _field(d, key, str, where, nullable=True)
+    try:
+        return ExpectationReport.from_json_dict(d)
+    except (ValueError, ZeroDivisionError) as exc:  # a fraction string that does not parse
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def canonical_json_bytes(d: dict) -> bytes:
@@ -543,8 +653,8 @@ def verify_coloring(
     when m > 0 and none is supplied); product colorings carry no
     expectation. verified is True exactly when the exhaustive search
     found nothing; N past EXHAUSTIVE_LIMIT raises ValueError before the
-    coloring is drawn. search_stats lists the colors searched and those
-    discharged by Lemma 1.
+    coloring is drawn. search_stats lists the colors searched, those
+    discharged by Lemma 1 and those decided on a product's factors.
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     target = spec.t if t is None else t
@@ -553,7 +663,7 @@ def verify_coloring(
     _check_exhaustive(spec.N)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
-    witness, nodes, searched = _search_mono(coloring, target)
+    witness, nodes, searched, on_factors = _search_mono(coloring, target)
     elapsed = time.perf_counter() - start
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
@@ -579,6 +689,7 @@ def verify_coloring(
             "tries": 1,
             "searched_colors": searched,
             "lemma1_colors": sorted(_lemma1_colors(spec, target)),
+            "factor_colors": on_factors,
         },
     )
 

@@ -87,26 +87,8 @@ class VectorSet:
         if any(a >= b for a, b in zip(codes, codes[1:])):
             raise ValueError("members must be strictly ascending by encoding")
 
-    @classmethod
-    def from_vectors(cls, dim: int, vectors: Iterable[BitVector]) -> "VectorSet":
-        """Canonicalize: deduplicate and sort ascending by encoding."""
-        return cls(dim, tuple(sorted(set(vectors))))
-
     def codes(self) -> list[int]:
         return [v.code for v in self.members]
-
-    def index_of(self, v: BitVector) -> int:
-        """Canonical index of a member (vertices of the orthogonality graph)."""
-        lo, hi = 0, len(self.members)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.members[mid].code < v.code:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.members) and self.members[lo] == v:
-            return lo
-        raise KeyError(f"{v} is not a member")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -116,15 +98,6 @@ class VectorSet:
 
     def __getitem__(self, i: int) -> BitVector:
         return self.members[i]
-
-    def __contains__(self, v: object) -> bool:
-        if not isinstance(v, BitVector):
-            return False
-        try:
-            self.index_of(v)
-            return True
-        except KeyError:
-            return False
 
 
 def check_construction_t(t: int) -> None:

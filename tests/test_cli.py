@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import subprocess
@@ -249,6 +250,89 @@ def test_verify_unverified_exit_code(capsys, tmp_path):
 def test_verify_missing_spec_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--spec-file", str(tmp_path / "absent.json"))
     assert code == 2
+
+
+_DROP = object()
+
+
+def _edited(doc, path, value=_DROP):
+    """A deep copy of `doc` with the item at `path` replaced, or dropped."""
+    doc = copy.deepcopy(doc)
+    *outer, last = path
+    inner = doc
+    for key in outer:
+        inner = inner[key]
+    if value is _DROP:
+        del inner[last]
+    else:
+        inner[last] = value
+    return doc
+
+
+BLOWUP_SPEC = {"kind": "blowup", "t": 4, "m": 1, "ell": 3, "N": 9, "seed": 1}
+PRODUCT_SPEC = {
+    "kind": "product", "t": 4, "m": 0, "ell": 6, "N": 81, "seed": 0,
+    "factors": [BLOWUP_SPEC, {**BLOWUP_SPEC, "seed": 2}],
+}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (_edited(BLOWUP_SPEC, ["seed"]), "spec.seed is missing"),
+        (_edited(BLOWUP_SPEC, ["t"], "six"), "spec.t must be an integer, got str"),
+        (_edited(BLOWUP_SPEC, ["N"], 9.0), "spec.N must be an integer, got float"),
+        (_edited(BLOWUP_SPEC, ["m"], True), "spec.m must be an integer, got bool"),
+        ([BLOWUP_SPEC], "spec must be an object, got list"),
+        (_edited(PRODUCT_SPEC, ["factors", 1, "seed"]), "spec.factors[1].seed is missing"),
+        (_edited(PRODUCT_SPEC, ["factors"], "both"), "spec.factors must be a list, got str"),
+        (_edited(PRODUCT_SPEC, ["factors", 0], 7), "spec.factors[0] must be an object, got int"),
+    ],
+)
+def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "verify", "--spec-file", str(spec_path))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _edited(d, ["seed"]), "certificate.seed is missing"),
+        (lambda d: _edited(d, ["witness"]), "certificate.witness is missing"),
+        (lambda d: _edited(d, ["verified"], "yes"), "certificate.verified must be a boolean"),
+        (lambda d: _edited(d, ["t"], "four"), "certificate.t must be an integer, got str"),
+        (lambda d: [d], "certificate must be an object, got list"),
+        (lambda d: _edited(d, ["spec"], [1, 2]), "certificate.spec must be an object, got list"),
+        (lambda d: _edited(d, ["spec", "seed"]), "certificate.spec.seed is missing"),
+        (
+            lambda d: _edited(d, ["witness"], {"color": 2, "vertices": [0, "1"]}),
+            "certificate.witness.vertices[1] must be an integer, got str",
+        ),
+        (
+            lambda d: _edited(d, ["expectation", "expected_count_exact"], None),
+            "certificate.expectation.expected_count_exact must be a string, got NoneType",
+        ),
+        (
+            lambda d: _edited(d, ["expectation", "per_set_mono_exact"], "1/0"),
+            "certificate.expectation: ",
+        ),
+        (
+            lambda d: _edited(d, ["search_stats"], []),
+            "certificate.search_stats must be an object, got list",
+        ),
+    ],
+)
+def test_recheck_rejects_malformed_certificate(capsys, tmp_path, edit, message):
+    spec_path = _write_spec(tmp_path, capsys, seed=1)
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "verify", "--spec-file", str(spec_path), "--certificate-out", str(cert_path))
+    cert_path.write_text(json.dumps(edit(json.loads(cert_path.read_text()))))
+    code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
+    assert code == 2
+    assert message in err
 
 
 def test_recheck_roundtrip_and_tamper(capsys, tmp_path):

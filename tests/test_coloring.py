@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -192,6 +193,85 @@ def test_all_class_search_finds_the_same_witness():
     assert compared >= 10
 
 
+def all_class_witness(coloring, t):
+    """The first witness of a search of every class in color order: the reference."""
+    graphs = color_class_graphs(coloring)
+    for c in sorted(graphs):
+        result = has_clique_of_order(graphs[c], t)
+        if result.found:
+            return MonoWitness(c, tuple(sorted(result.witness)))
+    return None
+
+
+def random_product(rand: random.Random) -> EdgeColoring:
+    """A product of two small random colorings, themselves possibly products."""
+    while True:
+        first, second = random_coloring(rand, 1), random_coloring(rand, 1)
+        if 2 <= first.N * second.N <= 150:
+            return product_coloring(first, second)
+
+
+def test_product_search_on_factors_finds_the_all_class_witness():
+    # deciding product classes on their factors must not change the
+    # witness or the core: compare with a search of every product class
+    rand = random.Random(6)
+    seen = {"witness": 0, "none": 0, "nested": 0, "erdos": 0, "small_factor": 0, "below_t": 0}
+    for _ in range(300):
+        coloring = random_product(rand)
+        spec = coloring.spec
+        target = rand.randint(2, min(coloring.N, 6))
+        cert = verify_coloring(spec, t=target)
+        reference = all_class_witness(coloring, target)
+        assert cert.witness == reference, (spec, target)
+        expected = dataclasses.replace(cert, witness=reference, verified=reference is None)
+        assert certificate_core(cert.to_json_dict()) == certificate_core(expected.to_json_dict())
+        assert cert.search_stats["factor_colors"] == cert.search_stats["searched_colors"]
+        factors = spec.factors
+        seen["witness" if reference else "none"] += 1
+        seen["nested"] += any(f.kind == "product" for f in factors)
+        seen["erdos"] += any(f.kind == "erdos" for f in factors)
+        seen["small_factor"] += any(f.N < target for f in factors)
+        seen["below_t"] += target < spec.t
+    assert min(seen.values()) >= 10, seen
+
+
+def test_first_clique_class_on_too_few_vertices_answers_no():
+    small = generate_blowup_coloring(4, 1, 3, 0)
+    assert coloring_module._first_clique_class(small, [1, 2, 3], 4) == (None, None, 0)
+
+
+def test_verified_product_builds_only_factor_classes(monkeypatch):
+    built, searched = [], []
+    real_classes = coloring_module.color_class_graphs
+    real_search = coloring_module.has_clique_of_order
+
+    def classes(coloring, colors=None):
+        built.append(coloring.N)
+        return real_classes(coloring, colors)
+
+    def search(graph, k):
+        result = real_search(graph, k)
+        searched.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(coloring_module, "color_class_graphs", classes)
+    monkeypatch.setattr(coloring_module, "has_clique_of_order", search)
+    factors = tuple(ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=1) for _ in (0, 1))
+    spec = ColoringSpec(kind="product", t=4, m=0, ell=6, N=81, seed=0, factors=factors)
+    cert = verify_coloring(spec)
+    assert cert.verified
+    assert built and max(built) == 9
+    assert cert.search_stats["nodes"] == sum(searched)
+
+    # with a witness, exactly one product class is built, for the witness search
+    built.clear()
+    searched.clear()
+    cert = verify_coloring(spec, t=3)
+    assert cert.witness is not None and cert.witness.holds_in(regenerate(spec))
+    assert built.count(81) == 1
+    assert cert.search_stats["nodes"] == sum(searched)
+
+
 def test_target_below_spec_t_searches_blowup_classes():
     # Lemma 1 discharges only targets of at least spec.t: the order-6
     # graph has triangles, so a triangle target finds one in class 1
@@ -209,6 +289,7 @@ def test_search_stats_name_searched_and_discharged_colors(census_4):
     assert cert.verified
     assert cert.search_stats["searched_colors"] == [2, 3]
     assert cert.search_stats["lemma1_colors"] == [1]
+    assert cert.search_stats["factor_colors"] == []
     ok, _ = recheck_certificate(cert, census=census_4)
     assert ok
 
@@ -217,6 +298,7 @@ def test_search_stats_name_searched_and_discharged_colors(census_4):
     cert = verify_coloring(prod)
     assert cert.search_stats["lemma1_colors"] == [1, 4]
     assert cert.search_stats["searched_colors"] == [2, 3, 5, 6]
+    assert cert.search_stats["factor_colors"] == [2, 3, 5, 6]
 
 
 def test_t8_m2_certificate_core_is_pinned():
@@ -227,6 +309,18 @@ def test_t8_m2_certificate_core_is_pinned():
     core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
     assert hashlib.sha256(core).hexdigest() == (
         "232d390895748fc3425004ee0c633b9206587f445fee91ad10c6ae445cf0420e"
+    )
+
+
+def test_verify_product_certificate_core_is_pinned():
+    # the core recorded while product classes were still searched whole
+    factors = tuple(ColoringSpec(kind="blowup", t=6, m=1, ell=3, N=41, seed=s) for s in (2, 3))
+    spec = ColoringSpec(kind="product", t=6, m=0, ell=6, N=41 * 41, seed=0, factors=factors)
+    cert = verify_coloring(spec)
+    assert cert.verified
+    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
+    assert hashlib.sha256(core).hexdigest() == (
+        "253a83c66b1f021588ad9d22b64769a4e09f337c9518357a111efc31121a66a3"
     )
 
 

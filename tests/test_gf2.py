@@ -114,14 +114,6 @@ def test_rank_matches_subset_sum_oracle():
         assert gf2_rank(vectors) == _rank_oracle(vectors)
 
 
-def test_vectorset_canonicalization():
-    vs = VectorSet.from_vectors(4, [V("1111"), V("0011"), V("1111")])
-    assert [v.code for v in vs] == sorted({V("0011").code, V("1111").code})
-    assert V("0011") in vs
-    assert V("0110") not in vs
-    assert vs.index_of(vs[1]) == 1
-
-
 def test_vectorset_rejects_disorder():
     with pytest.raises(ValueError):
         VectorSet(4, (V("1111"), V("0011")))

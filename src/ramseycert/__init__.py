@@ -38,7 +38,6 @@ from .gf2 import (
 )
 from .graphs import (
     BitGraph,
-    CensusBudgetExceeded,
     IndependentSetCensus,
     build_g0,
     count_independent_sets,

@@ -1,11 +1,11 @@
 """Command-line frontend for the whole pipeline.
 
 Subcommands: build-graph, census, certify, generate, verify, bounds-table,
-recheck, verify-g0. The census of the orthogonality graph comes from its
-closed form (graphs.g0_census); only `census --graph-file` runs the
-exhaustive search, under a node budget. Exit codes: 0 success/verified,
-1 unverified outcome or failed recheck, 2 parameter errors, 3 node-budget
-aborts of `census --graph-file`. Diagnostics go to stderr; artifacts go
+recheck, verify-g0. Every census comes from the closed form of the
+orthogonality graph (graphs.g0_census); the exhaustive census is a test
+oracle only. `verify-g0` is the one reader of graph files. Exit codes:
+0 success/verified, 1 unverified outcome or failed recheck, 2 parameter
+errors and malformed input files. Diagnostics go to stderr; artifacts go
 to files and stdout. Every run echoes its full resolved parameter set,
 including a defaulted seed, so any output can be reproduced.
 """
@@ -33,9 +33,7 @@ from .coloring import (
     write_edge_dump,
 )
 from .graphs import (
-    CensusBudgetExceeded,
     build_g0,
-    count_independent_sets,
     g0_census,
     max_clique,
     read_graph_file,
@@ -45,9 +43,7 @@ from .graphs import (
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
 EXIT_PARAMS = 2
-EXIT_BUDGET = 3
 
-DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_MAX_TRIES = 64
 
 
@@ -72,28 +68,10 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.graph_file:
-        g, t = read_graph_file(args.graph_file)
-        if args.t is not None and args.t != t:
-            raise ValueError(f"--t {args.t} contradicts graph file t={t}")
-    elif args.t is not None:
-        t = args.t
-    else:
-        raise ValueError("census needs --t or --graph-file")
+    t = args.t
     out = args.out or f"census_t{t}.csv"
-    node_budget = args.node_budget if args.graph_file else None
-    _echo_params(
-        "census",
-        {"t": t, "graph_file": args.graph_file, "node_budget": node_budget, "out": out},
-    )
-    if args.graph_file:
-        try:
-            census = count_independent_sets(g, t, node_budget=node_budget)
-        except CensusBudgetExceeded as exc:
-            _diag(f"census aborted after {exc.nodes} nodes; partial counts {exc.partial_counts}")
-            raise
-    else:
-        census = g0_census(t)
+    _echo_params("census", {"t": t, "out": out})
+    census = g0_census(t)
     with open(out, "w", encoding="ascii") as fh:
         fh.write("k,i_k\n")
         for k, count in enumerate(census.counts):
@@ -237,14 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("census", help="count independent sets by size")
-    p.add_argument("--t", type=int)
-    p.add_argument("--graph-file")
-    p.add_argument(
-        "--node-budget",
-        type=int,
-        default=DEFAULT_NODE_BUDGET,
-        help="search-node cap of the exhaustive census of --graph-file",
-    )
+    p.add_argument("--t", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_census)
 
@@ -289,9 +260,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CensusBudgetExceeded as exc:
-        _diag(f"error: {exc}")
-        return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         _diag(f"error: {exc}")
         return EXIT_PARAMS

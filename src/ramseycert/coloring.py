@@ -724,26 +724,54 @@ def produce_certificate(
     return cert, failures
 
 
+# rendered by to_json_dict from other fields; the diff names the source instead
+_RENDERED = {"certificate.expectation.expected_count", "certificate.expectation.certified_bound"}
+
+
+def _first_difference(a, b, path: str) -> Optional[str]:
+    """Dotted path of the first place two JSON values differ, object keys in sorted order."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return None if json.dumps(a) == json.dumps(b) else path
+    for key in sorted(a.keys() | b.keys()):
+        sub = f"{path}.{key}"
+        found = sub not in _RENDERED and _first_difference(a.get(key), b.get(key), sub)
+        if found:
+            return found
+    return None
+
+
 def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch.
 
-    Checks internal consistency, replays the search at the certificate's
-    seed, and compares the deterministic parts byte for byte.
+    Checks internal consistency and the witness against the spec, replays
+    the search at the certificate's seed, and compares the deterministic
+    parts byte for byte; a mismatch names the first differing field.
     """
     reasons: list[str] = []
     if cert.verified != (cert.witness is None and cert.exhaustive):
         reasons.append(
             "inconsistent certificate: verified must mean exhaustive search with no witness"
         )
-    if cert.witness is not None:
-        coloring = regenerate(cert.spec, seed=cert.seed)
-        if not cert.witness.holds_in(coloring):
-            reasons.append("witness is not monochromatic under the regenerated coloring")
+    if cert.expectation is not None and cert.expectation.t != cert.t:
+        reasons.append(f"certificate.t {cert.t} does not match certificate.expectation.t")
+    witness, spec = cert.witness, cert.spec
+    if witness is not None:
+        bad = [v for v in witness.vertices if not 0 <= v < spec.N]
+        if len(witness.vertices) != cert.t:
+            reasons.append(f"certificate.witness.vertices must hold t={cert.t} vertices")
+        elif bad:
+            reasons.append(f"certificate.witness.vertices: {bad[0]} out of range for N={spec.N}")
+        elif witness.color > spec.ell:
+            reasons.append(f"certificate.witness.color {witness.color} exceeds ell={spec.ell}")
+        elif not witness.holds_in(regenerate(spec, seed=cert.seed)):
+            reasons.append("certificate.witness is not monochromatic in the regenerated coloring")
     if reasons:
         return False, reasons
-    fresh = verify_coloring(cert.spec, seed=cert.seed, t=cert.t, census=census)
-    if not certificates_match(fresh.to_json_dict(), cert.to_json_dict()):
-        reasons.append("certificate does not reproduce from its spec and seed")
+    stored = cert.to_json_dict()
+    fresh = verify_coloring(spec, seed=cert.seed, t=cert.t, census=census).to_json_dict()
+    if not certificates_match(fresh, stored):
+        path = _first_difference(certificate_core(stored), certificate_core(fresh), "certificate")
+        reasons.append(f"{path} does not reproduce from its spec and seed")
     return not reasons, reasons
 
 

@@ -3,11 +3,13 @@
 Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so neighborhood intersections are single big-int
 ANDs. The clique searches are branch-and-bound with greedy-coloring upper
-bounds; the independent-set census of an arbitrary graph is a
-depth-first extension over vertices in ascending index, and that of the
-orthogonality graph has a closed form. Everything here is deterministic:
-the same graph always produces the same witness, the same counts, and
-the same traversal order.
+bounds. The independent-set census of the orthogonality graph has a
+closed form (g0_census); the depth-first census of an arbitrary graph
+(count_independent_sets) is kept only as its test oracle. The text graph
+file is checked header first, so a bad header allocates nothing, and
+each error names the header field or the line. Everything here is
+deterministic: the same graph always produces the same witness, the same
+counts, and the same traversal order.
 """
 
 from __future__ import annotations
@@ -18,23 +20,6 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .gf2 import BitVector, check_construction_t, enumerate_even_weight
-
-
-class CensusBudgetExceeded(RuntimeError):
-    """Raised when the independent-set census exceeds its node budget.
-
-    Carries the partial counts accumulated so far, so callers can report
-    progress before giving up.
-    """
-
-    def __init__(self, budget: int, partial_counts: Sequence[int], nodes: int):
-        super().__init__(
-            f"census aborted: node budget {budget} exceeded "
-            f"(partial counts {list(partial_counts)})"
-        )
-        self.budget = budget
-        self.partial_counts = list(partial_counts)
-        self.nodes = nodes
 
 
 class BitGraph:
@@ -308,32 +293,25 @@ class IndependentSetCensus:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def count_independent_sets(
-    g: BitGraph, max_size: int, node_budget: Optional[int] = None
-) -> IndependentSetCensus:
+def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     """Exact counts of independent sets of each size up to max_size.
 
     Depth-first extension over vertices in ascending index: each set is
-    visited exactly once, as its sorted vertex list. One search node is
-    one nonempty set; if node_budget is exceeded the search aborts with
-    a CensusBudgetExceeded carrying the partial counts.
+    visited exactly once, as its sorted vertex list. This exhaustive
+    search is the test oracle for the closed form g0_census; nothing in
+    the certification pipeline runs it.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be non-negative, got {max_size}")
     adj = g.adj
     counts = [0] * (max_size + 1)
     counts[0] = 1
-    nodes = 0
 
     def extend(cand: int, size: int) -> None:
-        nonlocal nodes
         while cand:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise CensusBudgetExceeded(node_budget, counts, nodes)
             counts[size + 1] += 1
             if size + 1 < max_size:
                 child = cand & ~adj[v]
@@ -428,32 +406,56 @@ def write_graph_file(g: BitGraph, t: int, path) -> None:
             fh.write(f"{i} {j}\n")
 
 
+def _graph_file_lines(fh) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) for each line of a binary file, ASCII only."""
+    for number, raw in enumerate(fh, start=1):
+        try:
+            yield number, raw.decode("ascii").split()
+        except UnicodeDecodeError:
+            raise ValueError(f"graph file line {number}: non-ASCII byte") from None
+
+
+def _graph_file_int(token: str, where: str) -> int:
+    if not token.isdigit():
+        raise ValueError(f"graph file {where} must be a non-negative integer, got {token!r}")
+    return int(token)
+
+
 def read_graph_file(path) -> tuple[BitGraph, int]:
-    """Read the text graph format back; returns (graph, t)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != GRAPH_FILE_MAGIC:
-            raise ValueError(f"malformed graph file header: {' '.join(header)!r}")
-        fields = {}
-        for token in header[1:]:
-            key, _, value = token.partition("=")
-            fields[key] = int(value)
-        if set(fields) != {"t", "n", "m"}:
-            raise ValueError(f"graph file header must carry t, n, m; got {fields}")
-        g = BitGraph(fields["n"])
+    """Read the text graph format back; returns (graph, t).
+
+    The header is checked before anything is allocated: t must be a
+    construction order and n must be 2^(t-1). Every error names the
+    header field or the line.
+    """
+    with open(path, "rb") as fh:
+        lines = _graph_file_lines(fh)
+        _, header = next(lines, (1, []))
+        fields = dict(token.partition("=")[::2] for token in header[1:])
+        if len(header) != 4 or header[0] != GRAPH_FILE_MAGIC or sorted(fields) != ["m", "n", "t"]:
+            raise ValueError(f"graph file line 1: malformed header {' '.join(header)!r}")
+        t, n, m = (_graph_file_int(fields[key], f"header field {key}") for key in "tnm")
+        try:
+            check_construction_t(t)
+        except ValueError as exc:
+            raise ValueError(f"graph file header field t: {exc}") from None
+        if n != 1 << (t - 1):
+            raise ValueError(f"graph file header field n: t={t} needs n={1 << (t - 1)}, got {n}")
+        g = BitGraph(n)
         edge_lines = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, tokens in lines:
+            if not tokens:
                 continue
-            i_str, j_str = line.split()
-            i, j = int(i_str), int(j_str)
-            if not i < j:
-                raise ValueError(f"edge lines must satisfy i < j, got {i} {j}")
+            if len(tokens) != 2:
+                raise ValueError(f"graph file line {number}: {len(tokens)} fields, expected `i j`")
+            i, j = (_graph_file_int(token, f"line {number}") for token in tokens)
+            if not i < j < n:
+                raise ValueError(f"graph file line {number}: edge {i} {j} needs i < j < n={n}")
             g.add_edge(i, j)
             edge_lines += 1
-        if edge_lines != fields["m"] or g.edge_count() != fields["m"]:
+        if edge_lines != m or g.edge_count() != m:
             raise ValueError(
-                f"edge count mismatch: header says {fields['m']}, file has {edge_lines}"
+                f"graph file header field m={m}, but the file has {edge_lines} edge lines "
+                f"and {g.edge_count()} distinct edges"
             )
-    return g, fields["t"]
+    return g, t

@@ -50,32 +50,11 @@ def test_census_command(capsys, tmp_path):
     assert rows[1:] == ["0,1", "1,8", "2,16", "3,12", "4,3"]
 
 
-def test_census_from_graph_file(capsys, tmp_path):
-    graph_path = tmp_path / "g.graph"
-    run(capsys, "build-graph", "--t", "4", "--out", str(graph_path))
-    code, out, _ = run(
-        capsys, "census", "--graph-file", str(graph_path), "--out", str(tmp_path / "c.csv")
-    )
-    assert code == 0
-    assert "nonempty_total=39" in out
-
-
 def test_census_requires_input(capsys):
-    code, _, err = run(capsys, "census")
-    assert code == 2
-    assert "needs --t or --graph-file" in err
-
-
-def test_census_budget_abort(capsys, tmp_path):
-    graph_path = tmp_path / "g.graph"
-    run(capsys, "build-graph", "--t", "4", "--out", str(graph_path))
-    code, _, err = run(
-        capsys,
-        "census", "--graph-file", str(graph_path), "--node-budget", "5",
-        "--out", str(tmp_path / "c.csv"),
-    )
-    assert code == 3
-    assert "partial counts" in err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["census"])
+    assert exc_info.value.code == 2
+    assert "--t" in capsys.readouterr().err
 
 
 def test_certify_t4_m1(capsys):
@@ -335,6 +314,61 @@ def test_recheck_rejects_malformed_certificate(capsys, tmp_path, edit, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "seed, edit, value, message",
+    [
+        # seed 0 holds the witness color=2 vertices=[0, 2, 4, 5]; seed 1 verifies
+        (0, ["witness", "vertices"], [0, 2, 4, 99], "witness.vertices: 99 out of range for N=9"),
+        (0, ["witness", "color"], 4, "witness.color 4 exceeds ell=3"),
+        (0, ["witness", "vertices"], [0, 2, 4], "witness.vertices must hold t=4 vertices"),
+        (
+            1,
+            ["expectation", "census_fingerprint"],
+            "0" * 64,
+            "expectation.census_fingerprint does not reproduce from its spec and seed",
+        ),
+        (
+            1,
+            ["expectation", "expected_count_exact"],
+            "1/2",
+            "expectation.expected_count_exact does not reproduce from its spec and seed",
+        ),
+        (1, ["t"], 5, "t 5 does not match certificate.expectation.t"),
+        (1, ["seed"], 0, "verified does not reproduce from its spec and seed"),
+    ],
+    ids=[
+        "vertex-out-of-range", "color-out-of-range", "short-witness",
+        "census-fingerprint", "expected-count-exact", "t", "seed",
+    ],
+)
+def test_recheck_names_the_tampered_field(capsys, tmp_path, seed, edit, value, message):
+    spec_path = _write_spec(tmp_path, capsys, seed=seed)
+    cert_path = tmp_path / "cert.json"
+    run(
+        capsys,
+        "verify", "--spec-file", str(spec_path), "--max-tries", "1",
+        "--certificate-out", str(cert_path),
+    )
+    cert_path.write_text(json.dumps(_edited(json.loads(cert_path.read_text()), edit, value)))
+    code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
+    assert code == 1
+    assert f"recheck failed: certificate.{message}" in err
+
+
+def test_verify_and_recheck_reject_non_ascii_bytes(capsys, tmp_path):
+    spec_path = _write_spec(tmp_path, capsys, seed=1)
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "verify", "--spec-file", str(spec_path), "--certificate-out", str(cert_path))
+    for command, flag, path in (
+        ("verify", "--spec-file", spec_path),
+        ("recheck", "--certificate-file", cert_path),
+    ):
+        path.write_bytes(path.read_bytes().replace(b'"blowup"', b'"blowup\xc3\xa9"'))
+        code, _, err = run(capsys, command, flag, str(path))
+        assert code == 2
+        assert "can't decode byte 0xc3" in err
+
+
 def test_recheck_roundtrip_and_tamper(capsys, tmp_path):
     spec_path = _write_spec(tmp_path, capsys, seed=1)
     cert_path = tmp_path / "cert.json"
@@ -394,6 +428,25 @@ def test_verify_g0_command(capsys, tmp_path):
     code, _, err = run(capsys, "verify-g0", "--graph-file", str(graph_path))
     assert code == 1
     assert "does not match" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"g0 t=5 n=16 m=0\n", "header field t: construction requires even t"),
+        (b"g0 t=4 n=9 m=0\n", "header field n: t=4 needs n=8, got 9"),
+        (b"g0 t=x n=8 m=0\n", "header field t must be a non-negative integer, got 'x'"),
+        (b"g0 t=4 n=8 m=1\n0 1 2\n", "line 2: 3 fields, expected `i j`"),
+        (b"g0 t=4 n=8 m=1\n0 \xc3\xa9\n", "line 2: non-ASCII byte"),
+    ],
+    ids=["odd-t", "n-not-matching-t", "t-not-integer", "three-token-edge-line", "non-ascii"],
+)
+def test_verify_g0_rejects_malformed_graph_file(capsys, tmp_path, content, message):
+    graph_path = tmp_path / "bad.graph"
+    graph_path.write_bytes(content)
+    code, _, err = run(capsys, "verify-g0", "--graph-file", str(graph_path))
+    assert code == 2
+    assert f"error: graph file {message}" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -480,6 +480,24 @@ def test_recheck_accepts_good_and_rejects_tampered(census_4):
     assert not ok and any("does not reproduce" in r for r in reasons)
 
 
+def test_first_difference_names_the_first_sorted_path():
+    first_difference = coloring_module._first_difference
+    stored = {"b": {"y": [1, 2], "x": 1}, "a": 0}
+    assert first_difference(stored, stored, "c") is None
+    assert first_difference(stored, {**stored, "a": 1}, "c") == "c.a"
+    assert first_difference(stored, {**stored, "b": {"y": [1, 3], "x": 2}}, "c") == "c.b.x"
+    assert first_difference(stored, {**stored, "b": {"y": [1, 3], "x": 1}}, "c") == "c.b.y"
+    assert first_difference(stored, {"a": 0}, "c") == "c.b"
+    # the decimal expected_count is rendered from expected_count_exact, which is named
+    stored = {"expectation": {"expected_count": "0.5", "expected_count_exact": "1/2"}}
+    altered = {"expectation": {"expected_count": "0.25", "expected_count_exact": "1/4"}}
+    assert first_difference(stored, altered, "certificate") == (
+        "certificate.expectation.expected_count_exact"
+    )
+    # integers and booleans are distinct JSON values even where Python equates them
+    assert first_difference({"a": 1}, {"a": True}, "c") == "c.a"
+
+
 def test_erdos_case_certificate_at_n6():
     # E = C(6,4) * 2^(1-6) = 15/32 < 1, so a short seed search certifies
     # a two-coloring of K_6 and with it a lower bound of 7

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from math import comb
 from typing import Optional
 
 from . import rng
@@ -226,16 +227,14 @@ def generate_blowup_coloring(t: int, m: int, N: int, seed: int) -> EdgeColoring:
     """Draw the m blowup maps for an (m+2)-coloring of K_N.
 
     Each table entry f_i(x) is an independent uniform index into the
-    2^(t-1) graph vertices, keyed by (seed, "blowup", i, x); leftover
-    pair colors are deferred to color_of. Same spec and seed always
-    regenerate the identical coloring.
+    2^(t-1) graph vertices, keyed by (seed, "blowup", i, x); each map is
+    drawn as one packed row (rng.uniform_row), with the same bits as one
+    uniform_below per entry. Leftover pair colors are deferred to
+    color_of. Same spec and seed always regenerate the identical coloring.
     """
     spec = ColoringSpec(kind=KIND_BLOWUP, t=t, m=m, ell=m + 2, N=N, seed=seed)
     g0 = build_g0(t)
-    tables = [
-        [rng.uniform_below(g0.n, seed, TAG_BLOWUP, i, x) for x in range(N)]
-        for i in range(1, m + 1)
-    ]
+    tables = [rng.uniform_row(g0.n, seed, TAG_BLOWUP, i, N) for i in range(1, m + 1)]
     return EdgeColoring(spec, g0=g0, tables=tables)
 
 
@@ -413,10 +412,11 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
         for x in range(N):
             bit = 1 << x
             unseparated = (full ^ taken[x]) >> (x + 1) << (x + 1)  # partners y > x
-            ahead = rng.pair_coins(spec.seed, TAG_PAIR, x, unseparated)
-            heads[x] |= ahead
-            for y in _bits_to_list(ahead):
+            ahead = 0
+            for y in rng._coin_heads(spec.seed, TAG_PAIR, x, unseparated):
+                ahead |= 1 << y
                 heads[y] |= bit
+            heads[x] |= ahead
         if m + 1 in wanted:
             rows[m + 1] = [
                 full ^ (1 << x) ^ done ^ h for x, (done, h) in enumerate(zip(taken, heads))
@@ -538,6 +538,14 @@ def find_mono_clique(coloring: EdgeColoring, t: int) -> Optional[MonoWitness]:
     return witness
 
 
+# expectation fields that Certificate.to_json_dict renders from other
+# fields, with what each is rendered from
+_RENDERED_FROM = {
+    "expected_count": "expected_count_exact",
+    "certified_bound": "verified flag and spec.N",
+}
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A verified (or failed) lower-bound witness for one coloring.
@@ -587,7 +595,7 @@ class Certificate:
             raise ValueError(f"unsupported certificate format {d.get('format')!r}")
         witness = _field(d, "witness", dict, where, nullable=True)
         expectation = _field(d, "expectation", dict, where, nullable=True)
-        return cls(
+        cert = cls(
             spec=_spec_from_json(_field(d, "spec", dict, where), f"{where}.spec"),
             seed=_field(d, "seed", int, where),
             t=_field(d, "t", int, where),
@@ -599,13 +607,46 @@ class Certificate:
             else _expectation_from_json(expectation, f"{where}.expectation"),
             search_stats=dict(_typed(d.get("search_stats", {}), dict, f"{where}.search_stats")),
         )
+        if expectation is not None:
+            _check_rendered(cert, expectation, f"{where}.expectation")
+        return cert
+
+
+def _verified_consistent(cert: Certificate) -> bool:
+    """verified must mean an exhaustive search that found no witness."""
+    return cert.verified == (cert.witness is None and cert.exhaustive)
+
+
+def _check_rendered(cert: Certificate, stored: dict, where: str) -> None:
+    """ValueError naming a stored rendered field that its source does not render.
+
+    The replay in recheck_certificate compares only the sources, so a
+    rendered field is checked here. A source that contradicts the rest
+    of the document is left to recheck, which names the source instead:
+    expected_count_exact off C(N,t) * per_set_mono_exact, or verified off
+    the witness and exhaustive fields.
+    """
+    report = cert.expectation
+    source_holds = {
+        "expected_count": min(report.N, report.t) >= 0
+        and report.expected_count == comb(report.N, report.t) * report.per_set_mono,
+        "certified_bound": _verified_consistent(cert),
+    }
+    rendered = cert.to_json_dict()["expectation"]
+    for key, source in _RENDERED_FROM.items():
+        if source_holds[key] and stored[key] != rendered[key]:
+            raise ValueError(
+                f"{where}.{key} {stored[key]!r} does not match the {source}, "
+                f"which gives {rendered[key]!r}"
+            )
 
 
 def _expectation_from_json(d: dict, where: str) -> ExpectationReport:
     for key in ("t", "m", "N"):
         _field(d, key, int, where)
-    for key in ("per_set_mono_exact", "expected_count_exact"):
+    for key in ("per_set_mono_exact", "expected_count_exact", "expected_count"):
         _field(d, key, str, where)
+    _field(d, "certified_bound", int, where, nullable=True)
     for key in ("p_ind_exact", "census_fingerprint"):
         _field(d, key, str, where, nullable=True)
     try:
@@ -724,8 +765,8 @@ def produce_certificate(
     return cert, failures
 
 
-# rendered by to_json_dict from other fields; the diff names the source instead
-_RENDERED = {"certificate.expectation.expected_count", "certificate.expectation.certified_bound"}
+# a diff names the field a rendered one comes from instead
+_RENDERED = {f"certificate.expectation.{key}" for key in _RENDERED_FROM}
 
 
 def _first_difference(a, b, path: str) -> Optional[str]:
@@ -743,18 +784,25 @@ def _first_difference(a, b, path: str) -> Optional[str]:
 def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch.
 
-    Checks internal consistency and the witness against the spec, replays
-    the search at the certificate's seed, and compares the deterministic
-    parts byte for byte; a mismatch names the first differing field.
+    Checks internal consistency, t and the witness against the spec,
+    replays the search at the certificate's seed, and compares the
+    deterministic parts byte for byte; a mismatch names the first
+    differing field. A t the replay could not run at (outside 2..N, or
+    past the census of a blowup spec) fails here, before the replay.
     """
     reasons: list[str] = []
-    if cert.verified != (cert.witness is None and cert.exhaustive):
+    if not _verified_consistent(cert):
         reasons.append(
             "inconsistent certificate: verified must mean exhaustive search with no witness"
         )
     if cert.expectation is not None and cert.expectation.t != cert.t:
         reasons.append(f"certificate.t {cert.t} does not match certificate.expectation.t")
     witness, spec = cert.witness, cert.spec
+    census_cap = spec.t if census is None else census.t  # what the replay's census covers
+    if not 2 <= cert.t <= spec.N:
+        reasons.append(f"certificate.t {cert.t} is not a clique size in 2..N={spec.N}")
+    elif spec.kind == KIND_BLOWUP and spec.m > 0 and cert.t > census_cap:
+        reasons.append(f"certificate.t {cert.t} exceeds the census cap {census_cap} of its spec")
     if witness is not None:
         bad = [v for v in witness.vertices if not 0 <= v < spec.N]
         if len(witness.vertices) != cert.t:

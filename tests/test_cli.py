@@ -302,6 +302,18 @@ def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
             lambda d: _edited(d, ["search_stats"], []),
             "certificate.search_stats must be an object, got list",
         ),
+        (
+            lambda d: _edited(d, ["expectation", "expected_count"], "0.01"),
+            "certificate.expectation.expected_count '0.01' does not match the expected_count_exact",
+        ),
+        (
+            lambda d: _edited(d, ["expectation", "certified_bound"], 99),
+            "certificate.expectation.certified_bound 99 does not match the verified flag",
+        ),
+        (
+            lambda d: _edited(d, ["expectation", "certified_bound"]),
+            "certificate.expectation.certified_bound is missing",
+        ),
     ],
 )
 def test_recheck_rejects_malformed_certificate(capsys, tmp_path, edit, message):
@@ -350,6 +362,27 @@ def test_recheck_names_the_tampered_field(capsys, tmp_path, seed, edit, value, m
         "--certificate-out", str(cert_path),
     )
     cert_path.write_text(json.dumps(_edited(json.loads(cert_path.read_text()), edit, value)))
+    code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
+    assert code == 1
+    assert f"recheck failed: certificate.{message}" in err
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (5, "t 5 exceeds the census cap 4 of its spec"),
+        (10, "t 10 is not a clique size in 2..N=9"),
+        (1, "t 1 is not a clique size in 2..N=9"),
+    ],
+    ids=["past-census", "past-N", "below-2"],
+)
+def test_recheck_fails_on_a_t_the_replay_cannot_run(capsys, tmp_path, t, message):
+    # t and expectation.t edited together pass the consistency check between them
+    spec_path = _write_spec(tmp_path, capsys, seed=1)
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "verify", "--spec-file", str(spec_path), "--certificate-out", str(cert_path))
+    doc = _edited(json.loads(cert_path.read_text()), ["t"], t)
+    cert_path.write_text(json.dumps(_edited(doc, ["expectation", "t"], t)))
     code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
     assert code == 1
     assert f"recheck failed: certificate.{message}" in err

@@ -324,6 +324,18 @@ def test_verify_product_certificate_core_is_pinned():
     )
 
 
+def test_t6_m4_leftover_class_rows_are_pinned():
+    # recorded while the draws ran one scalar splitmix64 key at a time
+    graphs = color_class_graphs(generate_blowup_coloring(6, 4, 651, 2), [5, 6])
+    digest = hashlib.sha256()
+    for c in (5, 6):
+        for row in graphs[c].adj:
+            digest.update(row.to_bytes(82, "little"))
+    assert digest.hexdigest() == (
+        "ce3ebfe23ee56bccffcec88769472f12eedb5904db40e15965d782aecaa624f5"
+    )
+
+
 def test_leftover_colors_are_balanced():
     coloring = generate_blowup_coloring(4, 1, 200, 5)
     leftover = [

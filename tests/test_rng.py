@@ -54,14 +54,52 @@ def test_seed_validation():
         rng.check_seed(rng.MAX_SEED + 1)
 
 
+SEEDS = st.sampled_from([0, rng.MAX_SEED]) | st.integers(0, rng.MAX_SEED)
+# values at the lane edges: low, around 2^32 and just below 2^64
+WORDS = (
+    st.integers(0, 7)
+    | st.integers((1 << 32) - 4, (1 << 32) + 3)
+    | st.integers(rng.MASK64 - 7, rng.MASK64)
+    | st.integers(0, rng.MASK64)
+)
+
+
+@given(seed=SEEDS, i=st.integers(0, 4) | WORDS, log_bound=st.integers(0, 70), n=st.integers(0, 40))
+def test_uniform_row_equals_uniform_below(seed, i, log_bound, n):
+    bound = 1 << log_bound
+    row = rng.uniform_row(bound, seed, "blowup", i, n)
+    assert row == [rng.uniform_below(bound, seed, "blowup", i, x) for x in range(n)]
+
+
+def test_uniform_row_rejects_other_bounds():
+    for bound in (0, 3, 6, -4):
+        with pytest.raises(ValueError, match="power of two"):
+            rng.uniform_row(bound, 0, "blowup", 1, 5)
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.uniform_row(8, 0, "blowup", 1, -1)
+
+
+@given(key=WORDS, ys=st.lists(WORDS, max_size=12))
+def test_packed_lanes_equal_scalar_rounds(key, ys):
+    # whole 128-bit slots: nothing above the low 64 bits may survive a round
+    lanes = rng._mix2_lanes(key, ys, rng.MASK64)
+    slots = [int.from_bytes(lanes[16 * j : 16 * j + 16], "little") for j in range(len(ys))]
+    assert slots == [rng._mix(rng._mix(key ^ y)) for y in ys]
+
+
 @given(
-    seed=st.integers(0, rng.MAX_SEED),
-    x=st.integers(0, (1 << 32) - 1),
-    ys=st.integers(0, (1 << 200) - 1),
+    seed=SEEDS,
+    # x and the lane edges: near 0 and near the 2^32 vertex capacity
+    x=st.integers(0, 7) | st.integers((1 << 32) - 8, (1 << 32) - 1) | st.integers(0, (1 << 32) - 1),
+    # an empty mask, a single bit, random masks, and a full 4096-bit row
+    ys=st.just(0)
+    | st.integers(0, 4095).map(lambda y: 1 << y)
+    | st.integers(0, (1 << 200) - 1)
+    | st.just((1 << 4096) - 1),
 )
 def test_pair_coins_equal_uniform_below(seed, x, ys):
     heads = rng.pair_coins(seed, "pair", x, ys)
     assert heads & ~ys == 0
-    for y in range(200):
+    for y in range(ys.bit_length()):
         if ys >> y & 1:
             assert heads >> y & 1 == rng.uniform_below(2, seed, "pair", x, y)

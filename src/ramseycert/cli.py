@@ -131,9 +131,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = ColoringSpec.from_json_dict(
-        json.loads(Path(args.spec_file).read_text(encoding="ascii"))
-    )
     cert_out = args.certificate_out or str(
         Path(args.spec_file).with_suffix(".certificate.json")
     )
@@ -144,6 +141,9 @@ def cmd_verify(args) -> int:
             "max_tries": args.max_tries,
             "certificate_out": cert_out,
         },
+    )
+    spec = ColoringSpec.from_json_dict(
+        json.loads(Path(args.spec_file).read_text(encoding="ascii"))
     )
     cert, failures = produce_certificate(spec, max_tries=args.max_tries)
     for seed, witness in failures:
@@ -178,8 +178,8 @@ def cmd_bounds_table(args) -> int:
 
 
 def cmd_recheck(args) -> int:
-    cert = load_certificate(args.certificate_file)
     _echo_params("recheck", {"certificate_file": args.certificate_file})
+    cert = load_certificate(args.certificate_file)
     ok, reasons = recheck_certificate(cert)
     if ok:
         print("recheck: OK")

@@ -3,9 +3,10 @@
 Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so neighborhood intersections are single big-int
 ANDs. The clique searches are branch-and-bound with greedy-coloring upper
-bounds. The independent-set census of the orthogonality graph has a
-closed form (g0_census); the depth-first census of an arbitrary graph
-(count_independent_sets) is kept only as its test oracle. The text graph
+bounds. The orthogonality graph's rows are XORs of coordinate masks.
+Its independent-set census has a closed form (g0_census); the census of
+an arbitrary graph (count_independent_sets, ascending extension memoized
+on the candidate set) is kept only as its test oracle. The text graph
 file is checked header first, so a bad header allocates nothing, and
 each error names the header field or the line. Everything here is
 deterministic: the same graph always produces the same witness, the same
@@ -89,21 +90,23 @@ def build_g0(t: int) -> BitGraph:
     """The GF(2) orthogonality graph on even-weight vectors of F_2^t.
 
     Vertices are the 2^(t-1) even-weight vectors, indexed ascending by
-    encoding; u and v are adjacent iff their scalar product is 1.
+    encoding; u and v are adjacent iff their scalar product is 1. That
+    product is the XOR of v_b over the set bits b of u, so with coord[b]
+    the mask of the vertices whose bit b is set, the row of u is the XOR
+    of coord[b] over the bits of u: O(n t) big-int XORs instead of n^2/2
+    parity tests. Even weight keeps the diagonal clear.
     """
     vectors = enumerate_even_weight(t)
     codes = vectors.codes()
-    n = len(codes)
-    adj = [0] * n
-    for i in range(n):
-        ci = codes[i]
-        row = adj[i]
-        for j in range(i + 1, n):
-            if (ci & codes[j]).bit_count() & 1:
-                row |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] = row
-    return BitGraph(n, adj, labels=vectors.members)
+    coord = [sum(1 << i for i, code in enumerate(codes) if code >> b & 1) for b in range(t)]
+    adj = []
+    for code in codes:
+        row = 0
+        for b in range(t):
+            if code >> b & 1:
+                row ^= coord[b]
+        adj.append(row)
+    return BitGraph(len(codes), adj, labels=vectors.members)
 
 
 def _bits_to_list(mask: int) -> list[int]:
@@ -296,31 +299,60 @@ class IndependentSetCensus:
 def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     """Exact counts of independent sets of each size up to max_size.
 
-    Depth-first extension over vertices in ascending index: each set is
-    visited exactly once, as its sorted vertex list. This exhaustive
-    search is the test oracle for the closed form g0_census; nothing in
-    the certification pipeline runs it.
+    Ascending extension over vertex indices, memoized on the candidate
+    set. sizes(cand, room) counts the independent subsets of `cand` of
+    each size 0..room: each such set is its least vertex v plus an
+    independent subset of the candidates above v that miss N(v), which
+    is the deletion recurrence I(G) = I(G-v) + x I(G-N[v]) unrolled. At
+    room 1 the count is the popcount, and no room exceeds |cand|. The
+    counts travel packed in one int, `width` bits per size, wide enough
+    for C(n, k) at every k <= max_size, so sums never carry from one
+    size into the next.
+
+    Many branches reach the same candidate set, and each distinct set is
+    counted once per call. The memo stores, above the counts, the room
+    they were counted for: a hit answers any request with a room no
+    larger, by masking, and a larger room recounts and overwrites.
+    Counting only up to the requested room keeps a small max_size cheap:
+    a memo that counts every set to its full depth, so that any later
+    room can be served, is many times slower than no memo at all on a
+    sparse graph with a small max_size.
+    This search knows nothing of GF(2), so it is the test oracle for the
+    closed form g0_census; nothing in the certification pipeline runs it.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be non-negative, got {max_size}")
+    if max_size == 0:
+        return IndependentSetCensus(t=0, n=g.n, counts=(1,))
     adj = g.adj
-    counts = [0] * (max_size + 1)
-    counts[0] = 1
+    width = max(comb(g.n, k) for k in range(max_size + 1)).bit_length()
+    top = (max_size + 1) * width
+    keep = [(1 << (room + 1) * width) - 1 for room in range(max_size + 1)]
+    memo: dict[int, int] = {}
 
-    def extend(cand: int, size: int) -> None:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            counts[size + 1] += 1
-            if size + 1 < max_size:
-                child = cand & ~adj[v]
-                if child:
-                    extend(child, size + 1)
+    def sizes(cand: int, room: int) -> int:
+        size = cand.bit_count()
+        if size == 1 or room == 1:
+            return 1 + (size << width)
+        if room > size:
+            room = size
+        entry = memo.get(cand)
+        if entry is not None and entry >> top >= room:
+            return entry & keep[room]
+        total = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            child = rest & ~adj[low.bit_length() - 1]
+            total += sizes(child, room - 1) if child else 1
+        packed = 1 + (total << width)
+        memo[cand] = packed | room << top
+        return packed
 
-    if g.n and max_size >= 1:
-        extend((1 << g.n) - 1, 0)
-    return IndependentSetCensus(t=max_size, n=g.n, counts=tuple(counts))
+    packed = sizes((1 << g.n) - 1, max_size)
+    counts = tuple((packed >> (k * width)) & keep[0] for k in range(max_size + 1))
+    return IndependentSetCensus(t=max_size, n=g.n, counts=counts)
 
 
 def _gaussian_binomial(n: int, k: int) -> int:

@@ -231,6 +231,20 @@ def test_verify_missing_spec_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [None, "[1]"])
+@pytest.mark.parametrize(
+    "command, flag", [("verify", "--spec-file"), ("recheck", "--certificate-file")]
+)
+def test_bad_input_file_still_echoes_params(capsys, tmp_path, command, flag, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code, _, err = run(capsys, command, flag, str(path))
+    assert code == 2
+    assert f"params: command={command} {flag[2:].replace('-', '_')}={path}" in err
+    assert "error: " in err
+
+
 _DROP = object()
 
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseycert.gf2 import BitVector, gf2_rank
 from ramseycert.graphs import (
@@ -59,6 +61,16 @@ def test_build_g0_t6_against_oracle():
     g = build_g0(6)
     assert g.n == 32
     assert set(g.edges()) == oracle_g0_edges(6)
+
+
+@pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
+def test_build_g0_rows_are_the_parity_definition(t):
+    g = build_g0(t)
+    codes = [v.code for v in g.labels]
+    assert codes == [c for c in range(1 << t) if bin(c).count("1") % 2 == 0]
+    for i, ci in enumerate(codes):
+        row = sum(1 << j for j, cj in enumerate(codes) if bin(ci & cj).count("1") % 2)
+        assert g.adj[i] == row
 
 
 def test_build_g0_rejects_odd_t():
@@ -155,10 +167,19 @@ def test_g0_census_matches_dfs_at_t6(census_6):
 
 
 def test_g0_census_t8_matches_recorded_dfs_counts():
-    # count_independent_sets(build_g0(8), 8), recorded once; the DFS takes seconds
+    # count_independent_sets(build_g0(8), 8) as recorded once from the plain
+    # depth-first census, which took seconds; the memoized census is checked
+    # live below
     census = g0_census(8)
     assert census.counts == (1, 128, 4096, 44352, 202608, 554400, 1063440, 1539360, 1736820)
     assert census.n == 128
+
+
+def test_census_t8_matches_closed_form():
+    census = count_independent_sets(build_g0(8), 8)
+    closed = g0_census(8)
+    assert census.counts == closed.counts
+    assert census.fingerprint() == closed.fingerprint()
 
 
 @pytest.mark.parametrize("t", [3, 0, 32])
@@ -182,6 +203,22 @@ def test_census_random_graphs_match_oracle():
         g = random_graph(n, 0.4, 100 + seed)
         census = count_independent_sets(g, n)
         assert list(census.counts) == census_oracle(g, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 14),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_census_every_cap_matches_oracle(n, p, seed):
+    # sparse graphs with small caps reach one candidate set with several
+    # rooms, so a memo hit must never answer a larger room than it holds
+    g = random_graph(n, p, seed)
+    full = census_oracle(g, n)
+    for cap in range(n + 2):
+        expected = (full + [0])[: cap + 1]
+        assert list(count_independent_sets(g, cap).counts) == expected
 
 
 def test_census_zero_cap(g0_4):

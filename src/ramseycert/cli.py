@@ -104,8 +104,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.edge_dump and args.N > EDGE_DUMP_LIMIT:
-        raise ValueError(f"edge dumps are limited to N <= {EDGE_DUMP_LIMIT}, got {args.N}")
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
     spec_out = args.spec_out or f"coloring_t{args.t}_m{args.m}_N{args.N}.json"
     _echo_params(
@@ -119,6 +117,8 @@ def cmd_generate(args) -> int:
             "edge_dump": args.edge_dump,
         },
     )
+    if args.edge_dump and args.N > EDGE_DUMP_LIMIT:
+        raise ValueError(f"edge dumps are limited to N <= {EDGE_DUMP_LIMIT}, got {args.N}")
     spec = ColoringSpec(
         kind=KIND_BLOWUP, t=args.t, m=args.m, ell=args.m + 2, N=args.N, seed=seed
     )

@@ -12,16 +12,17 @@ and a seed fully determine the coloring.
 Verification accounts for every color class: a blowup class i cannot
 hold a t-clique, because f_i maps one injectively onto a t-clique of the
 orthogonality graph, whose clique number is at most t-1 (Lemma 1), so
-every class is searched exhaustively or discharged by Lemma 1; a
-product's classes are decided on its factors. The outcome, together
-with the exact expectation arithmetic, goes into a Certificate. A
-verified certificate at N vertices is a concrete proof that
-r(t; m+2) >= N+1.
+every class is searched exhaustively or discharged by Lemma 1. A
+product's classes are decided on its factors, and its witness is mapped
+from the factor's clique, so no product class is ever built. The
+outcome, together with the exact expectation arithmetic, goes into a
+Certificate. A verified certificate at N vertices is a concrete proof
+that r(t; m+2) >= N+1.
 
-Color classes are built from the tables, not pair by pair: the class-i
-row of x is the pullback through f_i of the graph neighborhood of f_i(x),
-minus the rows of earlier classes, and only the pairs no map separates
-draw a coin.
+Blowup color classes are built from the tables, not pair by pair: the
+class-i row of x is the pullback through f_i of the graph neighborhood
+of f_i(x), minus the rows of earlier classes, and only the pairs no map
+separates draw a coin.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .bounds import ExpectationReport, expected_mono_count
 from .gf2 import check_construction_t
 from .graphs import (
     BitGraph,
-    CliqueSearch,
     _bits_to_list,
     build_g0,
     g0_census,
@@ -94,6 +94,13 @@ class ColoringSpec:
         elif self.kind == KIND_PRODUCT:
             if self.factors is None or len(self.factors) != 2:
                 raise ValueError("product colorings need exactly two factors")
+            if self.m != 0:
+                raise ValueError(f"product colorings have m = 0, got m={self.m}")
+            if self.seed != 0:
+                raise ValueError(
+                    f"product colorings carry their randomness in the factors, so seed = 0, "
+                    f"got seed={self.seed}"
+                )
             f1, f2 = self.factors
             if self.N != f1.N * f2.N:
                 raise ValueError(f"product N must be {f1.N * f2.N}, got {self.N}")
@@ -260,7 +267,9 @@ def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
     block. Class ell1+c holds a K_t exactly when factor 2's class c does,
     since that clique lies inside one block. So the product holds a
     monochromatic K_t iff a factor does, and verification decides each
-    product class on its factor.
+    product class on its factor and maps the factor's clique into the
+    product (_first_clique_class). The spec's m and seed are always 0:
+    the maps and the randomness live in the factors.
     """
     if c1.N * c2.N > MAX_VERTICES:
         raise ValueError(f"product vertex count {c1.N * c2.N} exceeds capacity")
@@ -342,37 +351,31 @@ def _check_exhaustive(N: int) -> None:
 def color_class_graphs(
     coloring: EdgeColoring, colors: Optional[list[int]] = None
 ) -> dict[int, BitGraph]:
-    """Materialize the requested color classes as graphs."""
+    """Materialize the requested color classes as graphs.
+
+    Blowup classes are built by pullback (_blowup_rows). Products and
+    uniform random colorings go through one color_of pass over all
+    pairs; verification never builds a product class, since it decides
+    each one on its factors.
+    """
     N, ell = coloring.N, coloring.ell
     _check_exhaustive(N)
     wanted = list(range(1, ell + 1)) if colors is None else list(colors)
     for c in wanted:
         if not 1 <= c <= ell:
             raise ValueError(f"no color {c} in a coloring with colors 1..{ell}")
-    rows = _class_rows(coloring, set(wanted))
+    if coloring.spec.kind == KIND_BLOWUP:
+        rows = _blowup_rows(coloring, set(wanted))
+    else:
+        rows = {c: [0] * N for c in wanted}
+        color_of = coloring.color_of
+        for x in range(N):
+            for y in range(x + 1, N):
+                row = rows.get(color_of(x, y))
+                if row is not None:
+                    row[x] |= 1 << y
+                    row[y] |= 1 << x
     return {c: BitGraph(N, rows[c]) for c in wanted}
-
-
-def _class_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
-    """Adjacency rows of the classes in `wanted`, keyed by color."""
-    if not wanted:
-        return {}
-    kind = coloring.spec.kind
-    if kind == KIND_BLOWUP:
-        return _blowup_rows(coloring, wanted)
-    if kind == KIND_PRODUCT:
-        return _product_rows(coloring, wanted)
-    # uniform random colorings have no structure to exploit: one pass over all pairs
-    N = coloring.N
-    rows = {c: [0] * N for c in wanted}
-    color_of = coloring.color_of
-    for x in range(N):
-        for y in range(x + 1, N):
-            row = rows.get(color_of(x, y))
-            if row is not None:
-                row[x] |= 1 << y
-                row[y] |= 1 << x
-    return rows
 
 
 def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
@@ -426,27 +429,6 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
     return rows
 
 
-def _product_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
-    """Product class rows from the factors' class rows.
-
-    A first-factor class gives (a, b) the row of a with every bit widened
-    to a block of N2 bits, shared by the N2 vertices of block a; a
-    second-factor class gives (a, b) the row of b shifted into block a.
-    """
-    c1, c2 = coloring._factors
-    N1, N2, ell1 = c1.N, c2.N, c1.ell
-    rows: dict[int, list[int]] = {}
-    first = _class_rows(c1, {c for c in wanted if c <= ell1})
-    widen = {ord("0"): "0" * N2, ord("1"): "1" * N2}
-    for c, factor_rows in first.items():
-        wide = [int(format(r, "b").translate(widen), 2) for r in factor_rows]
-        rows[c] = [r for r in wide for _ in range(N2)]
-    second = _class_rows(c2, {c - ell1 for c in wanted if c > ell1})
-    for c, factor_rows in second.items():
-        rows[ell1 + c] = [r << (a * N2) for a in range(N1) for r in factor_rows]
-    return rows
-
-
 def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
     """Colors in which Lemma 1 rules out a t-clique of `spec`.
 
@@ -465,32 +447,49 @@ def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
 
 def _first_clique_class(
     coloring: EdgeColoring, colors: list[int], t: int
-) -> tuple[Optional[int], Optional[CliqueSearch], int]:
+) -> tuple[Optional[int], Optional[list[int]], int]:
     """The first of `colors` (ascending) whose class holds a t-clique.
 
-    Returns (that color or None, the search that found the clique, the
-    search nodes spent). A product decides each class on the factor that
-    owns it (see product_coloring), recursively, so only factor classes
-    are built and the search it returns ran on a factor. A coloring on
-    fewer than t vertices holds no t-clique.
+    Returns (that color or None, the clique has_clique_of_order reports
+    on that class, the search nodes spent). A coloring on fewer than t
+    vertices holds no t-clique. A product decides each class on the
+    factor that owns it (see product_coloring), recursively, so only
+    factor classes are built, and it maps the factor's clique to the
+    one a search of the product class would report:
+
+    - First-factor class c <= ell1: the product class is the factor
+      class with each vertex a replaced by N2 pairwise non-adjacent twins
+      a*N2 .. a*N2+N2-1. Greedy coloring in ascending order (_color_sort)
+      puts every twin of a in a's class, so the search visits them
+      consecutively, lowest first, and each twin's subtree is the
+      factor's subtree at a. At every depth the first success is at twin
+      a*N2, so factor clique w maps to [a * N2 for a in w].
+    - Second-factor class ell1+c: the product class is N1 disjoint
+      copies of the factor class. Within each greedy class the search
+      visits block 0 before the other blocks, whose subtrees repeat the
+      failures block 0 already had, so the clique is the factor's, in
+      block 0, unchanged.
+
+    Nested products compose the two maps; the product's nodes are the
+    factor searches' only.
     """
     if coloring.N < t or not colors:
         return None, None, 0
     if coloring.spec.kind == KIND_PRODUCT:
         c1, c2 = coloring._factors
         ell1 = c1.ell
-        c, result, nodes = _first_clique_class(c1, [c for c in colors if c <= ell1], t)
+        c, clique, nodes = _first_clique_class(c1, [c for c in colors if c <= ell1], t)
         if c is not None:
-            return c, result, nodes
-        c, result, more = _first_clique_class(c2, [c - ell1 for c in colors if c > ell1], t)
-        return None if c is None else ell1 + c, result, nodes + more
+            return c, [a * c2.N for a in clique], nodes
+        c, clique, more = _first_clique_class(c2, [c - ell1 for c in colors if c > ell1], t)
+        return None if c is None else ell1 + c, clique, nodes + more
     graphs = color_class_graphs(coloring, colors)
     nodes = 0
     for c in colors:
         result = has_clique_of_order(graphs[c], t)
         nodes += result.nodes
         if result.found:
-            return c, result, nodes
+            return c, result.witness, nodes
     return None, None, nodes
 
 
@@ -503,9 +502,8 @@ def _search_mono(
     factors). Scans colors ascending and the per-class search is
     deterministic, so the witness is too; it is the one an all-class
     search finds, since discharged classes hold no t-clique. A product
-    decides its classes on its factors and builds one product class, for
-    the witness search, only at the first color a factor says holds a
-    t-clique; its nodes are the factor searches' plus that search's.
+    decides its classes on its factors and maps the witness from the
+    factor's clique (_first_clique_class), so it builds no product class.
     Past the materialization guard it raises ValueError.
     """
     if t < 1:
@@ -515,17 +513,11 @@ def _search_mono(
     _check_exhaustive(coloring.N)
     discharged = _lemma1_colors(coloring.spec, t)
     colors = [c for c in range(1, coloring.ell + 1) if c not in discharged]
-    c, result, nodes = _first_clique_class(coloring, colors, t)
+    c, clique, nodes = _first_clique_class(coloring, colors, t)
     searched = colors if c is None else colors[: colors.index(c) + 1]
     on_factors = searched if coloring.spec.kind == KIND_PRODUCT else []
-    if c is None:
-        return None, nodes, searched, on_factors
-    if on_factors:
-        result = has_clique_of_order(color_class_graphs(coloring, [c])[c], t)
-        nodes += result.nodes
-        if not result.found:
-            raise AssertionError(f"a factor clique of class {c} did not lift to the product")
-    return MonoWitness(c, tuple(sorted(result.witness))), nodes, searched, on_factors
+    witness = None if c is None else MonoWitness(c, tuple(sorted(clique)))
+    return witness, nodes, searched, on_factors
 
 
 def find_mono_clique(coloring: EdgeColoring, t: int) -> Optional[MonoWitness]:

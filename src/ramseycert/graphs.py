@@ -2,13 +2,14 @@
 
 Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so neighborhood intersections are single big-int
-ANDs. The clique searches are branch-and-bound with greedy-coloring upper
-bounds. The orthogonality graph's rows are XORs of coordinate masks.
-Its independent-set census has a closed form (g0_census); the census of
-an arbitrary graph (count_independent_sets, ascending extension memoized
-on the candidate set) is kept only as its test oracle. The text graph
-file is checked header first, so a bad header allocates nothing, and
-each error names the header field or the line. Everything here is
+ANDs. The k-clique search is branch-and-bound with greedy-coloring upper
+bounds, and max_clique asks it for growing k. The orthogonality graph's
+rows are XORs of coordinate masks. Its independent-set census has a
+closed form (g0_census); the census of an arbitrary graph
+(count_independent_sets, ascending extension memoized on the candidate
+set) is kept only as its test oracle. The text graph file is checked
+header first, so a bad header allocates nothing, and each error names
+the header field or the line. Everything here is
 deterministic: the same graph always produces the same witness, the same
 counts, and the same traversal order.
 """
@@ -146,38 +147,6 @@ def _color_sort(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
-def max_clique(g: BitGraph) -> tuple[int, list[int]]:
-    """Exact maximum clique size and one witness clique.
-
-    Branch-and-bound over bit-mask candidate sets with greedy-coloring
-    upper bounds; branching follows the coloring order with ties broken
-    toward lower vertex indices, so the witness is deterministic.
-    """
-    adj = g.adj
-    best_size = 0
-    best_mask = 0
-
-    def expand(r_mask: int, size: int, cand: int) -> None:
-        nonlocal best_size, best_mask
-        order, colors = _color_sort(cand, adj)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= best_size:
-                return
-            v = order[i]
-            bit = 1 << v
-            child = cand & adj[v]
-            if child:
-                expand(r_mask | bit, size + 1, child)
-            elif size + 1 > best_size:
-                best_size = size + 1
-                best_mask = r_mask | bit
-            cand &= ~bit
-
-    if g.n:
-        expand(0, 0, (1 << g.n) - 1)
-    return best_size, _bits_to_list(best_mask)
-
-
 @dataclass(frozen=True)
 class CliqueSearch:
     """Outcome of a k-clique existence search."""
@@ -206,6 +175,10 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     adj = g.adj
     nodes = 0
 
+    # keep this visit order (greedy classes last to first, lowest vertex
+    # first within a class): coloring._first_clique_class maps a product's
+    # witness from its factor's clique by assuming it, so product
+    # witnesses depend on it
     def expand(r_mask: int, size: int, cand: int) -> int:
         nonlocal nodes
         order, colors = _color_sort(cand, adj)
@@ -229,6 +202,22 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     if hit:
         return CliqueSearch(True, _bits_to_list(hit), nodes)
     return CliqueSearch(False, None, nodes)
+
+
+def max_clique(g: BitGraph) -> tuple[int, list[int]]:
+    """Exact maximum clique size and one witness clique.
+
+    Asks has_clique_of_order for k = 1, 2, ... until the answer is no;
+    that last search is exhaustive, so the clique found at k-1 is a
+    maximum one. One branch-and-bound kernel serves both questions, and
+    the witness is as deterministic as its searches.
+    """
+    best: list[int] = []
+    while True:
+        result = has_clique_of_order(g, len(best) + 1)
+        if not result.found:
+            return len(best), best
+        best = result.witness
 
 
 def maximal_cliques(g: BitGraph) -> Iterator[list[int]]:

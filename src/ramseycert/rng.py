@@ -130,21 +130,13 @@ def uniform_row(bound: int, seed: int, tag: str, i: int, n: int) -> list[int]:
 
 
 def _coin_heads(seed: int, tag: str, x: int, ys: int) -> list[int]:
-    """The bits y of the mask ys whose coin uniform_below(2, seed, tag, x, y) is 1, ascending."""
-    partners = _bits_to_list(ys)
-    coins = _mix2_lanes(_prefix_key(seed, tag, x), partners, 1)[::16]
-    return list(compress(partners, coins))
-
-
-def pair_coins(seed: int, tag: str, x: int, ys: int) -> int:
-    """The bits y of the mask ys whose coin uniform_below(2, seed, tag, x, y) is 1.
+    """The bits y of the mask ys whose coin uniform_below(2, seed, tag, x, y) is 1, ascending.
 
     Same bits as one uniform_below call per pair: a bound of 2 never
     rejects, so each coin is the low bit of stream64(seed, tag, x, y, 0).
     The key state up to x is mixed once for the whole row, the partners
     y go into packed lanes, and each coin is the low byte of its lane.
     """
-    heads = 0
-    for y in _coin_heads(seed, tag, x, ys):
-        heads |= 1 << y
-    return heads
+    partners = _bits_to_list(ys)
+    coins = _mix2_lanes(_prefix_key(seed, tag, x), partners, 1)[::16]
+    return list(compress(partners, coins))

@@ -174,7 +174,9 @@ def test_generate_edge_dump_guard(capsys, tmp_path):
         "--spec-out", str(tmp_path / "s.json"), "--edge-dump", str(tmp_path / "d.csv"),
     )
     assert code == 2
-    assert "edge dumps are limited" in err
+    # the parameters are echoed first, and the refusal comes before the spec is written
+    assert 0 <= err.find("params: command=generate") < err.find("edge dumps are limited")
+    assert not (tmp_path / "s.json").exists()
 
 
 def _write_spec(tmp_path, capsys, seed):
@@ -280,6 +282,8 @@ PRODUCT_SPEC = {
         (_edited(PRODUCT_SPEC, ["factors", 1, "seed"]), "spec.factors[1].seed is missing"),
         (_edited(PRODUCT_SPEC, ["factors"], "both"), "spec.factors must be a list, got str"),
         (_edited(PRODUCT_SPEC, ["factors", 0], 7), "spec.factors[0] must be an object, got int"),
+        (_edited(PRODUCT_SPEC, ["m"], 7), "product colorings have m = 0, got m=7"),
+        (_edited(PRODUCT_SPEC, ["seed"], 5), "randomness in the factors, so seed = 0, got seed=5"),
     ],
 )
 def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):

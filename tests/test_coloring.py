@@ -263,12 +263,12 @@ def test_verified_product_builds_only_factor_classes(monkeypatch):
     assert built and max(built) == 9
     assert cert.search_stats["nodes"] == sum(searched)
 
-    # with a witness, exactly one product class is built, for the witness search
+    # with a witness too: it is mapped from the factor's clique
     built.clear()
     searched.clear()
     cert = verify_coloring(spec, t=3)
     assert cert.witness is not None and cert.witness.holds_in(regenerate(spec))
-    assert built.count(81) == 1
+    assert built and max(built) == 9
     assert cert.search_stats["nodes"] == sum(searched)
 
 
@@ -322,6 +322,32 @@ def test_verify_product_certificate_core_is_pinned():
     assert hashlib.sha256(core).hexdigest() == (
         "253a83c66b1f021588ad9d22b64769a4e09f337c9518357a111efc31121a66a3"
     )
+
+
+@pytest.mark.parametrize(
+    "seeds, color, vertices, digest",
+    [
+        # a first-factor class: the factor clique's vertices a map to a * 41
+        (
+            (0, 1), 2, (328, 451, 492, 738, 1107, 1189),
+            "b806abd9899e139e73e788d66743f3fe3dcac45245fba05496af8c65639383e9",
+        ),
+        # a second-factor class: the factor clique, in block 0
+        (
+            (19, 20), 6, (5, 15, 24, 28, 29, 40),
+            "af1df9fd3e909baccdbbad62b0d51a3df5562c2389ff955d739fd0990a9ad78d",
+        ),
+    ],
+    ids=["first-factor", "second-factor"],
+)
+def test_witnessed_product_certificate_core_is_pinned(seeds, color, vertices, digest):
+    # the cores recorded while the witness was searched in the whole product class
+    factors = tuple(ColoringSpec(kind="blowup", t=6, m=1, ell=3, N=41, seed=s) for s in seeds)
+    spec = ColoringSpec(kind="product", t=6, m=0, ell=6, N=41 * 41, seed=0, factors=factors)
+    cert = verify_coloring(spec)
+    assert cert.witness == MonoWitness(color, vertices)
+    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
+    assert hashlib.sha256(core).hexdigest() == digest
 
 
 def test_t6_m4_leftover_class_rows_are_pinned():

@@ -28,14 +28,7 @@ from .coloring import (
     save_certificate,
     verify_coloring,
 )
-from .gf2 import (
-    BitVector,
-    VectorSet,
-    dot,
-    enumerate_even_weight,
-    gf2_rank,
-    hamming_weight,
-)
+from .gf2 import enumerate_even_weight, gf2_rank
 from .graphs import (
     BitGraph,
     IndependentSetCensus,
@@ -43,9 +36,7 @@ from .graphs import (
     count_independent_sets,
     g0_census,
     has_clique_of_order,
-    is_independent,
     max_clique,
-    maximal_cliques,
 )
 
 __version__ = "0.1.0"

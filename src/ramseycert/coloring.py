@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 from typing import Optional
 
@@ -154,8 +154,16 @@ def _field(d: dict, key: str, kind: type, where: str, nullable: bool = False):
     return _typed(d[key], kind, f"{where}.{key}", nullable)
 
 
+def _only_fields(d: dict, names, where: str) -> None:
+    """ValueError naming the first key of `d` (sorted) that is not one of `names`."""
+    unknown = sorted(d.keys() - set(names))
+    if unknown:
+        raise ValueError(f"{where}.{unknown[0]} is an unknown field")
+
+
 def _spec_from_json(d, where: str) -> ColoringSpec:
     _typed(d, dict, where)
+    _only_fields(d, [f.name for f in fields(ColoringSpec)], where)
     factors = _typed(d.get("factors"), list, f"{where}.factors", nullable=True)
     if factors is not None:
         factors = tuple(_spec_from_json(f, f"{where}.factors[{i}]") for i, f in enumerate(factors))
@@ -336,6 +344,7 @@ class MonoWitness:
 
 def _witness_from_json(d, where: str) -> MonoWitness:
     _typed(d, dict, where)
+    _only_fields(d, [f.name for f in fields(MonoWitness)], where)
     vertices = _field(d, "vertices", list, where)
     return MonoWitness(
         color=_field(d, "color", int, where),
@@ -343,9 +352,24 @@ def _witness_from_json(d, where: str) -> MonoWitness:
     )
 
 
-def _check_exhaustive(N: int) -> None:
+def _check_materializable(N: int) -> None:
     if N > EXHAUSTIVE_LIMIT:
         raise ValueError(f"N={N} exceeds the exhaustive materialization guard {EXHAUSTIVE_LIMIT}")
+
+
+def _check_exhaustive(spec: ColoringSpec) -> None:
+    """Refuse a spec whose verification would build a color class past EXHAUSTIVE_LIMIT.
+
+    Verification builds the classes of a blowup or uniform random
+    coloring, but decides a product's classes on its factors, so a
+    product is guarded on the colorings whose classes get built, not on
+    its own N (capped only by MAX_VERTICES).
+    """
+    if spec.kind == KIND_PRODUCT:
+        for factor in spec.factors:
+            _check_exhaustive(factor)
+    else:
+        _check_materializable(spec.N)
 
 
 def color_class_graphs(
@@ -359,7 +383,7 @@ def color_class_graphs(
     each one on its factors.
     """
     N, ell = coloring.N, coloring.ell
-    _check_exhaustive(N)
+    _check_materializable(N)
     wanted = list(range(1, ell + 1)) if colors is None else list(colors)
     for c in wanted:
         if not 1 <= c <= ell:
@@ -504,13 +528,12 @@ def _search_mono(
     search finds, since discharged classes hold no t-clique. A product
     decides its classes on its factors and maps the witness from the
     factor's clique (_first_clique_class), so it builds no product class.
-    Past the materialization guard it raises ValueError.
+    A class past the materialization guard raises ValueError when built.
     """
     if t < 1:
         raise ValueError(f"clique target must be positive, got {t}")
     if coloring.N < t:
         raise ValueError("target exceeds vertex count")
-    _check_exhaustive(coloring.N)
     discharged = _lemma1_colors(coloring.spec, t)
     colors = [c for c in range(1, coloring.ell + 1) if c not in discharged]
     c, clique, nodes = _first_clique_class(coloring, colors, t)
@@ -585,6 +608,7 @@ class Certificate:
         _typed(d, dict, where)
         if d.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {d.get('format')!r}")
+        _only_fields(d, ["format", *(f.name for f in fields(cls))], where)
         witness = _field(d, "witness", dict, where, nullable=True)
         expectation = _field(d, "expectation", dict, where, nullable=True)
         cert = cls(
@@ -634,13 +658,20 @@ def _check_rendered(cert: Certificate, stored: dict, where: str) -> None:
 
 
 def _expectation_from_json(d: dict, where: str) -> ExpectationReport:
-    for key in ("t", "m", "N"):
-        _field(d, key, int, where)
-    for key in ("per_set_mono_exact", "expected_count_exact", "expected_count"):
-        _field(d, key, str, where)
-    _field(d, "certified_bound", int, where, nullable=True)
-    for key in ("p_ind_exact", "census_fingerprint"):
-        _field(d, key, str, where, nullable=True)
+    required = {
+        "t": int,
+        "m": int,
+        "N": int,
+        "per_set_mono_exact": str,
+        "expected_count_exact": str,
+        "expected_count": str,
+    }
+    nullable = {"certified_bound": int, "p_ind_exact": str, "census_fingerprint": str}
+    _only_fields(d, [*required, *nullable], where)
+    for key, kind in required.items():
+        _field(d, key, kind, where)
+    for key, kind in nullable.items():
+        _field(d, key, kind, where, nullable=True)
     try:
         return ExpectationReport.from_json_dict(d)
     except (ValueError, ZeroDivisionError) as exc:  # a fraction string that does not parse
@@ -685,15 +716,17 @@ def verify_coloring(
     colorings (the closed-form census of the orthogonality graph is used
     when m > 0 and none is supplied); product colorings carry no
     expectation. verified is True exactly when the exhaustive search
-    found nothing; N past EXHAUSTIVE_LIMIT raises ValueError before the
-    coloring is drawn. search_stats lists the colors searched, those
-    discharged by Lemma 1 and those decided on a product's factors.
+    found nothing. A spec that would build a class past EXHAUSTIVE_LIMIT
+    raises ValueError before the coloring is drawn (_check_exhaustive; a
+    product is checked on its factors). search_stats lists the colors
+    searched, those discharged by Lemma 1 and those decided on a
+    product's factors.
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     target = spec.t if t is None else t
     if target < 2:
         raise ValueError(f"clique target must be at least 2, got {target}")
-    _check_exhaustive(spec.N)
+    _check_exhaustive(spec)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
     witness, nodes, searched, on_factors = _search_mono(coloring, target)

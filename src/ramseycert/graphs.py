@@ -19,41 +19,23 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .gf2 import BitVector, check_construction_t, enumerate_even_weight
+from .gf2 import check_construction_t, enumerate_even_weight
 
 
 class BitGraph:
     """Undirected graph on vertices 0..n-1 with bit-mask adjacency rows."""
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(
-        self,
-        n: int,
-        adj: Optional[list[int]] = None,
-        labels: Optional[tuple[BitVector, ...]] = None,
-    ):
+    def __init__(self, n: int, adj: Optional[list[int]] = None):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
         self.adj = adj if adj is not None else [0] * n
-        self.labels = labels
         if len(self.adj) != n:
             raise ValueError("adjacency must have one row per vertex")
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "BitGraph":
-        adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, adj)
 
     @classmethod
     def complete(cls, n: int) -> "BitGraph":
@@ -90,15 +72,14 @@ class BitGraph:
 def build_g0(t: int) -> BitGraph:
     """The GF(2) orthogonality graph on even-weight vectors of F_2^t.
 
-    Vertices are the 2^(t-1) even-weight vectors, indexed ascending by
-    encoding; u and v are adjacent iff their scalar product is 1. That
+    Vertex i is the code enumerate_even_weight(t)[i]; u and v are
+    adjacent iff their scalar product, the parity of u & v, is 1. That
     product is the XOR of v_b over the set bits b of u, so with coord[b]
     the mask of the vertices whose bit b is set, the row of u is the XOR
     of coord[b] over the bits of u: O(n t) big-int XORs instead of n^2/2
     parity tests. Even weight keeps the diagonal clear.
     """
-    vectors = enumerate_even_weight(t)
-    codes = vectors.codes()
+    codes = enumerate_even_weight(t)
     coord = [sum(1 << i for i, code in enumerate(codes) if code >> b & 1) for b in range(t)]
     adj = []
     for code in codes:
@@ -107,7 +88,7 @@ def build_g0(t: int) -> BitGraph:
             if code >> b & 1:
                 row ^= coord[b]
         adj.append(row)
-    return BitGraph(len(codes), adj, labels=vectors.members)
+    return BitGraph(len(codes), adj)
 
 
 def _bits_to_list(mask: int) -> list[int]:
@@ -218,39 +199,6 @@ def max_clique(g: BitGraph) -> tuple[int, list[int]]:
         if not result.found:
             return len(best), best
         best = result.witness
-
-
-def maximal_cliques(g: BitGraph) -> Iterator[list[int]]:
-    """All maximal cliques, via Bron-Kerbosch with pivoting."""
-    adj = g.adj
-
-    def bk(r_mask: int, p: int, x: int) -> Iterator[list[int]]:
-        if not p and not x:
-            yield _bits_to_list(r_mask)
-            return
-        # pivot: vertex of p|x covering the most candidates, lowest index on ties
-        best_cover = -1
-        pivot = -1
-        scan = p | x
-        while scan:
-            low = scan & -scan
-            u = low.bit_length() - 1
-            cover = (adj[u] & p).bit_count()
-            if cover > best_cover:
-                best_cover = cover
-                pivot = u
-            scan ^= low
-        ext = p & ~adj[pivot]
-        while ext:
-            low = ext & -ext
-            v = low.bit_length() - 1
-            yield from bk(r_mask | low, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-            ext ^= low
-
-    if g.n:
-        yield from bk(0, (1 << g.n) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -393,27 +341,6 @@ def g0_census(t: int) -> IndependentSetCensus:
             )
             counts[k] += subspaces * spanning
     return IndependentSetCensus(t=t, n=1 << (t - 1), counts=tuple(counts))
-
-
-def is_independent(g: BitGraph, vertices: Sequence[int]) -> bool:
-    """Whether no two distinct listed vertices are adjacent.
-
-    Duplicates are permitted and never violate independence, since
-    adjacency requires distinct vertices.
-    """
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    scan = mask
-    while scan:
-        low = scan & -scan
-        v = low.bit_length() - 1
-        if g.adj[v] & mask:
-            return False
-        scan ^= low
-    return True
 
 
 GRAPH_FILE_MAGIC = "g0"

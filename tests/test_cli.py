@@ -284,6 +284,8 @@ PRODUCT_SPEC = {
         (_edited(PRODUCT_SPEC, ["factors", 0], 7), "spec.factors[0] must be an object, got int"),
         (_edited(PRODUCT_SPEC, ["m"], 7), "product colorings have m = 0, got m=7"),
         (_edited(PRODUCT_SPEC, ["seed"], 5), "randomness in the factors, so seed = 0, got seed=5"),
+        (_edited(BLOWUP_SPEC, ["seed_note"], "lucky"), "spec.seed_note is an unknown field"),
+        (_edited(PRODUCT_SPEC, ["factors", 1, "note"], 1), "spec.factors[1].note is an unknown field"),
     ],
 )
 def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
@@ -331,6 +333,19 @@ def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
         (
             lambda d: _edited(d, ["expectation", "certified_bound"]),
             "certificate.expectation.certified_bound is missing",
+        ),
+        (
+            lambda d: _edited(d, ["claimed_bound"], 1_000_000_000),
+            "certificate.claimed_bound is an unknown field",
+        ),
+        (lambda d: _edited(d, ["spec", "note"], "x"), "certificate.spec.note is an unknown field"),
+        (
+            lambda d: _edited(d, ["expectation", "extra"], 0),
+            "certificate.expectation.extra is an unknown field",
+        ),
+        (
+            lambda d: _edited(d, ["witness"], {"color": 2, "vertices": [0, 1, 2, 3], "why": ""}),
+            "certificate.witness.why is an unknown field",
         ),
     ],
 )

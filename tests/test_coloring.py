@@ -571,6 +571,35 @@ def test_verify_guard_comes_before_drawing_the_coloring(monkeypatch):
         verify_coloring(big)
 
 
+def test_verify_guard_checks_a_products_factors_before_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("regenerate called for a spec past the guard")
+
+    monkeypatch.setattr(coloring_module, "regenerate", refuse)
+    small = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=2, seed=1)
+    big = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=20_000, seed=1)
+    spec = ColoringSpec(kind="product", t=4, m=0, ell=6, N=40_000, seed=0, factors=(small, big))
+    with pytest.raises(ValueError, match="N=20000 exceeds the exhaustive materialization guard 10000"):
+        verify_coloring(spec)
+
+
+def test_product_past_the_guard_verifies_on_its_factors(tmp_path):
+    # N = 651^2 is past the guard, but verification builds only the
+    # N=651 factor classes; the certificate proves r(6;12) >= 423,802
+    factor = ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=1007)
+    spec = ColoringSpec(
+        kind="product", t=6, m=0, ell=12, N=651 * 651, seed=0, factors=(factor, factor)
+    )
+    cert = verify_coloring(spec)
+    assert cert.verified and cert.certified_bound() == 423_802
+    save_certificate(cert, tmp_path / "cert.json")
+    assert recheck_certificate(load_certificate(tmp_path / "cert.json")) == (True, [])
+    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
+    assert hashlib.sha256(core).hexdigest() == (
+        "8f0c16098f4f381ae137ab505ce1159d1a760f66c0b1021a7b43b35a1071b5d0"
+    )
+
+
 def test_product_seed_override_rejected():
     f1 = generate_erdos_coloring(5, 2, 131, t=3)
     f2 = generate_erdos_coloring(5, 2, 138, t=3)

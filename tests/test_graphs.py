@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseycert.gf2 import BitVector, gf2_rank
+from ramseycert.gf2 import enumerate_even_weight
 from ramseycert.graphs import (
     BitGraph,
     build_g0,
     count_independent_sets,
     g0_census,
     has_clique_of_order,
-    is_independent,
     max_clique,
-    maximal_cliques,
     read_graph_file,
     write_graph_file,
 )
@@ -51,8 +49,8 @@ def test_build_g0_t4_against_oracle():
     assert g.edge_count() == 12
     assert set(g.edges()) == oracle_g0_edges(4)
     # the zero vector and the all-ones vector are isolated
-    zero = [i for i, v in enumerate(g.labels) if v.code == 0][0]
-    ones = [i for i, v in enumerate(g.labels) if v.code == 0b1111][0]
+    codes = enumerate_even_weight(4)
+    zero, ones = codes.index(0), codes.index(0b1111)
     assert g.degree(zero) == 0
     assert g.degree(ones) == 0
 
@@ -66,7 +64,7 @@ def test_build_g0_t6_against_oracle():
 @pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
 def test_build_g0_rows_are_the_parity_definition(t):
     g = build_g0(t)
-    codes = [v.code for v in g.labels]
+    codes = enumerate_even_weight(t)
     assert codes == [c for c in range(1 << t) if bin(c).count("1") % 2 == 0]
     for i, ci in enumerate(codes):
         row = sum(1 << j for j, cj in enumerate(codes) if bin(ci & cj).count("1") % 2)
@@ -231,56 +229,6 @@ def test_growth_against_slack_bound(census_4, census_6):
 
     for census, t in ((census_4, 4), (census_6, 6)):
         assert math.log2(census.total_nonempty) <= 5 * t * t / 8 + 2 * t
-
-
-def test_is_independent_examples(g0_4):
-    zero = next(i for i, v in enumerate(g0_4.labels) if v.code == 0)
-    ones = next(i for i, v in enumerate(g0_4.labels) if v.code == 0b1111)
-    assert is_independent(g0_4, [zero, ones])
-    u = next(i for i, v in enumerate(g0_4.labels) if str(v) == "1100")
-    w = next(i for i, v in enumerate(g0_4.labels) if str(v) == "1010")
-    assert not is_independent(g0_4, [u, w])
-    assert is_independent(g0_4, [u, u])  # duplicates never violate independence
-    with pytest.raises(ValueError):
-        is_independent(g0_4, [0, 99])
-
-
-def test_maximal_cliques_match_brute_force():
-    for seed in range(6):
-        g = random_graph(9, 0.5, 200 + seed)
-        found = {tuple(sorted(c)) for c in maximal_cliques(g)}
-        expected = set()
-        for mask in range(1, 1 << g.n):
-            verts = [v for v in range(g.n) if (mask >> v) & 1]
-            if not all(g.adjacent(a, b) for a, b in itertools.combinations(verts, 2)):
-                continue
-            extendable = any(
-                all(g.adjacent(u, v) for v in verts)
-                for u in range(g.n)
-                if u not in verts
-            )
-            if not extendable:
-                expected.add(tuple(verts))
-        assert found == expected
-
-
-@pytest.mark.parametrize("t", [4, 6])
-def test_oddtown_rank_of_even_cliques(t):
-    """Even-order cliques are linearly independent over GF(2).
-
-    Maximal cliques of these graphs all have odd order, so the maximal-only
-    check is vacuous; every even clique is a subset of a maximal one, so
-    checking all even-order subsets covers all even cliques.
-    """
-    g = build_g0(t)
-    for clique in maximal_cliques(g):
-        if len(clique) % 2 == 0:
-            labels = [g.labels[v] for v in clique]
-            assert gf2_rank(labels) == len(clique)
-        for size in range(2, len(clique) + 1, 2):
-            for sub in itertools.combinations(clique, size):
-                labels = [g.labels[v] for v in sub]
-                assert gf2_rank(labels) == size
 
 
 def test_graph_file_roundtrip(tmp_path, g0_4):

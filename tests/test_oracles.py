@@ -18,11 +18,14 @@ def small_graphs(draw):
     n = draw(st.integers(0, 22))
     p = draw(st.floats(0.0, 1.0))
     rand = random.Random(draw(st.integers(0, 2**32 - 1)))
-    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rand.random() < p]
+    g = BitGraph(n)
     oracle = nx.Graph()
     oracle.add_nodes_from(range(n))
-    oracle.add_edges_from(edges)
-    return BitGraph.from_edges(n, edges), oracle
+    for u, v in itertools.combinations(range(n), 2):
+        if rand.random() < p:
+            g.add_edge(u, v)
+            oracle.add_edge(u, v)
+    return g, oracle
 
 
 def clique_number(oracle) -> int:

@@ -19,10 +19,10 @@ outcome, together with the exact expectation arithmetic, goes into a
 Certificate. A verified certificate at N vertices is a concrete proof
 that r(t; m+2) >= N+1.
 
-Blowup color classes are built from the tables, not pair by pair: the
-class-i row of x is the pullback through f_i of the graph neighborhood
-of f_i(x), minus the rows of earlier classes, and only the pairs no map
-separates draw a coin.
+A blowup coloring is its m tables and builds no orthogonality graph:
+color_of takes the parity of the two codes' AND, class i's rows are
+orthogonality_rows of table i minus the earlier classes' rows, and only
+the pairs no map separates draw a coin.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from typing import Optional
 
 from . import rng
 from .bounds import ExpectationReport, expected_mono_count
-from .gf2 import check_construction_t
+from .gf2 import check_construction_t, even_weight_code
 from .graphs import (
+    EXHAUSTIVE_LIMIT,
     BitGraph,
     _bits_to_list,
-    build_g0,
     g0_census,
     has_clique_of_order,
+    orthogonality_rows,
 )
 
 KIND_BLOWUP = "blowup"
@@ -52,7 +53,6 @@ TAG_BLOWUP = "blowup"
 TAG_PAIR = "pair"
 
 MAX_VERTICES = 1 << 32  # vertex-index capacity of one coloring
-EXHAUSTIVE_LIMIT = 10_000  # largest N whose color classes are materialized
 EDGE_DUMP_LIMIT = 2_000
 
 CERTIFICATE_FORMAT = "ramseycert.certificate/1"
@@ -188,12 +188,10 @@ class EdgeColoring:
     def __init__(
         self,
         spec: ColoringSpec,
-        g0: Optional[BitGraph] = None,
         tables: Optional[list[list[int]]] = None,
         factors: Optional[tuple["EdgeColoring", "EdgeColoring"]] = None,
     ):
         self.spec = spec
-        self._g0 = g0
         self._tables = tables
         self._factors = factors
 
@@ -219,9 +217,8 @@ class EdgeColoring:
             raise ValueError(f"pair ({x},{y}) out of range for N={N}")
         kind = self.spec.kind
         if kind == KIND_BLOWUP:
-            adj = self._g0.adj
             for i, table in enumerate(self._tables, start=1):
-                if (adj[table[x]] >> table[y]) & 1:
+                if (even_weight_code(table[x]) & even_weight_code(table[y])).bit_count() & 1:
                     return i
             lo, hi = (x, y) if x < y else (y, x)
             return self.spec.m + 1 + rng.uniform_below(2, self.spec.seed, TAG_PAIR, lo, hi)
@@ -248,9 +245,8 @@ def generate_blowup_coloring(t: int, m: int, N: int, seed: int) -> EdgeColoring:
     color_of. Same spec and seed always regenerate the identical coloring.
     """
     spec = ColoringSpec(kind=KIND_BLOWUP, t=t, m=m, ell=m + 2, N=N, seed=seed)
-    g0 = build_g0(t)
-    tables = [rng.uniform_row(g0.n, seed, TAG_BLOWUP, i, N) for i in range(1, m + 1)]
-    return EdgeColoring(spec, g0=g0, tables=tables)
+    tables = [rng.uniform_row(1 << (t - 1), seed, TAG_BLOWUP, i, N) for i in range(1, m + 1)]
+    return EdgeColoring(spec, tables=tables)
 
 
 def generate_erdos_coloring(N: int, ell: int, seed: int, t: int = 0) -> EdgeColoring:
@@ -405,31 +401,17 @@ def color_class_graphs(
 def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
     """Blowup class rows by pullback; coins only for pairs no map separates.
 
-    With fibers F[v] = {x : f_i(x) = v}, the pairs f_i separates across an
-    edge at x are R[f_i(x)], R[v] = OR of F[u] over the neighbors u of v.
+    The pairs f_i separates across an edge are orthogonality_rows of its
+    table (t coordinate masks); class i keeps those no earlier map took.
     """
     spec = coloring.spec
     N, m = spec.N, spec.m
-    adj = coloring._g0.adj
     leftover = bool(wanted - set(range(1, m + 1)))
     last = m if leftover else max(wanted, default=0)
     rows: dict[int, list[int]] = {}
     taken = [0] * N  # pairs at x colored by the maps so far
-    for i in range(1, last + 1):
-        table = coloring._tables[i - 1]
-        fibers: dict[int, int] = {}
-        for x, v in enumerate(table):
-            fibers[v] = fibers.get(v, 0) | (1 << x)
-        image = 0
-        for v in fibers:
-            image |= 1 << v
-        pulled = {}
-        for v in fibers:
-            r = 0
-            for u in _bits_to_list(adj[v] & image):
-                r |= fibers[u]
-            pulled[v] = r
-        row = [pulled[v] & ~done for v, done in zip(table, taken)]
+    for i, table in enumerate(coloring._tables[:last], start=1):
+        row = [r & ~done for r, done in zip(orthogonality_rows(table, spec.t), taken)]
         if i in wanted:
             rows[i] = row
         taken = [done | r for done, r in zip(taken, row)]
@@ -440,7 +422,7 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
             bit = 1 << x
             unseparated = (full ^ taken[x]) >> (x + 1) << (x + 1)  # partners y > x
             ahead = 0
-            for y in rng._coin_heads(spec.seed, TAG_PAIR, x, unseparated):
+            for y in rng._coin_heads(spec.seed, TAG_PAIR, x, _bits_to_list(unseparated)):
                 ahead |= 1 << y
                 heads[y] |= bit
             heads[x] |= ahead

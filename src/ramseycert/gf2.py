@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-# Enumerating all even-weight vectors materializes 2^(t-1) codes; past
-# this dimension the list no longer fits in memory at desk scale.
+# The largest order accepted: only G0 holds all 2^(t-1) codes, and graphs
+# builds it only up to EXHAUSTIVE_LIMIT vertices (t <= 14).
 MAX_DIMENSION = 30
 
 
@@ -23,15 +23,15 @@ def check_construction_t(t: int) -> None:
         raise ValueError(f"t must be between 2 and {MAX_DIMENSION}, got {t}")
 
 
-def enumerate_even_weight(t: int) -> list[int]:
-    """The codes of the even-weight vectors of F_2^t, ascending.
+def even_weight_code(x: int) -> int:
+    """Vertex x of G0 as a code: bits 1.. hold x, bit 0 evens the weight (increasing in x)."""
+    return (x << 1) | (x.bit_count() & 1)
 
-    There are exactly 2^(t-1): bits 1..t-1 are free and bit 0 is forced
-    to the parity that makes the total weight even, so x maps to
-    (x << 1) | parity(x), which is increasing in x.
-    """
+
+def enumerate_even_weight(t: int) -> list[int]:
+    """The 2^(t-1) codes of the even-weight vectors of F_2^t, ascending."""
     check_construction_t(t)
-    return [(x << 1) | (x.bit_count() & 1) for x in range(1 << (t - 1))]
+    return [even_weight_code(x) for x in range(1 << (t - 1))]
 
 
 def gf2_rank(codes: Iterable[int]) -> int:

@@ -3,25 +3,30 @@
 Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so neighborhood intersections are single big-int
 ANDs. The k-clique search is branch-and-bound with greedy-coloring upper
-bounds, and max_clique asks it for growing k. The orthogonality graph's
-rows are XORs of coordinate masks. Its independent-set census has a
-closed form (g0_census); the census of an arbitrary graph
+bounds, and max_clique asks it for growing k. orthogonality_rows pulls
+the orthogonality relation back through any table of G0 vertices as XORs
+of coordinate masks; G0, the identity table's, is built only to check
+Lemma 1, up to EXHAUSTIVE_LIMIT vertices. Its independent-set census has
+a closed form (g0_census); the census of an arbitrary graph
 (count_independent_sets, ascending extension memoized on the candidate
 set) is kept only as its test oracle. The text graph file is checked
 header first, so a bad header allocates nothing, and each error names
-the header field or the line. Everything here is
-deterministic: the same graph always produces the same witness, the same
-counts, and the same traversal order.
+the header field or the line. Everything here is deterministic: the same
+graph always gives the same witness, counts and traversal order.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
-from typing import Iterator, Optional
+from operator import xor
+from typing import Iterator, Optional, Sequence
 
-from .gf2 import check_construction_t, enumerate_even_weight
+from .gf2 import check_construction_t, even_weight_code
+
+EXHAUSTIVE_LIMIT = 10_000  # largest vertex count of a materialized graph: G0 or a color class
 
 
 class BitGraph:
@@ -69,26 +74,42 @@ class BitGraph:
                 rest ^= low
 
 
-def build_g0(t: int) -> BitGraph:
-    """The GF(2) orthogonality graph on even-weight vectors of F_2^t.
+def orthogonality_rows(table: Sequence[int], t: int) -> list[int]:
+    """Bit y of row x is set iff G0(t) vertices table[x] and table[y] are adjacent.
 
-    Vertex i is the code enumerate_even_weight(t)[i]; u and v are
-    adjacent iff their scalar product, the parity of u & v, is 1. That
-    product is the XOR of v_b over the set bits b of u, so with coord[b]
-    the mask of the vertices whose bit b is set, the row of u is the XOR
-    of coord[b] over the bits of u: O(n t) big-int XORs instead of n^2/2
-    parity tests. Even weight keeps the diagonal clear.
+    The scalar product is linear, so with coord[b] the union of the fibers
+    {y : table[y] = v} whose code has bit b, a fiber's row is the XOR of
+    coord[b] over its code's bits, and even weight keeps it off its own
+    row: O(len(table) + fibers * t) big-int operations, and no G0.
     """
-    codes = enumerate_even_weight(t)
-    coord = [sum(1 << i for i, code in enumerate(codes) if code >> b & 1) for b in range(t)]
-    adj = []
-    for code in codes:
-        row = 0
-        for b in range(t):
-            if code >> b & 1:
-                row ^= coord[b]
-        adj.append(row)
-    return BitGraph(len(codes), adj)
+    fibers: dict[int, int] = {}
+    for x, v in enumerate(table):
+        fibers[v] = fibers.get(v, 0) | (1 << x)
+    bits = {v: _bits_to_list(even_weight_code(v)) for v in fibers}
+    coord = [0] * t
+    for v, fiber in fibers.items():
+        for b in bits[v]:
+            coord[b] |= fiber
+    pulled = {v: reduce(xor, [coord[b] for b in bits[v]], 0) for v in fibers}
+    return [pulled[v] for v in table]
+
+
+def _check_g0_order(t: int) -> int:
+    check_construction_t(t)
+    n = 1 << (t - 1)
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"t={t} gives G0 {n} vertices, past the guard {EXHAUSTIVE_LIMIT}")
+    return n
+
+
+def build_g0(t: int) -> BitGraph:
+    """The GF(2) orthogonality graph on the even-weight vectors of F_2^t.
+
+    Vertex i is even_weight_code(i); the rows are orthogonality_rows of the
+    identity table. Built only to check Lemma 1, up to EXHAUSTIVE_LIMIT vertices.
+    """
+    n = _check_g0_order(t)
+    return BitGraph(n, orthogonality_rows(range(n), t))
 
 
 def _bits_to_list(mask: int) -> list[int]:
@@ -373,8 +394,8 @@ def read_graph_file(path) -> tuple[BitGraph, int]:
     """Read the text graph format back; returns (graph, t).
 
     The header is checked before anything is allocated: t must be a
-    construction order and n must be 2^(t-1). Every error names the
-    header field or the line.
+    construction order whose G0 can be built (2..14) and n must be
+    2^(t-1). Every error names the header field or the line.
     """
     with open(path, "rb") as fh:
         lines = _graph_file_lines(fh)
@@ -384,11 +405,11 @@ def read_graph_file(path) -> tuple[BitGraph, int]:
             raise ValueError(f"graph file line 1: malformed header {' '.join(header)!r}")
         t, n, m = (_graph_file_int(fields[key], f"header field {key}") for key in "tnm")
         try:
-            check_construction_t(t)
+            order = _check_g0_order(t)
         except ValueError as exc:
             raise ValueError(f"graph file header field t: {exc}") from None
-        if n != 1 << (t - 1):
-            raise ValueError(f"graph file header field n: t={t} needs n={1 << (t - 1)}, got {n}")
+        if n != order:
+            raise ValueError(f"graph file header field n: t={t} needs n={order}, got {n}")
         g = BitGraph(n)
         edge_lines = 0
         for number, tokens in lines:

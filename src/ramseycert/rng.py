@@ -23,8 +23,6 @@ import hashlib
 import struct
 from itertools import compress
 
-from .graphs import _bits_to_list
-
 MASK64 = (1 << 64) - 1
 MAX_SEED = MASK64
 
@@ -76,11 +74,6 @@ def _tag_constant(tag: str) -> int:
     return c
 
 
-def _prefix_key(seed: int, tag: str, index: int) -> int:
-    """The stream state after (seed, tag, index), shared by every longer key."""
-    return _mix(_mix(seed ^ _tag_constant(tag)) ^ (index & MASK64))
-
-
 def check_seed(seed: int) -> int:
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
@@ -118,25 +111,25 @@ def uniform_row(bound: int, seed: int, tag: str, i: int, n: int) -> list[int]:
     """[uniform_below(bound, seed, tag, i, x) for x in range(n)] for a power-of-two bound.
 
     A power-of-two bound never rejects, so entry x is the masked
-    stream64(seed, tag, i, x, 0); the key state up to i is mixed once and
+    stream64(seed, tag, i, x, 0); stream64(seed, tag, i) is mixed once and
     the two remaining rounds run on packed lanes.
     """
     if bound < 1 or bound & (bound - 1):
         raise ValueError(f"bound must be a power of two, got {bound}")
     if n < 0:
         raise ValueError(f"row length must be non-negative, got {n}")
-    lanes = _mix2_lanes(_prefix_key(seed, tag, i), range(n), (bound - 1) & MASK64)
+    lanes = _mix2_lanes(stream64(seed, tag, i), range(n), (bound - 1) & MASK64)
     return list(_lanes64(n).unpack(memoryview(lanes).cast("Q")[::2].tobytes()))
 
 
-def _coin_heads(seed: int, tag: str, x: int, ys: int) -> list[int]:
-    """The bits y of the mask ys whose coin uniform_below(2, seed, tag, x, y) is 1, ascending.
+def _coin_heads(seed: int, tag: str, x: int, partners: list[int]) -> list[int]:
+    """The partners y whose coin uniform_below(2, seed, tag, x, y) is 1, in their order.
 
     Same bits as one uniform_below call per pair: a bound of 2 never
     rejects, so each coin is the low bit of stream64(seed, tag, x, y, 0).
-    The key state up to x is mixed once for the whole row, the partners
-    y go into packed lanes, and each coin is the low byte of its lane.
+    The key state stream64(seed, tag, x) is mixed once for the whole row,
+    the partners go into packed lanes, and each coin is the low byte of
+    its lane.
     """
-    partners = _bits_to_list(ys)
-    coins = _mix2_lanes(_prefix_key(seed, tag, x), partners, 1)[::16]
+    coins = _mix2_lanes(stream64(seed, tag, x), partners, 1)[::16]
     return list(compress(partners, coins))

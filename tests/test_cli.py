@@ -129,9 +129,6 @@ def test_generate_large_n_writes_spec_without_drawing(capsys, tmp_path, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("coloring drawn only to write its spec")
 
-    # build_g0(30) alone would need 2^29 rows: refuse it too, so a regression
-    # fails here instead of exhausting memory
-    monkeypatch.setattr(coloring, "build_g0", refuse)
     monkeypatch.setattr(coloring, "generate_blowup_coloring", refuse)
     monkeypatch.setattr(cli, "regenerate", refuse)
     spec_path = tmp_path / "spec.json"
@@ -504,8 +501,12 @@ def test_verify_g0_command(capsys, tmp_path):
         (b"g0 t=x n=8 m=0\n", "header field t must be a non-negative integer, got 'x'"),
         (b"g0 t=4 n=8 m=1\n0 1 2\n", "line 2: 3 fields, expected `i j`"),
         (b"g0 t=4 n=8 m=1\n0 \xc3\xa9\n", "line 2: non-ASCII byte"),
+        (b"g0 t=16 n=32768 m=0\n", "header field t: t=16 gives G0 32768 vertices, past the guard"),
     ],
-    ids=["odd-t", "n-not-matching-t", "t-not-integer", "three-token-edge-line", "non-ascii"],
+    ids=[
+        "odd-t", "n-not-matching-t", "t-not-integer", "three-token-edge-line", "non-ascii",
+        "t-past-guard",
+    ],
 )
 def test_verify_g0_rejects_malformed_graph_file(capsys, tmp_path, content, message):
     graph_path = tmp_path / "bad.graph"
@@ -513,6 +514,14 @@ def test_verify_g0_rejects_malformed_graph_file(capsys, tmp_path, content, messa
     code, _, err = run(capsys, "verify-g0", "--graph-file", str(graph_path))
     assert code == 2
     assert f"error: graph file {message}" in err
+
+
+def test_build_graph_refuses_t_past_the_guard(capsys, tmp_path):
+    graph_path = tmp_path / "g.graph"
+    code, _, err = run(capsys, "build-graph", "--t", "16", "--out", str(graph_path))
+    assert code == 2
+    assert "error: t=16 gives G0 32768 vertices, past the guard 10000" in err
+    assert not graph_path.exists()
 
 
 def test_unknown_subcommand_exits_2():

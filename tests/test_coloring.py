@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ramseycert import coloring as coloring_module
+from ramseycert import graphs as graphs_module
 from ramseycert import rng
 from ramseycert.coloring import (
     Certificate,
@@ -598,6 +599,59 @@ def test_product_past_the_guard_verifies_on_its_factors(tmp_path):
     assert hashlib.sha256(core).hexdigest() == (
         "8f0c16098f4f381ae137ab505ce1159d1a760f66c0b1021a7b43b35a1071b5d0"
     )
+
+
+def t6_m4_product(seed, power):
+    """The power-th product power of the t=6 m=4 N=651 blowup at `seed`, left-nested."""
+    factor = ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=seed)
+    spec = factor
+    for _ in range(power - 1):
+        spec = ColoringSpec(
+            kind="product", t=6, m=0, ell=spec.ell + 6, N=spec.N * 651, seed=0,
+            factors=(spec, factor),
+        )
+    return spec
+
+
+def test_witnessed_square_maps_the_factor_clique():
+    # a first-factor class: factor clique w is [a * 651 for a in w]
+    clique = (57, 161, 404, 499, 531, 585)
+    assert find_mono_clique(regenerate(t6_m4_product(2, 1)), 6) == MonoWitness(5, clique)
+    spec = t6_m4_product(2, 2)
+    cert = verify_coloring(spec)
+    assert not cert.verified and spec.N == 423_801
+    assert cert.witness == MonoWitness(5, (37107, 104811, 263004, 324849, 345681, 380835))
+    assert cert.witness.vertices == tuple(a * 651 for a in clique)
+    assert cert.witness.holds_in(regenerate(spec))
+
+
+def test_product_cube_past_the_guard_verifies_on_its_factors(tmp_path):
+    # N = 651^3 with 18 colors: the certificate proves r(6;18) >= 275,894,452
+    spec = t6_m4_product(1007, 3)
+    assert (spec.N, spec.ell) == (275_894_451, 18)
+    cert = verify_coloring(spec)
+    assert cert.verified and cert.certified_bound() == 275_894_452
+    save_certificate(cert, tmp_path / "cert.json")
+    assert recheck_certificate(load_certificate(tmp_path / "cert.json")) == (True, [])
+
+
+def test_product_fourth_power_is_refused_naming_n():
+    with pytest.raises(ValueError, match="N must be in 1..4294967296, got 179607287601"):
+        t6_m4_product(1007, 4)
+
+
+def test_t30_spec_verifies_and_rechecks_without_building_g0(monkeypatch):
+    # G0(30) has 2^29 rows of 2^29 bits; a coloring is only its tables,
+    # so refuse G0 everywhere and a regression fails here at once instead
+    # of exhausting memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("G0 built for a coloring")
+
+    monkeypatch.setattr(graphs_module, "build_g0", refuse)
+    monkeypatch.setattr(coloring_module, "build_g0", refuse, raising=False)
+    cert = verify_coloring(ColoringSpec(kind="blowup", t=30, m=1, ell=3, N=60, seed=1))
+    assert cert.verified and cert.search_stats["lemma1_colors"] == [1]
+    assert recheck_certificate(cert) == (True, [])
 
 
 def test_product_seed_override_rejected():

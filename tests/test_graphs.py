@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from ramseycert.graphs import (
     g0_census,
     has_clique_of_order,
     max_clique,
+    orthogonality_rows,
     read_graph_file,
     write_graph_file,
 )
@@ -69,6 +71,25 @@ def test_build_g0_rows_are_the_parity_definition(t):
     for i, ci in enumerate(codes):
         row = sum(1 << j for j, cj in enumerate(codes) if bin(ci & cj).count("1") % 2)
         assert g.adj[i] == row
+
+
+@functools.lru_cache(maxsize=None)
+def even_weight_codes(t):
+    return [c for c in range(1 << t) if bin(c).count("1") % 2 == 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), t=st.sampled_from([2, 4, 6, 8, 10, 12]))
+def test_orthogonality_rows_are_the_pairwise_parity(data, t):
+    # a handful of distinct G0 vertices, so the table repeats entries
+    vertices = st.integers(0, (1 << (t - 1)) - 1)
+    values = data.draw(st.lists(vertices, min_size=1, max_size=6))
+    table = data.draw(st.lists(st.sampled_from(values), max_size=40))
+    codes = even_weight_codes(t)
+    assert orthogonality_rows(table, t) == [
+        sum(1 << y for y, w in enumerate(table) if bin(codes[v] & codes[w]).count("1") % 2)
+        for v in table
+    ]
 
 
 def test_build_g0_rejects_odd_t():

@@ -98,6 +98,6 @@ def test_packed_lanes_equal_scalar_rounds(key, ys):
     | st.just((1 << 4096) - 1),
 )
 def test_pair_coins_equal_uniform_below(seed, x, ys):
-    heads = rng._coin_heads(seed, "pair", x, ys)
     partners = [y for y in range(ys.bit_length()) if ys >> y & 1]
+    heads = rng._coin_heads(seed, "pair", x, partners)
     assert heads == [y for y in partners if rng.uniform_below(2, seed, "pair", x, y)]

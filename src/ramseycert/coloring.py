@@ -39,7 +39,6 @@ from .gf2 import check_construction_t, even_weight_code
 from .graphs import (
     EXHAUSTIVE_LIMIT,
     BitGraph,
-    _bits_to_list,
     g0_census,
     has_clique_of_order,
     orthogonality_rows,
@@ -403,6 +402,9 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
 
     The pairs f_i separates across an edge are orthogonality_rows of its
     table (t coordinate masks); class i keeps those no earlier map took.
+    Every leftover coin of the build comes from one rng.coin_heads pass
+    over the rows' unseparated partners above the diagonal, and each head
+    is scattered into both of its rows.
     """
     spec = coloring.spec
     N, m = spec.N, spec.m
@@ -418,11 +420,11 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
     if leftover:
         full = (1 << N) - 1
         heads = [0] * N  # pairs whose coin gives color m+2
-        for x in range(N):
+        above = [(x, (full ^ done) >> (x + 1)) for x, done in enumerate(taken)]  # partners y > x
+        for x, ys in enumerate(rng.coin_heads(spec.seed, TAG_PAIR, above)):
             bit = 1 << x
-            unseparated = (full ^ taken[x]) >> (x + 1) << (x + 1)  # partners y > x
             ahead = 0
-            for y in rng._coin_heads(spec.seed, TAG_PAIR, x, _bits_to_list(unseparated)):
+            for y in ys:
                 ahead |= 1 << y
                 heads[y] |= bit
             heads[x] |= ahead

@@ -7,21 +7,25 @@ The mixer is the splitmix64 finalizer, applied sponge-style over the
 tag constant and the index sequence; tag constants come from blake2b so
 they are stable across interpreter runs (unlike hash()).
 
-Whole rows of draws that share a key prefix (a blowup table, the coins
-of one vertex) run the last two rounds on packed lanes: 64-bit keys sit
-in 128-bit slots of one Python int, and each round is a few big-int
+Whole rows of draws run their last rounds on packed lanes: 64-bit keys
+sit in 128-bit slots of one Python int, and each round is a few big-int
 operations with a lane mask after every xor-shift and multiply, so no
-bit carries or shifts across a slot boundary. Lanes are packed and
-unpacked with explicit little-endian struct formats; the native-order
-memoryview casts in between only move whole 8-byte items, so the bits
-equal the scalar path's on hosts of either byte order.
+bit carries or shifts across a slot boundary. A blowup table is one row
+under one key. The leftover coins of a whole class build go through
+one pass for the keys of all rows, then through lane blocks of _BLOCK
+lanes that hold the partners of consecutive rows, each lane carrying
+its own row's key. Lanes are packed and unpacked with explicit
+little-endian struct formats; the native-order memoryview casts in
+between only move whole 8-byte items, so the bits equal the scalar
+path's on hosts of either byte order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from itertools import compress
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, chain, compress, islice, tee
 
 MASK64 = (1 << 64) - 1
 MAX_SEED = MASK64
@@ -29,6 +33,7 @@ MAX_SEED = MASK64
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _SLOT = b"\x01" + bytes(15)  # the value 1 in one little-endian 128-bit slot
+_BLOCK = 2048  # lanes per packed coin pass; bounds its ints to 32 KiB
 
 
 def _mix(x: int) -> int:
@@ -43,24 +48,37 @@ def _lanes64(n: int) -> struct.Struct:
     return struct.Struct(f"<{n}Q")
 
 
-def _mix2_lanes(key: int, ys, low: int) -> bytes:
-    """_mix(_mix(key ^ y)) & low for each y of ys, in 16 little-endian bytes per y.
+def _slots(words: bytes) -> int:
+    """The little-endian 8-byte words of `words`, one in each 128-bit slot of an int."""
+    slots = bytearray(2 * len(words))
+    memoryview(slots).cast("Q")[::2] = memoryview(words).cast("Q")
+    return int.from_bytes(slots, "little")
 
-    key, every y and low are below 2^64; slot j of the result is ys[j]'s.
-    """
-    n = len(ys)
-    slots = bytearray(16 * n)
-    memoryview(slots).cast("Q")[::2] = memoryview(_lanes64(n).pack(*ys)).cast("Q")
-    ones = int.from_bytes(_SLOT * n, "little")
+
+def _mix_slots(z: int, ones: int, rounds: int) -> int:
+    """`rounds` splitmix64 finalizer rounds on each 128-bit slot of z that `ones` marks."""
     lane = ones * MASK64
-    z = int.from_bytes(slots, "little") ^ key * ones
-    for _ in range(2):
+    for _ in range(rounds):
         z = (z ^ (z >> 30)) & lane
         z = z * _M1 & lane
         z = (z ^ (z >> 27)) & lane
         z = z * _M2 & lane
         z = (z ^ (z >> 31)) & lane
-    return (z & low * ones).to_bytes(16 * n, "little")
+    return z
+
+
+def _mix2_lanes(key: int | bytes, ys, low: int) -> bytes:
+    """_mix(_mix(k ^ y)) & low for each y of ys, in 16 little-endian bytes per y.
+
+    key is either one int k for every lane or 8 little-endian bytes per
+    lane, lane j's k at offset 8j; every k, y and low is below 2^64.
+    Slot j of the result is ys[j]'s.
+    """
+    n = len(ys)
+    ones = int.from_bytes(_SLOT * n, "little")
+    z = _slots(_lanes64(n).pack(*ys))
+    z ^= key * ones if isinstance(key, int) else _slots(key)
+    return (_mix_slots(z, ones, 2) & low * ones).to_bytes(16 * n, "little")
 
 
 _TAG_CONSTANTS: dict[str, int] = {}
@@ -122,14 +140,65 @@ def uniform_row(bound: int, seed: int, tag: str, i: int, n: int) -> list[int]:
     return list(_lanes64(n).unpack(memoryview(lanes).cast("Q")[::2].tobytes()))
 
 
-def _coin_heads(seed: int, tag: str, x: int, partners: list[int]) -> list[int]:
-    """The partners y whose coin uniform_below(2, seed, tag, x, y) is 1, in their order.
+def _row_keys(seed: int, tag: str, xs: list[int]) -> bytes:
+    """stream64(seed, tag, x) for each x of xs (each below 2^64), 8 little-endian bytes each.
 
-    Same bits as one uniform_below call per pair: a bound of 2 never
-    rejects, so each coin is the low bit of stream64(seed, tag, x, y, 0).
-    The key state stream64(seed, tag, x) is mixed once for the whole row,
-    the partners go into packed lanes, and each coin is the low byte of
-    its lane.
+    _mix(seed ^ tag constant) is mixed once; the one round left runs on
+    packed lanes.
     """
-    coins = _mix2_lanes(stream64(seed, tag, x), partners, 1)[::16]
-    return list(compress(partners, coins))
+    n = len(xs)
+    ones = int.from_bytes(_SLOT * n, "little")
+    z = _slots(_lanes64(n).pack(*xs)) ^ _mix(seed ^ _tag_constant(tag)) * ones
+    keys = _mix_slots(z, ones, 1).to_bytes(16 * n, "little")
+    return memoryview(keys).cast("Q")[::2].tobytes()
+
+
+def _partners(row: tuple[int, int]) -> list[int]:
+    """The partners x + 1 + j of row (x, above) over the set bits j of above, ascending.
+
+    Splitting above's bits, lowest first, on "1" gives the gaps between
+    partners, so the gather is linear in the row's width and peels no bits.
+    """
+    x, above = row
+    steps = [len(gap) + 1 for gap in format(above, "b")[::-1].split("1")]
+    steps.pop()  # the zeros past the top partner, or the lone "0" of an empty row
+    if steps:
+        steps[0] += x
+    return list(accumulate(steps))
+
+
+def _coin_blocks(keys: bytes, gathered: Iterable[list[int]]) -> Iterator[bytes]:
+    """One coin byte per partner, in row order, drawn in blocks of _BLOCK lanes.
+
+    gathered holds the partners of each row whose 8-byte key is at
+    keys[8i:8i+8]; a row may straddle two blocks.
+    """
+    ys: list[int] = []
+    lane_keys = bytearray()
+    for i, partners in enumerate(gathered):
+        ys += partners
+        lane_keys += keys[8 * i : 8 * i + 8] * len(partners)
+        while len(ys) >= _BLOCK:
+            yield _mix2_lanes(lane_keys[: 8 * _BLOCK], ys[:_BLOCK], 1)[::16]
+            del ys[:_BLOCK], lane_keys[: 8 * _BLOCK]
+    if ys:
+        yield _mix2_lanes(lane_keys, ys, 1)[::16]
+
+
+def coin_heads(seed: int, tag: str, rows: list[tuple[int, int]]) -> Iterator[list[int]]:
+    """For each (x, above) of rows, the partners y with uniform_below(2, seed, tag, x, y) = 1.
+
+    The partners of x are y = x + 1 + j over the set bits j of `above`
+    (the pairs above the diagonal of a symmetric relation, row x shifted
+    right by x + 1), and its heads come in ascending order. Same bits as
+    one uniform_below call per pair: a bound of 2 never rejects, so each
+    coin is the low bit of stream64(seed, tag, x, y, 0), the low byte of
+    its lane. The rows' partners are gathered once; the coin blocks run
+    at most one block ahead of the rows handed out, so memory stays
+    bounded by the block and the rows inside it.
+    """
+    keys = _row_keys(seed, tag, [x for x, _ in rows])
+    drawn, kept = tee(map(_partners, rows))
+    coins = chain.from_iterable(_coin_blocks(keys, drawn))
+    for partners in kept:
+        yield list(compress(partners, islice(coins, len(partners))))

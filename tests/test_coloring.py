@@ -167,6 +167,17 @@ def test_class_graphs_match_color_of_pair_loop():
     assert kinds == {"blowup", "erdos", "product"}
 
 
+def test_leftover_classes_over_several_coin_blocks_match_color_of_pair_loop():
+    # the random colorings above stay within one lane block of leftover coins
+    coloring = generate_blowup_coloring(4, 1, 150, 11)
+    expected = pair_loop_classes(coloring, [2, 3])
+    assert sum(row.bit_count() for c in (2, 3) for row in expected[c]) // 2 > 2 * rng._BLOCK
+    for colors in ([2, 3], [3]):
+        graphs = color_class_graphs(coloring, colors)
+        for c in colors:
+            assert graphs[c].adj == expected[c], c
+
+
 def test_class_graphs_reject_colors_outside_palette():
     coloring = generate_blowup_coloring(4, 1, 9, 0)
     for bad in (0, 4):
@@ -360,6 +371,18 @@ def test_t6_m4_leftover_class_rows_are_pinned():
             digest.update(row.to_bytes(82, "little"))
     assert digest.hexdigest() == (
         "ce3ebfe23ee56bccffcec88769472f12eedb5904db40e15965d782aecaa624f5"
+    )
+
+
+def test_t8_m2_leftover_class_rows_are_pinned():
+    # about 70k leftover pairs, many lane blocks; recorded with one coin pass per vertex
+    graphs = color_class_graphs(generate_blowup_coloring(8, 2, 740, 1), [3, 4])
+    digest = hashlib.sha256()
+    for c in (3, 4):
+        for row in graphs[c].adj:
+            digest.update(row.to_bytes(93, "little"))
+    assert digest.hexdigest() == (
+        "f64023eb6e13f480286b4a6bd3466587513871f1650fb7720e9ba4124c09048d"
     )
 
 

@@ -1,3 +1,6 @@
+import random
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,12 +82,22 @@ def test_uniform_row_rejects_other_bounds():
         rng.uniform_row(8, 0, "blowup", 1, -1)
 
 
-@given(key=WORDS, ys=st.lists(WORDS, max_size=12))
-def test_packed_lanes_equal_scalar_rounds(key, ys):
+@given(key=WORDS, pairs=st.lists(st.tuples(WORDS, WORDS), max_size=12))
+def test_packed_lanes_equal_scalar_rounds(key, pairs):
     # whole 128-bit slots: nothing above the low 64 bits may survive a round
-    lanes = rng._mix2_lanes(key, ys, rng.MASK64)
-    slots = [int.from_bytes(lanes[16 * j : 16 * j + 16], "little") for j in range(len(ys))]
-    assert slots == [rng._mix(rng._mix(key ^ y)) for y in ys]
+    # one int key for every lane, then 8 little-endian key bytes per lane
+    ys = [y for _, y in pairs]
+    lane_keys = [k for k, _ in pairs]
+    packed = struct.pack(f"<{len(ys)}Q", *lane_keys)
+    for keyed, keys in ((key, [key] * len(ys)), (packed, lane_keys)):
+        lanes = rng._mix2_lanes(keyed, ys, rng.MASK64)
+        slots = [int.from_bytes(lanes[16 * j : 16 * j + 16], "little") for j in range(len(ys))]
+        assert slots == [rng._mix(rng._mix(k ^ y)) for k, y in zip(keys, ys)]
+
+
+def scalar_heads(seed, x, above):
+    partners = [x + 1 + j for j in range(above.bit_length()) if above >> j & 1]
+    return [y for y in partners if rng.uniform_below(2, seed, "pair", x, y)]
 
 
 @given(
@@ -92,12 +105,22 @@ def test_packed_lanes_equal_scalar_rounds(key, ys):
     # x and the lane edges: near 0 and near the 2^32 vertex capacity
     x=st.integers(0, 7) | st.integers((1 << 32) - 8, (1 << 32) - 1) | st.integers(0, (1 << 32) - 1),
     # an empty mask, a single bit, random masks, and a full 4096-bit row
-    ys=st.just(0)
-    | st.integers(0, 4095).map(lambda y: 1 << y)
+    above=st.just(0)
+    | st.integers(0, 4095).map(lambda j: 1 << j)
     | st.integers(0, (1 << 200) - 1)
     | st.just((1 << 4096) - 1),
 )
-def test_pair_coins_equal_uniform_below(seed, x, ys):
-    partners = [y for y in range(ys.bit_length()) if ys >> y & 1]
-    heads = rng._coin_heads(seed, "pair", x, partners)
-    assert heads == [y for y in partners if rng.uniform_below(2, seed, "pair", x, y)]
+def test_pair_coins_equal_uniform_below(seed, x, above):
+    assert list(rng.coin_heads(seed, "pair", [(x, above)])) == [scalar_heads(seed, x, above)]
+
+
+def test_coin_blocks_span_rows_and_block_edges():
+    # rows of 700 partners: row 2 holds lanes 1400..2099 across the first block edge
+    rand = random.Random(7)
+    rows = [(x, sum(1 << j for j in rand.sample(range(1400), 700))) for x in range(11)]
+    rows[5] = (5, 0)
+    lanes = sum(above.bit_count() for _, above in rows)
+    assert lanes >= 3 * rng._BLOCK and 1400 < rng._BLOCK < 2100
+    seed = rand.getrandbits(64)
+    heads = list(rng.coin_heads(seed, "pair", rows))
+    assert heads == [scalar_heads(seed, x, above) for x, above in rows]

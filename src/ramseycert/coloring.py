@@ -467,10 +467,10 @@ def _first_clique_class(
 
     - First-factor class c <= ell1: the product class is the factor
       class with each vertex a replaced by N2 pairwise non-adjacent twins
-      a*N2 .. a*N2+N2-1. Greedy coloring in ascending order (_color_sort)
-      puts every twin of a in a's class, so the search visits them
-      consecutively, lowest first, and each twin's subtree is the
-      factor's subtree at a. At every depth the first success is at twin
+      a*N2 .. a*N2+N2-1. The greedy coloring of has_clique_of_order,
+      ascending vertex order, puts every twin of a in a's class, so the
+      search visits them consecutively, lowest first, and each twin's
+      subtree is the factor's subtree at a. At every depth the first success is at twin
       a*N2, so factor clique w maps to [a * N2 for a in w].
     - Second-factor class ell1+c: the product class is N1 disjoint
       copies of the factor class. Within each greedy class the search

@@ -2,17 +2,30 @@
 
 Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so neighborhood intersections are single big-int
-ANDs. The k-clique search is branch-and-bound with greedy-coloring upper
-bounds, and max_clique asks it for growing k. orthogonality_rows pulls
-the orthogonality relation back through any table of G0 vertices as XORs
-of coordinate masks; G0, the identity table's, is built only to check
-Lemma 1, up to EXHAUSTIVE_LIMIT vertices. Its independent-set census has
-a closed form (g0_census); the census of an arbitrary graph
-(count_independent_sets, ascending extension memoized on the candidate
-set) is kept only as its test oracle. The text graph file is checked
-header first, so a bad header allocates nothing, and each error names
-the header field or the line. Everything here is deterministic: the same
-graph always gives the same witness, counts and traversal order.
+ANDs. orthogonality_rows pulls the orthogonality relation back through
+any table of G0 vertices as XORs of coordinate masks; G0, the identity
+table's, is built only to check Lemma 1, up to EXHAUSTIVE_LIMIT
+vertices. Its independent-set census has a closed form (g0_census); the
+census of an arbitrary graph (count_independent_sets, ascending
+extension memoized on the candidate set) is kept only as its test
+oracle.
+
+The k-clique search is branch-and-bound with greedy-coloring upper
+bounds, and max_clique asks it for growing k. A node colors all its
+candidates but lists only the classes that can branch, those numbered
+at least kmin, the count of clique vertices still missing. It peels
+each vertex with one XOR and one AND against a closed row (the vertex
+and its neighbors cleared) built once per search, and it does not enter
+a child with fewer candidates than the child still needs. The visit
+order is fixed, so the witness and the node count are functions of the
+graph and k. The recursive helper refers to itself through its closure;
+the search clears that reference when it ends, so no garbage cycle
+keeps the helper and its rows alive until the next cyclic collection.
+
+The text graph file is checked header first, so a bad header allocates
+nothing, and each error names the header field or the line. Everything
+here is deterministic: the same graph always gives the same witness,
+counts and traversal order.
 """
 
 from __future__ import annotations
@@ -121,34 +134,6 @@ def _bits_to_list(mask: int) -> list[int]:
     return out
 
 
-def _color_sort(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set, ascending vertex order.
-
-    Returns the candidates regrouped by color class together with their
-    class numbers; no clique inside `cand` can exceed the number of
-    classes, which is what the branch-and-bound prunes on.
-    """
-    order: list[int] = []
-    bounds: list[int] = []
-    color = 0
-    rest = cand
-    while rest:
-        color += 1
-        members: list[int] = []
-        q = rest
-        while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            members.append(v)
-            q &= ~(adj[v] | low)
-            rest ^= low
-        # classes are consumed back to front by the searches; storing each
-        # class reversed makes ties branch on the lowest vertex index first
-        order.extend(reversed(members))
-        bounds.extend([color] * len(members))
-    return order, bounds
-
-
 @dataclass(frozen=True)
 class CliqueSearch:
     """Outcome of a k-clique existence search."""
@@ -167,6 +152,24 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     Returns as soon as one witness is found; when it reports False the
     search was exhaustive (every branch either explored or pruned by the
     coloring bound, which never prunes a branch containing a k-clique).
+
+    A node with `size` vertices chosen colors its candidates greedily,
+    ascending vertex order, and branches only on the classes numbered
+    kmin = k - size or more. The classes above a vertex are visited and
+    removed before it, so a clique of the candidates left through a
+    vertex of class c has at most c vertices, too few below kmin. The
+    lower classes are still peeled, since the later classes depend on
+    them, but their members are never listed. Peeling a vertex v is
+    `rest ^= low; q &= closed[v]` with the per-search closed row
+    closed[v] = ~(adj[v] | 1 << v), restricted to the vertex set. A child
+    with fewer than kmin - 1 candidates is not entered: it could color no
+    class at its own kmin, and it would count no node.
+
+    The visit order is a contract: classes highest first, the lowest
+    vertex first within a class, each visited vertex counted as one node
+    and removed from the candidates. The same graph gives the same
+    witness and node count, and coloring._first_clique_class maps a
+    product's witness from its factor's clique by assuming this order.
     """
     if k < 0:
         raise ValueError(f"clique order must be non-negative, got {k}")
@@ -175,34 +178,52 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     if k > g.n:
         return CliqueSearch(False, None, 0)
     adj = g.adj
+    full = (1 << g.n) - 1
+    closed = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
     nodes = 0
 
-    # keep this visit order (greedy classes last to first, lowest vertex
-    # first within a class): coloring._first_clique_class maps a product's
-    # witness from its factor's clique by assuming it, so product
-    # witnesses depend on it
-    def expand(r_mask: int, size: int, cand: int) -> int:
+    def expand(kmin: int, cand: int) -> Optional[list[int]]:
+        """A kmin-clique inside cand, its vertices last chosen first, or None."""
         nonlocal nodes
-        order, colors = _color_sort(cand, adj)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] < k:
-                return 0
-            v = order[i]
-            bit = 1 << v
+        rest = cand
+        for _ in range(kmin - 1):  # classes 1..kmin-1: peeled, never listed
+            q = rest
+            while q:
+                low = q & -q
+                rest ^= low
+                q &= closed[low.bit_length() - 1]
+        classes = []  # classes kmin and up, the ones that can branch
+        while rest:
+            members = []
+            q = rest
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                members.append(v)
+                rest ^= low
+                q &= closed[v]
+            classes.append(members)
+        if kmin == 1:  # entered only with candidates, so some class is listed
             nodes += 1
-            if size + 1 == k:
-                return r_mask | bit
-            child = cand & adj[v]
-            if child:
-                hit = expand(r_mask | bit, size + 1, child)
-                if hit:
-                    return hit
-            cand &= ~bit
-        return 0
+            return [classes[-1][0]]
+        for members in reversed(classes):  # the visit order of the docstring
+            for v in members:
+                nodes += 1
+                child = cand & adj[v]
+                if child.bit_count() >= kmin - 1:
+                    hit = expand(kmin - 1, child)
+                    if hit:
+                        hit.append(v)
+                        return hit
+                cand ^= 1 << v
+        return None
 
-    hit = expand(0, 0, (1 << g.n) - 1)
+    hit = expand(k, full)
+    # expand's own cell refers back to it; clearing the cell frees expand
+    # and the closed rows now, not at the next cyclic collection
+    del expand
     if hit:
-        return CliqueSearch(True, _bits_to_list(hit), nodes)
+        return CliqueSearch(True, sorted(hit), nodes)
     return CliqueSearch(False, None, nodes)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, tee
 
 MASK64 = (1 << 64) - 1
@@ -55,9 +56,20 @@ def _slots(words: bytes) -> int:
     return int.from_bytes(slots, "little")
 
 
-def _mix_slots(z: int, ones: int, rounds: int) -> int:
-    """`rounds` splitmix64 finalizer rounds on each 128-bit slot of z that `ones` marks."""
-    lane = ones * MASK64
+@lru_cache(maxsize=1)
+def _lane_masks(n: int) -> tuple[int, int]:
+    """(ones, lane): the value 1 and the value MASK64 in each of n 128-bit slots.
+
+    Every full block of _coin_blocks has width _BLOCK, so the last width
+    is the one asked for again; one cached entry builds these once per
+    run of blocks, and nothing is held before the first draw.
+    """
+    ones = int.from_bytes(_SLOT * n, "little")
+    return ones, ones * MASK64
+
+
+def _mix_slots(z: int, lane: int, rounds: int) -> int:
+    """`rounds` splitmix64 finalizer rounds on each 128-bit slot of z that `lane` masks."""
     for _ in range(rounds):
         z = (z ^ (z >> 30)) & lane
         z = z * _M1 & lane
@@ -75,10 +87,11 @@ def _mix2_lanes(key: int | bytes, ys, low: int) -> bytes:
     Slot j of the result is ys[j]'s.
     """
     n = len(ys)
-    ones = int.from_bytes(_SLOT * n, "little")
+    ones, lane = _lane_masks(n)
     z = _slots(_lanes64(n).pack(*ys))
     z ^= key * ones if isinstance(key, int) else _slots(key)
-    return (_mix_slots(z, ones, 2) & low * ones).to_bytes(16 * n, "little")
+    z = _mix_slots(z, lane, 2) & (ones if low == 1 else low * ones)
+    return z.to_bytes(16 * n, "little")
 
 
 _TAG_CONSTANTS: dict[str, int] = {}
@@ -147,9 +160,9 @@ def _row_keys(seed: int, tag: str, xs: list[int]) -> bytes:
     packed lanes.
     """
     n = len(xs)
-    ones = int.from_bytes(_SLOT * n, "little")
+    ones, lane = _lane_masks(n)
     z = _slots(_lanes64(n).pack(*xs)) ^ _mix(seed ^ _tag_constant(tag)) * ones
-    keys = _mix_slots(z, ones, 1).to_bytes(16 * n, "little")
+    keys = _mix_slots(z, lane, 1).to_bytes(16 * n, "little")
     return memoryview(keys).cast("Q")[::2].tobytes()
 
 

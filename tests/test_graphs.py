@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 
@@ -142,6 +143,20 @@ def test_has_clique_agrees_with_max_clique():
         omega = max_clique(g)[0]
         for k in range(0, g.n + 2):
             assert bool(has_clique_of_order(g, k)) == (omega >= k)
+
+
+def test_has_clique_leaves_no_garbage_cycle():
+    # a self-referencing search closure would stay behind as a cycle,
+    # holding its rows until the cyclic collector runs
+    g = build_g0(6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert has_clique_of_order(g, 5)
+        assert not has_clique_of_order(g, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_has_clique_rejects_negative_order(g0_4):

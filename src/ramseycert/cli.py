@@ -196,7 +196,8 @@ def cmd_verify_g0(args) -> int:
     if g.n != reference.n or g.adj != reference.adj:
         _diag(f"graph file does not match the order-{t} construction")
         return EXIT_UNVERIFIED
-    size, _ = max_clique(g)
+    # equal to g, and only the built graph carries the orbits that max_clique uses
+    size, _ = max_clique(reference)
     lemma1 = "OK" if size <= t - 1 else "VIOLATED"
     print(f"n={g.n} m={g.edge_count()} max_clique={size} lemma1: {lemma1} file: OK")
     return EXIT_OK if lemma1 == "OK" else EXIT_UNVERIFIED

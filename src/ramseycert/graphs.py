@@ -11,16 +11,22 @@ extension memoized on the candidate set) is kept only as its test
 oracle.
 
 The k-clique search is branch-and-bound with greedy-coloring upper
-bounds, and max_clique asks it for growing k. A node colors all its
-candidates but lists only the classes that can branch, those numbered
-at least kmin, the count of clique vertices still missing. It peels
-each vertex with one XOR and one AND against a closed row (the vertex
-and its neighbors cleared) built once per search, and it does not enter
-a child with fewer candidates than the child still needs. The visit
+bounds. A node colors all its candidates but lists only the classes
+that can branch, those numbered at least kmin, the count of clique
+vertices still missing. It peels each vertex with one XOR and one AND
+against a closed row (the vertex and its neighbors cleared) built once
+per search; a child too small to hold kmin - 1 vertices peels down to
+nothing, so it lists no class and needs no test of its own. The visit
 order is fixed, so the witness and the node count are functions of the
 graph and k. The recursive helper refers to itself through its closure;
 the search clears that reference when it ends, so no garbage cycle
 keeps the helper and its rows alive until the next cyclic collection.
+
+max_clique asks the k-clique search for growing k. A graph may carry
+`orbits`, one vertex per orbit of a group of its automorphisms; every
+clique then maps onto one through a representative, so max_clique
+searches only the representatives' neighbourhoods. build_g0 is the one
+source of orbits, and add_edge drops them.
 
 The text graph file is checked header first, so a bad header allocates
 nothing, and each error names the header field or the line. Everything
@@ -34,7 +40,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import xor
+from operator import itemgetter, xor
 from typing import Iterator, Optional, Sequence
 
 from .gf2 import check_construction_t, even_weight_code
@@ -43,9 +49,15 @@ EXHAUSTIVE_LIMIT = 10_000  # largest vertex count of a materialized graph: G0 or
 
 
 class BitGraph:
-    """Undirected graph on vertices 0..n-1 with bit-mask adjacency rows."""
+    """Undirected graph on vertices 0..n-1 with bit-mask adjacency rows.
 
-    __slots__ = ("n", "adj")
+    `orbits` is None or one vertex per orbit of a group of automorphisms
+    of the graph, ascending; max_clique searches only their
+    neighbourhoods. A new edge need not respect the group, so add_edge
+    resets it to None.
+    """
+
+    __slots__ = ("n", "adj", "orbits")
 
     def __init__(self, n: int, adj: Optional[list[int]] = None):
         if n < 0:
@@ -54,6 +66,7 @@ class BitGraph:
         self.adj = adj if adj is not None else [0] * n
         if len(self.adj) != n:
             raise ValueError("adjacency must have one row per vertex")
+        self.orbits: Optional[list[int]] = None
 
     @classmethod
     def complete(cls, n: int) -> "BitGraph":
@@ -67,6 +80,7 @@ class BitGraph:
             raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
+        self.orbits = None
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -120,9 +134,20 @@ def build_g0(t: int) -> BitGraph:
 
     Vertex i is even_weight_code(i); the rows are orthogonality_rows of the
     identity table. Built only to check Lemma 1, up to EXHAUSTIVE_LIMIT vertices.
+
+    Its orbits are the weight classes {w, t - w}, w even and at most t/2,
+    under two kinds of automorphism. A coordinate permutation preserves
+    every scalar product. x -> x + 1 (1 the all-ones vector) does too on
+    even-weight vectors at even t, since <x+1, y+1> = <x, y> + wt(x) +
+    wt(y) + t; it maps weight w to t - w. A permutation carries any
+    vector onto any other of its weight, so `orbits` holds vertex 0 (the
+    zero vector) and vertex 2^(w-1) - 1, whose code is e_1 + ... + e_w,
+    for w = 2, 4, ..., at most t/2.
     """
     n = _check_g0_order(t)
-    return BitGraph(n, orthogonality_rows(range(n), t))
+    g = BitGraph(n, orthogonality_rows(range(n), t))
+    g.orbits = [0] + [(1 << (w - 1)) - 1 for w in range(2, t // 2 + 1, 2)]
+    return g
 
 
 def _bits_to_list(mask: int) -> list[int]:
@@ -161,9 +186,11 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     lower classes are still peeled, since the later classes depend on
     them, but their members are never listed. Peeling a vertex v is
     `rest ^= low; q &= closed[v]` with the per-search closed row
-    closed[v] = ~(adj[v] | 1 << v), restricted to the vertex set. A child
-    with fewer than kmin - 1 candidates is not entered: it could color no
-    class at its own kmin, and it would count no node.
+    closed[v] = ~(adj[v] | 1 << v), restricted to the vertex set. Any
+    nonempty child is entered: one with fewer than kmin - 1 candidates
+    colors them all in the peeled classes, so it lists no class, counts
+    no node and returns None, and a popcount per visit to skip it would
+    cost more than it saves.
 
     The visit order is a contract: classes highest first, the lowest
     vertex first within a class, each visited vertex counted as one node
@@ -210,7 +237,7 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
             for v in members:
                 nodes += 1
                 child = cand & adj[v]
-                if child.bit_count() >= kmin - 1:
+                if child:
                     hit = expand(kmin - 1, child)
                     if hit:
                         hit.append(v)
@@ -230,17 +257,43 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
 def max_clique(g: BitGraph) -> tuple[int, list[int]]:
     """Exact maximum clique size and one witness clique.
 
-    Asks has_clique_of_order for k = 1, 2, ... until the answer is no;
-    that last search is exhaustive, so the clique found at k-1 is a
-    maximum one. One branch-and-bound kernel serves both questions, and
-    the witness is as deterministic as its searches.
+    One incumbent `best` runs over the parts of the graph. Without
+    orbits the one part is the whole graph, searched for a clique one
+    larger than `best`. With orbits each representative r gives a part,
+    N(r) re-indexed in ascending order, searched for a clique as large as
+    `best`, which with r becomes the new `best`. That suffices: an
+    automorphism carries any clique onto one through a representative r,
+    and the rest of the image is a clique of N(r). Each part asks
+    has_clique_of_order for growing k until the answer is no; that last
+    search is exhaustive, so when every part has answered no, `best` is a
+    maximum clique. One branch-and-bound kernel serves both questions,
+    and the witness is as deterministic as its searches.
     """
     best: list[int] = []
-    while True:
-        result = has_clique_of_order(g, len(best) + 1)
-        if not result.found:
-            return len(best), best
-        best = result.witness
+    for root, vertices, part in _clique_parts(g):
+        while True:
+            result = has_clique_of_order(part, len(best) + 1 - len(root))
+            if not result.found:
+                break
+            best = sorted(root + [vertices[v] for v in result.witness])
+    return len(best), best
+
+
+def _clique_parts(g: BitGraph) -> Iterator[tuple[list[int], Sequence[int], BitGraph]]:
+    """max_clique's parts as (root, its vertices in g, the part's graph)."""
+    if g.orbits is None:
+        yield [], range(g.n), g
+        return
+    width = f"0{g.n}b"
+    for r in g.orbits:
+        vertices = _bits_to_list(g.adj[r])
+        rows = []
+        if vertices:
+            # bit v of a row is character n-1-v of its binary string; picked
+            # highest vertex first, those characters spell the re-indexed row
+            pick = itemgetter(*[g.n - 1 - v for v in reversed(vertices)])
+            rows = [int("".join(pick(format(g.adj[v], width))), 2) for v in vertices]
+        yield [r], vertices, BitGraph(len(vertices), rows)
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,12 @@ def criterion(num, name, budget_sec):
 
 
 def test_criterion_1_clique_ceiling_at_desk_scale():
-    with criterion(1, "clique ceiling t in {2,4,6,8}", 60):
-        for t in (2, 4, 6, 8):
+    with criterion(1, "clique ceiling t in {2,4,6,8,10}", 60):
+        for t in (2, 4, 6, 8, 10):
             size, witness = rc.max_clique(rc.build_g0(t))
             assert size <= t - 1, f"t={t}: clique of size {size}"
             assert len(witness) == size
+        assert size == 9
         # brute-force oracle over all 2^8 subsets pins the t=4 value to 3
         g4 = rc.build_g0(4)
         best = 0

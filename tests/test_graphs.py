@@ -103,6 +103,76 @@ def test_max_clique_edgeless_and_empty():
     assert max_clique(BitGraph(0)) == (0, [])
 
 
+def is_clique(g, vertices):
+    return all(g.adjacent(a, b) for a, b in itertools.combinations(vertices, 2))
+
+
+@pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
+def test_g0_orbits_are_the_weight_classes(t):
+    g = build_g0(t)
+    codes = enumerate_even_weight(t)
+    vertex = {c: x for x, c in enumerate(codes)}
+    ones = (1 << t) - 1
+
+    def swap(i):
+        def move(c):
+            pair = (c >> i ^ c >> (i + 1)) & 1
+            return c ^ (pair << i | pair << (i + 1))
+
+        return move
+
+    generators = [swap(i) for i in range(t - 1)] + [lambda c: c ^ ones]
+    parent = list(range(g.n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for move in generators:
+        image = [vertex[move(c)] for c in codes]
+        for x in range(g.n):
+            assert g.adj[image[x]] == sum(1 << image[y] for y in range(g.n) if g.adjacent(x, y))
+            parent[root(x)] = root(image[x])
+    orbits = {}
+    for x in range(g.n):
+        orbits.setdefault(root(x), set()).add(x)
+    weight_classes = [
+        {x for x, c in enumerate(codes) if c.bit_count() in (w, t - w)}
+        for w in range(0, t // 2 + 1, 2)
+    ]
+    assert sorted(map(sorted, orbits.values())) == sorted(map(sorted, weight_classes))
+    assert g.orbits == sorted(set(g.orbits))
+    assert [len(orbit & set(g.orbits)) for orbit in weight_classes] == [1] * len(weight_classes)
+
+
+@pytest.mark.parametrize("t", [2, 4, 6, 8])
+def test_max_clique_by_orbits_matches_the_plain_path(t):
+    g = build_g0(t)
+    plain = BitGraph(g.n, list(g.adj))
+    assert plain.orbits is None
+    size, witness = max_clique(g)
+    assert size == max_clique(plain)[0] == t - 1
+    assert len(witness) == size and is_clique(g, witness)
+
+
+@pytest.mark.parametrize("t", [4, 6])
+def test_add_edge_clears_the_orbits(t):
+    g = build_g0(t)
+    reps = sum(1 << r for r in g.orbits)
+    avoiding = BitGraph(g.n, [0 if reps >> v & 1 else row & ~reps for v, row in enumerate(g.adj)])
+    _, witness = max_clique(avoiding)
+    assert len(witness) == t - 1
+    # joined to the all-ones vector, which is isolated and no representative,
+    # the witness makes the one K_t, and it misses every representative
+    for v in witness:
+        g.add_edge(g.n - 1, v)
+    assert g.orbits is None
+    size, found = max_clique(g)
+    assert (size, found) == max_clique(BitGraph(g.n, list(g.adj)))
+    assert size == t and is_clique(g, found)
+
+
 def test_max_clique_g0_4_with_brute_force_oracle(g0_4):
     # oracle: scan all 2^8 subsets for the largest clique
     best = 0

@@ -60,6 +60,15 @@ def test_max_clique_matches_networkx(graphs):
     assert len(witness) == size and is_clique(oracle, witness)
 
 
+def test_max_clique_of_g0_8_by_orbits_matches_networkx():
+    g = build_g0(8)
+    assert g.orbits is not None
+    oracle = nx.Graph(list(g.edges()))
+    size, witness = max_clique(g)
+    assert size == clique_number(oracle) == 7
+    assert len(witness) == size and is_clique(oracle, witness)
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs=small_graphs(), k=st.integers(0, 10))
 def test_has_clique_of_order_matches_networkx(graphs, k):

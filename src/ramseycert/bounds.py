@@ -17,13 +17,11 @@ expectation is below 1 and a seed search then exhibits a witness coloring.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, TextIO
 
-from .graphs import IndependentSetCensus, g0_census
+from .graphs import IndependentSetCensus, Record, g0_census
 
 
 def surjection_count(t: int, k: int) -> int:
@@ -88,8 +86,7 @@ def exact_decimal(value: Fraction, max_digits: int = 40) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
+class ExpectationReport(Record):
     """Exact expectation arithmetic for one (t, m, N) configuration.
 
     p_ind is None when m = 0: no blowup maps exist, so the per-set
@@ -143,7 +140,8 @@ def expected_mono_count(
     E = C(N,t) * 2^(1-C(t,2)) * p_ind^m. Only the last two colors can host
     a monochromatic set, each of the C(t,2) pairs independently takes one
     of them, and the m blowup maps must all send the set to independent
-    images, independently of one another.
+    images, independently of one another. With m = 0 no census is
+    consulted, so p_ind and the fingerprint are None even when one is passed.
     """
     if N < t:
         raise ValueError(f"N={N} is below the clique target t={t}")
@@ -151,6 +149,8 @@ def expected_mono_count(
         raise ValueError(f"m must be non-negative, got {m}")
     if m > 0 and census is None:
         raise ValueError("a census of the orthogonality graph is required when m > 0")
+    if m == 0:
+        census = None
     p_ind = None if census is None else exact_independence_probability(census, t)
     same_color = Fraction(2) ** (1 - comb(t, 2))
     per_set = same_color * (p_ind**m if m > 0 else 1)
@@ -204,8 +204,7 @@ SOURCE_THIS_PAPER = "this_paper"
 ALL_SOURCES = (SOURCE_ERDOS, SOURCE_LEFMANN, SOURCE_CONLON_FERBER, SOURCE_THIS_PAPER)
 
 
-@dataclass(frozen=True)
-class BoundTableRow:
+class BoundTableRow(Record):
     """One lower-bound growth rate: r(t; ell) >= 2^(rate * t), lower-order terms dropped.
 
     rate is the exact rational exponent when one exists. The product
@@ -292,6 +291,8 @@ def write_bounds_csv(rows: Iterable[BoundTableRow], fh: TextIO) -> None:
     rate_num/rate_den are blank for the irrational and symbolic rates,
     whose closed forms appear in the note column instead.
     """
+    import csv  # only bounds-table writes CSV; kept off every other command's start-up
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["ell", "source", "rate_num", "rate_den", "base_2pow", "note"])
     for row in rows:

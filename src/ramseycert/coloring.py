@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
 from math import comb
 from typing import Optional
 
@@ -39,6 +38,7 @@ from .gf2 import check_construction_t, even_weight_code
 from .graphs import (
     EXHAUSTIVE_LIMIT,
     BitGraph,
+    Record,
     g0_census,
     has_clique_of_order,
     orthogonality_rows,
@@ -57,8 +57,7 @@ EDGE_DUMP_LIMIT = 2_000
 CERTIFICATE_FORMAT = "ramseycert.certificate/1"
 
 
-@dataclass(frozen=True)
-class ColoringSpec:
+class ColoringSpec(Record):
     """Parameters that, with the seed, fully determine an edge coloring."""
 
     kind: str
@@ -162,7 +161,7 @@ def _only_fields(d: dict, names, where: str) -> None:
 
 def _spec_from_json(d, where: str) -> ColoringSpec:
     _typed(d, dict, where)
-    _only_fields(d, [f.name for f in fields(ColoringSpec)], where)
+    _only_fields(d, ColoringSpec._fields, where)
     factors = _typed(d.get("factors"), list, f"{where}.factors", nullable=True)
     if factors is not None:
         factors = tuple(_spec_from_json(f, f"{where}.factors[{i}]") for i, f in enumerate(factors))
@@ -308,8 +307,7 @@ def regenerate(spec: ColoringSpec, seed: Optional[int] = None) -> EdgeColoring:
     return product_coloring(regenerate(f1), regenerate(f2))
 
 
-@dataclass(frozen=True)
-class MonoWitness:
+class MonoWitness(Record):
     """A monochromatic clique: every pair inside `vertices` has `color`."""
 
     color: int
@@ -339,7 +337,7 @@ class MonoWitness:
 
 def _witness_from_json(d, where: str) -> MonoWitness:
     _typed(d, dict, where)
-    _only_fields(d, [f.name for f in fields(MonoWitness)], where)
+    _only_fields(d, MonoWitness._fields, where)
     vertices = _field(d, "vertices", list, where)
     return MonoWitness(
         color=_field(d, "color", int, where),
@@ -545,8 +543,7 @@ _RENDERED_FROM = {
 }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A verified (or failed) lower-bound witness for one coloring.
 
     verified holds exactly when the search was exhaustive and found no
@@ -562,7 +559,11 @@ class Certificate:
     exhaustive: bool
     witness: Optional[MonoWitness]
     expectation: Optional[ExpectationReport]
-    search_stats: dict = field(default_factory=dict)
+    search_stats: dict = None  # None gives each certificate a fresh dict
+
+    def __post_init__(self) -> None:
+        if self.search_stats is None:
+            object.__setattr__(self, "search_stats", {})
 
     def certified_bound(self) -> Optional[int]:
         """The proven lower bound on r(t; ell): N+1 when verified."""
@@ -592,7 +593,7 @@ class Certificate:
         _typed(d, dict, where)
         if d.get("format") != CERTIFICATE_FORMAT:
             raise ValueError(f"unsupported certificate format {d.get('format')!r}")
-        _only_fields(d, ["format", *(f.name for f in fields(cls))], where)
+        _only_fields(d, ["format", *cls._fields], where)
         witness = _field(d, "witness", dict, where, nullable=True)
         expectation = _field(d, "expectation", dict, where, nullable=True)
         cert = cls(

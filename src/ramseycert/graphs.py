@@ -28,6 +28,14 @@ clique then maps onto one through a representative, so max_clique
 searches only the representatives' neighbourhoods. build_g0 is the one
 source of orbits, and add_edge drops them.
 
+Record is the base of the package's immutable values (clique searches
+and censuses here; expectation reports, bound-table rows, coloring
+specs, witnesses and certificates elsewhere). Its fields are the class
+annotations, in order, with class-level defaults; it gives positional
+and keyword construction, __post_init__ validation, read-only fields,
+and ==, hash and repr by type and fields, without the start-up cost of
+the dataclasses module.
+
 The text graph file is checked header first, so a bad header allocates
 nothing, and each error names the header field or the line. Everything
 here is deterministic: the same graph always gives the same witness,
@@ -37,7 +45,6 @@ counts and traversal order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import itemgetter, xor
@@ -46,6 +53,66 @@ from typing import Iterator, Optional, Sequence
 from .gf2 import check_construction_t, even_weight_code
 
 EXHAUSTIVE_LIMIT = 10_000  # largest vertex count of a materialized graph: G0 or a color class
+
+
+class Record:
+    """An immutable value whose fields are its class annotations, in order.
+
+    A subclass lists its fields as annotations, a class-level value being
+    the field's default, and may validate them in __post_init__. Fields
+    are given positionally or by keyword and are read-only afterwards.
+    Two records are equal when they have the same type and equal fields;
+    hash and repr are taken from the fields too.
+    """
+
+    _fields = ()
+    _names = frozenset()
+    _defaults = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = dict(zip(self._fields, args))
+        values.update(kwargs)
+        given = len(values)
+        if given < len(self._fields):
+            values = {**self._defaults, **values}
+        # fewer keys than values given: too many positional, or one named twice
+        if given != len(args) + len(kwargs) or values.keys() != self._names:
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {self._fields}, "
+                f"got {len(args)} positional and {sorted(kwargs)} by keyword"
+            )
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 class BitGraph:
@@ -159,8 +226,7 @@ def _bits_to_list(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CliqueSearch:
+class CliqueSearch(Record):
     """Outcome of a k-clique existence search."""
 
     found: bool
@@ -296,8 +362,7 @@ def _clique_parts(g: BitGraph) -> Iterator[tuple[list[int], Sequence[int], BitGr
         yield [r], vertices, BitGraph(len(vertices), rows)
 
 
-@dataclass(frozen=True)
-class IndependentSetCensus:
+class IndependentSetCensus(Record):
     """Counts of independent sets by size, up to a size cap.
 
     counts[k] is the number of independent sets of size exactly k; the

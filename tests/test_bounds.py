@@ -122,6 +122,14 @@ def test_expected_mono_count_examples(census_4):
     assert too_big.expected_count > 1
 
 
+def test_expected_mono_count_ignores_a_census_when_m_is_0(census_4):
+    # with no blowup maps p_ind is None, census or not, so an m = 0
+    # certificate core does not depend on what the caller passed
+    with_census = expected_mono_count(4, 0, 9, census_4)
+    assert with_census == expected_mono_count(4, 0, 9)
+    assert with_census.p_ind is None and with_census.census_fingerprint is None
+
+
 def test_expected_mono_count_monte_carlo_over_colorings(census_4):
     from ramseycert.coloring import generate_blowup_coloring
 

@@ -543,3 +543,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "certified N=6" in proc.stdout
+
+
+def test_import_loads_neither_dataclasses_inspect_nor_csv():
+    # short runs spend much of their time starting up, so importing the
+    # package must not pull these in; -I ignores PYTHONPATH, so the child
+    # puts the package this suite imported on sys.path itself
+    package_root = Path(ramseycert.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(package_root)!r}); before = set(sys.modules); "
+        "import ramseycert; print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ramseycert.coloring" in loaded
+    assert not loaded & {"dataclasses", "inspect", "csv"}, sorted(loaded)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -235,7 +234,16 @@ def test_product_search_on_factors_finds_the_all_class_witness():
         cert = verify_coloring(spec, t=target)
         reference = all_class_witness(coloring, target)
         assert cert.witness == reference, (spec, target)
-        expected = dataclasses.replace(cert, witness=reference, verified=reference is None)
+        expected = Certificate(
+            spec=cert.spec,
+            seed=cert.seed,
+            t=cert.t,
+            verified=reference is None,
+            exhaustive=cert.exhaustive,
+            witness=reference,
+            expectation=cert.expectation,
+            search_stats=cert.search_stats,
+        )
         assert certificate_core(cert.to_json_dict()) == certificate_core(expected.to_json_dict())
         assert cert.search_stats["factor_colors"] == cert.search_stats["searched_colors"]
         factors = spec.factors

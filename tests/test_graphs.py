@@ -2,14 +2,19 @@ import functools
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseycert.bounds import BoundTableRow, ExpectationReport
+from ramseycert.coloring import Certificate, ColoringSpec, MonoWitness
 from ramseycert.gf2 import enumerate_even_weight
 from ramseycert.graphs import (
     BitGraph,
+    CliqueSearch,
+    IndependentSetCensus,
     build_g0,
     count_independent_sets,
     g0_census,
@@ -371,3 +376,88 @@ def test_bitgraph_rejects_self_loops_and_range():
         g.add_edge(1, 1)
     with pytest.raises(ValueError):
         g.add_edge(0, 3)
+
+
+SPEC_FIELDS = dict(kind="blowup", t=4, m=1, ell=3, N=9, seed=1, factors=None)
+REPORT_FIELDS = dict(
+    t=4,
+    m=1,
+    N=9,
+    p_ind=Fraction(23, 128),
+    per_set_mono=Fraction(23, 4096),
+    expected_count=Fraction(2898, 4096),
+    census_fingerprint="ab",
+)
+SPEC, REPORT = ColoringSpec(**SPEC_FIELDS), ExpectationReport(**REPORT_FIELDS)
+
+# (record, its fields in order, one field and a different value for it,
+# whether it hashes: a list or dict field makes it unhashable)
+RECORDS = [
+    (CliqueSearch, dict(found=True, witness=[0, 2], nodes=3), ("nodes", 4), False),
+    (IndependentSetCensus, dict(t=2, n=4, counts=(1, 4, 3)), ("n", 5), True),
+    (ExpectationReport, REPORT_FIELDS, ("N", 10), True),
+    (
+        BoundTableRow,
+        dict(ell=3, source="lefmann", rate=Fraction(3, 4), rate_expr="3/4", base=1.682, note=""),
+        ("note", "x"),
+        True,
+    ),
+    (ColoringSpec, SPEC_FIELDS, ("seed", 2), True),
+    (MonoWitness, dict(color=1, vertices=(0, 2, 5)), ("color", 2), True),
+    (
+        Certificate,
+        dict(
+            spec=SPEC,
+            seed=1,
+            t=4,
+            verified=False,
+            exhaustive=True,
+            witness=MonoWitness(1, (0, 2, 5, 7)),
+            expectation=REPORT,
+            search_stats={"tries": 1},
+        ),
+        ("verified", True),
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values, change, hashable", RECORDS, ids=[record[0].__name__ for record in RECORDS]
+)
+def test_records_are_immutable_values(cls, values, change, hashable):
+    a, b = cls(**values), cls(*values.values())
+    assert a == b and not a != b
+    assert a != tuple(values.values())
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    name, other = change
+    assert cls(**{**values, name: other}) != a
+    for field in values:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert f"{field}={getattr(a, field)!r}" in repr(a)
+    assert repr(a).startswith(f"{cls.__name__}(")
+    first, *rest = values
+    for bad in (
+        lambda: cls(**values, extra=1),  # unknown field
+        lambda: cls(*values.values(), 1),  # too many values
+        lambda: cls(values[first], **values),  # the first field twice
+        lambda: cls(**{key: values[key] for key in rest}),  # a field with no default left out
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_record_defaults():
+    assert ColoringSpec("erdos", 4, 0, 2, 9, 1).factors is None
+    assert BoundTableRow(3, "lefmann", Fraction(3, 4), "3/4", 1.682).note == ""
+    core = {key: value for key, value in RECORDS[-1][1].items() if key != "search_stats"}
+    first, second = Certificate(**core), Certificate(**core)
+    # produce_certificate writes into search_stats, so each needs its own dict
+    assert first.search_stats == {} and first.search_stats is not second.search_stats

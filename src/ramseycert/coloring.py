@@ -549,7 +549,8 @@ class Certificate(Record):
     verified holds exactly when the search was exhaustive and found no
     witness; such a certificate proves r(t; ell) >= N+1 for its spec.
     search_stats carries timing and is excluded from certificate
-    comparisons; everything else is deterministic in (spec, seed).
+    comparisons: == and hash cover every other field, and everything
+    else is deterministic in (spec, seed).
     """
 
     spec: ColoringSpec
@@ -564,6 +565,9 @@ class Certificate(Record):
     def __post_init__(self) -> None:
         if self.search_stats is None:
             object.__setattr__(self, "search_stats", {})
+
+    def _compared(self) -> tuple:
+        return self._values()[:-1]  # all but search_stats, the last field
 
     def certified_bound(self) -> Optional[int]:
         """The proven lower bound on r(t; ell): N+1 when verified."""

@@ -6,9 +6,15 @@ ANDs. orthogonality_rows pulls the orthogonality relation back through
 any table of G0 vertices as XORs of coordinate masks; G0, the identity
 table's, is built only to check Lemma 1, up to EXHAUSTIVE_LIMIT
 vertices. Its independent-set census has a closed form (g0_census); the
-census of an arbitrary graph (count_independent_sets, ascending
-extension memoized on the candidate set) is kept only as its test
-oracle.
+census of an arbitrary graph (count_independent_sets) is kept only as
+its test oracle. That census groups the vertices with identical rows
+into false-twin classes and runs an ascending extension, memoized on
+the candidate set, over one vertex per class, which weighs the class's
+nonempty subsets, (1+x)^k - 1 for k twins. The classes come from the
+rows alone, not from GF(2), so the oracle stays independent of the
+closed form; on G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
+_induced_rows re-indexes rows onto an ascending vertex list, for the
+census's representatives and for max_clique's neighbourhoods.
 
 The k-clique search is branch-and-bound with greedy-coloring upper
 bounds. A node colors all its candidates but lists only the classes
@@ -62,7 +68,8 @@ class Record:
     the field's default, and may validate them in __post_init__. Fields
     are given positionally or by keyword and are read-only afterwards.
     Two records are equal when they have the same type and equal fields;
-    hash and repr are taken from the fields too.
+    hash and repr are taken from the fields too. A subclass may leave
+    fields out of == and hash by overriding _compared.
     """
 
     _fields = ()
@@ -96,13 +103,17 @@ class Record:
         d = self.__dict__
         return tuple([d[name] for name in self._fields])
 
+    def _compared(self) -> tuple:
+        """The field values that == and hash compare: all of them."""
+        return self._values()
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._compared() == other._compared()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._compared())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
@@ -350,16 +361,33 @@ def _clique_parts(g: BitGraph) -> Iterator[tuple[list[int], Sequence[int], BitGr
     if g.orbits is None:
         yield [], range(g.n), g
         return
-    width = f"0{g.n}b"
     for r in g.orbits:
         vertices = _bits_to_list(g.adj[r])
-        rows = []
-        if vertices:
-            # bit v of a row is character n-1-v of its binary string; picked
-            # highest vertex first, those characters spell the re-indexed row
-            pick = itemgetter(*[g.n - 1 - v for v in reversed(vertices)])
-            rows = [int("".join(pick(format(g.adj[v], width))), 2) for v in vertices]
-        yield [r], vertices, BitGraph(len(vertices), rows)
+        yield [r], vertices, BitGraph(len(vertices), _induced_rows(g, vertices))
+
+
+def _induced_rows(g: BitGraph, vertices: list[int]) -> list[int]:
+    """The rows of g restricted to the ascending `vertices`, re-indexed 0, 1, ..."""
+    if not vertices:
+        return []
+    width = f"0{g.n}b"
+    # bit v of a row is character n-1-v of its binary string; picked
+    # highest vertex first, those characters spell the re-indexed row
+    pick = itemgetter(*[g.n - 1 - v for v in reversed(vertices)])
+    return [int("".join(pick(format(g.adj[v], width))), 2) for v in vertices]
+
+
+def _twin_classes(g: BitGraph) -> list[list[int]]:
+    """The vertices grouped by identical rows, each class ascending, by least vertex.
+
+    Equal rows make a class of false twins: no row holds its own vertex,
+    so two vertices with one row are not adjacent, and they have one
+    neighbourhood.
+    """
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(g.adj):
+        classes.setdefault(row, []).append(v)
+    return list(classes.values())
 
 
 class IndependentSetCensus(Record):
@@ -396,43 +424,69 @@ class IndependentSetCensus(Record):
 def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     """Exact counts of independent sets of each size up to max_size.
 
-    Ascending extension over vertex indices, memoized on the candidate
-    set. sizes(cand, room) counts the independent subsets of `cand` of
-    each size 0..room: each such set is its least vertex v plus an
+    The search runs on one representative per false-twin class (see
+    _twin_classes), its least vertex, with the rows re-indexed onto the
+    representatives. Each independent set of g takes a nonempty subset
+    of every class in one independent set of representatives, so a
+    class of k twins weighs (1+x)^k - 1, truncated at max_size, where a
+    lone vertex weighs x. On G0(t) the classes are the pairs of codes
+    {v, v + 1}, 1 the all-ones vector, so the search runs on half the
+    vertices.
+
+    Ascending extension over the representatives, memoized on the
+    candidate set. sizes(cand, room) counts the independent subsets of
+    the classes in `cand` of each size 0..room: each is its least
+    representative v's class's share, counted by v's weight, times an
     independent subset of the candidates above v that miss N(v), which
-    is the deletion recurrence I(G) = I(G-v) + x I(G-N[v]) unrolled. At
-    room 1 the count is the popcount, and no room exceeds |cand|. The
+    is the deletion recurrence I(G) = I(G-v) + w(v) I(G-N[v]) unrolled.
+    At room 1 the count is the number of vertices in the classes. The
     counts travel packed in one int, `width` bits per size, wide enough
-    for C(n, k) at every k <= max_size, so sums never carry from one
-    size into the next.
+    for C(n, k) at every k <= max_size, so the counts up to room never
+    carry into one another; a product's carries above room are masked
+    off.
 
     Many branches reach the same candidate set, and each distinct set is
-    counted once per call. The memo stores, above the counts, the room
-    they were counted for: a hit answers any request with a room no
-    larger, by masking, and a larger room recounts and overwrites.
-    Counting only up to the requested room keeps a small max_size cheap:
-    a memo that counts every set to its full depth, so that any later
-    room can be served, is many times slower than no memo at all on a
-    sparse graph with a small max_size.
-    This search knows nothing of GF(2), so it is the test oracle for the
-    closed form g0_census; nothing in the certification pipeline runs it.
+    counted once per call. The memo stores, above the counts, the largest
+    room they answer: the room they were counted for, or max_size when
+    they are complete, that is when no set has `room` vertices (the
+    independent sets are closed under subsets, so none has more). A hit
+    answers any request with a room no larger, by masking, and a larger
+    room recounts and overwrites. Counting only up to the requested room
+    keeps a small max_size cheap: a memo that counts every set to its
+    full depth, so that any later room can be served, is many times
+    slower than no memo at all on a sparse graph with a small max_size.
+
+    The twin classes are read off the rows alone, so this search knows
+    nothing of GF(2), of codes or of orbits: it stays an independent test
+    oracle for the closed form g0_census, and nothing in the
+    certification pipeline runs it.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be non-negative, got {max_size}")
     if max_size == 0:
         return IndependentSetCensus(t=0, n=g.n, counts=(1,))
-    adj = g.adj
+    classes = _twin_classes(g)
+    adj = _induced_rows(g, [members[0] for members in classes])
     width = max(comb(g.n, k) for k in range(max_size + 1)).bit_length()
+    weight = [
+        sum(comb(len(members), j) << j * width for j in range(1, min(len(members), max_size) + 1))
+        for members in classes
+    ]
+    # twins[j - 1]: the representatives of classes of more than j vertices
+    twins = [
+        sum(1 << i for i, members in enumerate(classes) if len(members) > j)
+        for j in range(1, max(map(len, classes), default=1))
+    ]
     top = (max_size + 1) * width
     keep = [(1 << (room + 1) * width) - 1 for room in range(max_size + 1)]
     memo: dict[int, int] = {}
 
     def sizes(cand: int, room: int) -> int:
-        size = cand.bit_count()
-        if size == 1 or room == 1:
+        if room == 1:
+            size = cand.bit_count()
+            for layer in twins:
+                size += (cand & layer).bit_count()
             return 1 + (size << width)
-        if room > size:
-            room = size
         entry = memo.get(cand)
         if entry is not None and entry >> top >= room:
             return entry & keep[room]
@@ -441,13 +495,14 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
         while rest:
             low = rest & -rest
             rest ^= low
-            child = rest & ~adj[low.bit_length() - 1]
-            total += sizes(child, room - 1) if child else 1
-        packed = 1 + (total << width)
-        memo[cand] = packed | room << top
+            v = low.bit_length() - 1
+            child = rest & ~adj[v]
+            total += weight[v] * sizes(child, room - 1) if child else weight[v]
+        packed = (1 + total) & keep[room]
+        memo[cand] = packed | (room if packed >> room * width else max_size) << top
         return packed
 
-    packed = sizes((1 << g.n) - 1, max_size)
+    packed = sizes((1 << len(classes)) - 1, max_size)
     counts = tuple((packed >> (k * width)) & keep[0] for k in range(max_size + 1))
     return IndependentSetCensus(t=max_size, n=g.n, counts=counts)
 

@@ -517,6 +517,15 @@ def test_certificates_match_ignores_timing(census_4):
     assert canonical_json_bytes(d1) != canonical_json_bytes(d2)
 
 
+def test_certificate_equality_and_hash_ignore_search_stats():
+    first, second = verify_coloring(BLOWUP_SPEC_N9), verify_coloring(BLOWUP_SPEC_N9)
+    assert first == second and hash(first) == hash(second)
+    core = {name: getattr(first, name) for name in Certificate._fields[:-1]}
+    slow = Certificate(**core, search_stats={**first.search_stats, "wall_time_sec": 99.0})
+    assert slow == first and hash(slow) == hash(first)
+    assert Certificate(**{**core, "seed": 2}) != first
+
+
 def test_recheck_accepts_good_and_rejects_tampered(census_4):
     cert = verify_coloring(BLOWUP_SPEC_N9, census=census_4)
     ok, reasons = recheck_certificate(cert, census=census_4)

@@ -1,12 +1,19 @@
-"""The clique kernels against networkx, an independent implementation, on random graphs.
+"""The exact kernels against independent oracles on random graphs.
 
-The k-clique kernel is also held to the earlier kernel, kept here verbatim
-as reference_has_clique_of_order: same found flag, same witness, same node
+The clique kernels are checked against networkx. The k-clique kernel is
+also held to the earlier kernel, kept here verbatim as
+reference_has_clique_of_order: same found flag, same witness, same node
 count. Certificates and product witnesses depend on that visit order.
+
+The independent-set census, which searches one vertex per false-twin
+class, is held to the earlier census on every vertex, kept here verbatim
+as reference_count_independent_sets, and to subset enumeration, on
+graphs with planted twins.
 """
 
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +23,11 @@ from ramseycert.coloring import ColoringSpec, color_class_graphs, regenerate
 from ramseycert.graphs import (
     BitGraph,
     CliqueSearch,
+    IndependentSetCensus,
     _bits_to_list,
+    _twin_classes,
     build_g0,
+    count_independent_sets,
     has_clique_of_order,
     max_clique,
 )
@@ -189,3 +199,143 @@ def test_blowup_class_search_matches_reference():
     coloring = regenerate(ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=3))
     result = same_search(color_class_graphs(coloring, [5])[5], 6)
     assert (result.found, result.nodes) == (False, 246)
+
+
+def reference_count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
+    """Exact counts of independent sets of each size up to max_size.
+
+    Ascending extension over vertex indices, memoized on the candidate
+    set. sizes(cand, room) counts the independent subsets of `cand` of
+    each size 0..room: each such set is its least vertex v plus an
+    independent subset of the candidates above v that miss N(v), which
+    is the deletion recurrence I(G) = I(G-v) + x I(G-N[v]) unrolled. At
+    room 1 the count is the popcount, and no room exceeds |cand|. The
+    counts travel packed in one int, `width` bits per size, wide enough
+    for C(n, k) at every k <= max_size, so sums never carry from one
+    size into the next.
+
+    Many branches reach the same candidate set, and each distinct set is
+    counted once per call. The memo stores, above the counts, the room
+    they were counted for: a hit answers any request with a room no
+    larger, by masking, and a larger room recounts and overwrites.
+    Counting only up to the requested room keeps a small max_size cheap:
+    a memo that counts every set to its full depth, so that any later
+    room can be served, is many times slower than no memo at all on a
+    sparse graph with a small max_size.
+    This search knows nothing of GF(2), so it is the test oracle for the
+    closed form g0_census; nothing in the certification pipeline runs it.
+    """
+    if max_size < 0:
+        raise ValueError(f"max_size must be non-negative, got {max_size}")
+    if max_size == 0:
+        return IndependentSetCensus(t=0, n=g.n, counts=(1,))
+    adj = g.adj
+    width = max(comb(g.n, k) for k in range(max_size + 1)).bit_length()
+    top = (max_size + 1) * width
+    keep = [(1 << (room + 1) * width) - 1 for room in range(max_size + 1)]
+    memo: dict[int, int] = {}
+
+    def sizes(cand: int, room: int) -> int:
+        size = cand.bit_count()
+        if size == 1 or room == 1:
+            return 1 + (size << width)
+        if room > size:
+            room = size
+        entry = memo.get(cand)
+        if entry is not None and entry >> top >= room:
+            return entry & keep[room]
+        total = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            child = rest & ~adj[low.bit_length() - 1]
+            total += sizes(child, room - 1) if child else 1
+        packed = 1 + (total << width)
+        memo[cand] = packed | room << top
+        return packed
+
+    packed = sizes((1 << g.n) - 1, max_size)
+    counts = tuple((packed >> (k * width)) & keep[0] for k in range(max_size + 1))
+    return IndependentSetCensus(t=max_size, n=g.n, counts=counts)
+
+
+def enumerated_census(g: BitGraph, cap: int) -> list[int]:
+    """Counts of independent sets by size up to cap, by enumerating every subset."""
+    counts = [0] * (cap + 1)
+    for mask in range(1 << g.n):
+        size = mask.bit_count()
+        if size <= cap and all(not g.adj[v] & mask for v in _bits_to_list(mask)):
+            counts[size] += 1
+    return counts
+
+
+@st.composite
+def twin_graphs(draw, max_n):
+    """A random base graph with each vertex blown up into 1-4 false twins, labels shuffled.
+
+    At most max_n vertices. Base vertices left without edges are isolated,
+    so their twins all share one class.
+    """
+    copies = draw(st.lists(st.integers(1, 4), max_size=8))
+    while sum(copies) > max_n:
+        copies.pop()
+    p = draw(st.floats(0.0, 1.0))
+    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
+    labels = list(range(sum(copies)))
+    rand.shuffle(labels)
+    blown = [[labels.pop() for _ in range(k)] for k in copies]
+    g = BitGraph(sum(copies))
+    for a, b in itertools.combinations(range(len(copies)), 2):
+        if rand.random() < p:
+            for u, v in itertools.product(blown[a], blown[b]):
+                g.add_edge(u, v)
+    return g
+
+
+def same_census(g: BitGraph) -> None:
+    """The census at every cap 0..n+1 equals the reference's, and enumeration's up to n = 12."""
+    enumerated = enumerated_census(g, g.n + 1) if g.n <= 12 else None
+    for cap in range(g.n + 2):
+        census = count_independent_sets(g, cap)
+        assert census == reference_count_independent_sets(g, cap)
+        if enumerated is not None:
+            assert list(census.counts) == enumerated[: cap + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=twin_graphs(max_n=12))
+def test_census_on_twin_classes_matches_reference_and_enumeration(g):
+    same_census(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=twin_graphs(max_n=32))
+def test_census_on_larger_twin_classes_matches_reference(g):
+    same_census(g)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_census_of_twin_free_cycles(n):
+    cycle = BitGraph(n)
+    for v in range(n):
+        cycle.add_edge(v, (v + 1) % n)
+    assert len(_twin_classes(cycle)) == n
+    same_census(cycle)
+
+
+def test_census_puts_every_isolated_vertex_in_one_class():
+    # a triangle's corners blown up into 1, 2 and 3 twins, and three isolated
+    # vertices; labels interleaved so that no class is a run of vertices
+    g = BitGraph(9)
+    corners = [[0], [3, 7], [1, 5, 8]]
+    for a, b in itertools.combinations(range(3), 2):
+        for u, v in itertools.product(corners[a], corners[b]):
+            g.add_edge(u, v)
+    assert sorted(_twin_classes(g)) == [[0], [1, 5, 8], [2, 4, 6], [3, 7]]
+    same_census(g)
+    # any subset of the isolated vertices, with no corner or a nonempty subset of one corner
+    corner = [1] + [sum(comb(len(c), i) for c in corners) for i in range(1, 10)]
+    assert count_independent_sets(g, 9).counts == tuple(
+        sum(comb(3, k - i) * corner[i] for i in range(k + 1)) for k in range(10)
+    )

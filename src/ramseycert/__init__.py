@@ -35,6 +35,7 @@ from .graphs import (
     build_g0,
     count_independent_sets,
     g0_census,
+    g0_clique_number,
     has_clique_of_order,
     max_clique,
 )

@@ -273,8 +273,6 @@ def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
     product (_first_clique_class). The spec's m and seed are always 0:
     the maps and the randomness live in the factors.
     """
-    if c1.N * c2.N > MAX_VERTICES:
-        raise ValueError(f"product vertex count {c1.N * c2.N} exceeds capacity")
     spec = ColoringSpec(
         kind=KIND_PRODUCT,
         t=max(c1.spec.t, c2.spec.t),
@@ -329,10 +327,6 @@ class MonoWitness(Record):
 
     def to_json_dict(self) -> dict:
         return {"color": self.color, "vertices": list(self.vertices)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MonoWitness":
-        return _witness_from_json(d, "witness")
 
 
 def _witness_from_json(d, where: str) -> MonoWitness:
@@ -802,7 +796,8 @@ def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]
     replays the search at the certificate's seed, and compares the
     deterministic parts byte for byte; a mismatch names the first
     differing field. A t the replay could not run at (outside 2..N, or
-    past the census of a blowup spec) fails here, before the replay.
+    past the census of a blowup spec), or a seed it could not (other
+    than 0 for a product), fails here, before the replay.
     """
     reasons: list[str] = []
     if not _verified_consistent(cert):
@@ -817,7 +812,13 @@ def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]
         reasons.append(f"certificate.t {cert.t} is not a clique size in 2..N={spec.N}")
     elif spec.kind == KIND_BLOWUP and spec.m > 0 and cert.t > census_cap:
         reasons.append(f"certificate.t {cert.t} exceeds the census cap {census_cap} of its spec")
-    if witness is not None:
+    # the witness check and the replay regenerate at cert.seed, which a product refuses unless 0
+    if spec.kind == KIND_PRODUCT and cert.seed != 0:
+        reasons.append(
+            f"certificate.seed {cert.seed} must be 0: product colorings carry their "
+            f"randomness in the factors"
+        )
+    elif witness is not None:
         bad = [v for v in witness.vertices if not 0 <= v < spec.N]
         if len(witness.vertices) != cert.t:
             reasons.append(f"certificate.witness.vertices must hold t={cert.t} vertices")

@@ -4,15 +4,17 @@ Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so neighborhood intersections are single big-int
 ANDs. orthogonality_rows pulls the orthogonality relation back through
 any table of G0 vertices as XORs of coordinate masks; G0, the identity
-table's, is built only to check Lemma 1, up to EXHAUSTIVE_LIMIT
-vertices. Its independent-set census has a closed form (g0_census); the
-census of an arbitrary graph (count_independent_sets) is kept only as
-its test oracle. That census groups the vertices with identical rows
-into false-twin classes and runs an ascending extension, memoized on
-the candidate set, over one vertex per class, which weighs the class's
-nonempty subsets, (1+x)^k - 1 for k twins. The classes come from the
-rows alone, not from GF(2), so the oracle stays independent of the
-closed form; on G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
+table's, is built only for graph files and for the test oracles, up to
+EXHAUSTIVE_LIMIT vertices. Its clique number (g0_clique_number, Lemma 1
+by its GF(2) rank proof) and its independent-set census (g0_census)
+have closed forms; max_clique and the census of an arbitrary graph
+(count_independent_sets) are kept as their test oracles. That census
+groups the vertices with identical rows into false-twin classes and
+runs an ascending extension, memoized on the candidate set, over one
+vertex per class, which weighs the class's nonempty subsets,
+(1+x)^k - 1 for k twins. The classes come from the rows alone, not
+from GF(2), so the oracle stays independent of the closed form; on
+G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
 _induced_rows re-indexes rows onto an ascending vertex list, for the
 census's representatives and for max_clique's neighbourhoods.
 
@@ -56,7 +58,7 @@ from math import comb
 from operator import itemgetter, xor
 from typing import Iterator, Optional, Sequence
 
-from .gf2 import check_construction_t, even_weight_code
+from .gf2 import check_construction_t, even_weight_code, gf2_rank
 
 EXHAUSTIVE_LIMIT = 10_000  # largest vertex count of a materialized graph: G0 or a color class
 
@@ -211,7 +213,8 @@ def build_g0(t: int) -> BitGraph:
     """The GF(2) orthogonality graph on the even-weight vectors of F_2^t.
 
     Vertex i is even_weight_code(i); the rows are orthogonality_rows of the
-    identity table. Built only to check Lemma 1, up to EXHAUSTIVE_LIMIT vertices.
+    identity table. Built only for graph files and test oracles, up to
+    EXHAUSTIVE_LIMIT vertices.
 
     Its orbits are the weight classes {w, t - w}, w even and at most t/2,
     under two kinds of automorphism. A coordinate permutation preserves
@@ -556,6 +559,27 @@ def g0_census(t: int) -> IndependentSetCensus:
             )
             counts[k] += subspaces * spanning
     return IndependentSetCensus(t=t, n=1 << (t - 1), counts=tuple(counts))
+
+
+def g0_clique_number(t: int) -> int:
+    """Clique number of build_g0(t), t - 1, by Lemma 1's proof; max_clique is its test oracle.
+
+    Vertices 1, 2, 4, ..., 2^(t-2) have the codes e_0 + e_(i+1), which
+    meet pairwise in e_0 alone, so they form a (t-1)-clique. Conversely,
+    t pairwise-adjacent even-weight vectors have the Gram matrix J + I
+    over GF(2), whose rows 1 + e_i have rank t at even t; so the vectors
+    would be independent, t of them in the (t-1)-dimensional even-weight
+    space. Both facts are checked here; a failed check raises
+    AssertionError.
+    """
+    check_construction_t(t)
+    clique = [even_weight_code(1 << i) for i in range(t - 1)]
+    if not all((u & v).bit_count() & 1 for a, u in enumerate(clique) for v in clique[a + 1 :]):
+        raise AssertionError(f"vertices 1, 2, ..., 2^{t - 2} are not a clique of G0({t})")
+    ones = (1 << t) - 1
+    if gf2_rank(ones ^ (1 << i) for i in range(t)) != t:
+        raise AssertionError(f"J + I of order {t} is singular over GF(2)")
+    return t - 1
 
 
 GRAPH_FILE_MAGIC = "g0"

@@ -48,6 +48,8 @@ def test_criterion_1_clique_ceiling_at_desk_scale():
             size, witness = rc.max_clique(rc.build_g0(t))
             assert size <= t - 1, f"t={t}: clique of size {size}"
             assert len(witness) == size
+            # the search is the oracle of Lemma 1's rank proof
+            assert size == rc.g0_clique_number(t)
         assert size == 9
         # brute-force oracle over all 2^8 subsets pins the t=4 value to 3
         g4 = rc.build_g0(4)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ramseycert
-from ramseycert import cli, coloring
+from ramseycert import cli, coloring, graphs
 from ramseycert.cli import main
 from ramseycert.coloring import certificate_core
 
@@ -266,6 +266,7 @@ PRODUCT_SPEC = {
     "kind": "product", "t": 4, "m": 0, "ell": 6, "N": 81, "seed": 0,
     "factors": [BLOWUP_SPEC, {**BLOWUP_SPEC, "seed": 2}],
 }
+ERDOS_SPEC = {"kind": "erdos", "t": 4, "m": 0, "ell": 2, "N": 9, "seed": 1}
 
 
 @pytest.mark.parametrize(
@@ -283,6 +284,14 @@ PRODUCT_SPEC = {
         (_edited(PRODUCT_SPEC, ["seed"], 5), "randomness in the factors, so seed = 0, got seed=5"),
         (_edited(BLOWUP_SPEC, ["seed_note"], "lucky"), "spec.seed_note is an unknown field"),
         (_edited(PRODUCT_SPEC, ["factors", 1, "note"], 1), "spec.factors[1].note is an unknown field"),
+        ({**BLOWUP_SPEC, "factors": [BLOWUP_SPEC] * 2}, "blowup colorings have no factors"),
+        ({**ERDOS_SPEC, "m": 1}, "uniform random colorings have m = 0"),
+        ({**ERDOS_SPEC, "t": -1}, "clique target must be non-negative, got -1"),
+        ({**ERDOS_SPEC, "factors": [ERDOS_SPEC] * 2}, "uniform random colorings have no factors"),
+        (_edited(PRODUCT_SPEC, ["factors", 1]), "product colorings need exactly two factors"),
+        (_edited(PRODUCT_SPEC, ["N"], 80), "product N must be 81, got 80"),
+        (_edited(PRODUCT_SPEC, ["ell"], 5), "product ell must be 6, got 5"),
+        ({**ERDOS_SPEC, "t": 1}, "clique target must be at least 2, got 1"),
     ],
 )
 def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
@@ -343,6 +352,10 @@ def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
         (
             lambda d: _edited(d, ["witness"], {"color": 2, "vertices": [0, 1, 2, 3], "why": ""}),
             "certificate.witness.why is an unknown field",
+        ),
+        (
+            lambda d: _edited(d, ["format"], "ramseycert.certificate/2"),
+            "unsupported certificate format 'ramseycert.certificate/2'",
         ),
     ],
 )
@@ -416,6 +429,42 @@ def test_recheck_fails_on_a_t_the_replay_cannot_run(capsys, tmp_path, t, message
     code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
     assert code == 1
     assert f"recheck failed: certificate.{message}" in err
+
+
+def test_recheck_names_a_product_seed_other_than_0(capsys, tmp_path):
+    # the replay cannot run at another seed, so recheck fails naming the field
+    spec_path = tmp_path / "square.json"
+    spec_path.write_text(json.dumps({**PRODUCT_SPEC, "factors": [BLOWUP_SPEC] * 2}))
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "verify", "--spec-file", str(spec_path), "--certificate-out", str(cert_path)
+    )
+    assert code == 0
+    cert_path.write_text(json.dumps(_edited(json.loads(cert_path.read_text()), ["seed"], 5)))
+    code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
+    assert code == 1
+    assert (
+        "recheck failed: certificate.seed 5 must be 0: product colorings carry their "
+        "randomness in the factors"
+    ) in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--spec-file", "spec.json", "--max-tries", "0"],
+            "max_tries must be positive, got 0",
+        ),
+        (["certify", "--t", "4", "--m", "-1"], "m must be non-negative, got -1"),
+    ],
+    ids=["max-tries-0", "negative-m"],
+)
+def test_out_of_range_argument_exits_2(capsys, tmp_path, argv, message):
+    _write_spec(tmp_path, capsys, seed=1)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: {message}" in err
 
 
 def test_verify_and_recheck_reject_non_ascii_bytes(capsys, tmp_path):
@@ -514,6 +563,21 @@ def test_verify_g0_rejects_malformed_graph_file(capsys, tmp_path, content, messa
     code, _, err = run(capsys, "verify-g0", "--graph-file", str(graph_path))
     assert code == 2
     assert f"error: graph file {message}" in err
+
+
+def test_lemma1_lines_come_from_the_proof_not_the_search(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Lemma 1 checked by exhaustive search")
+
+    monkeypatch.setattr(graphs, "max_clique", refuse)
+    monkeypatch.setattr(cli, "max_clique", refuse, raising=False)
+    graph_path = tmp_path / "g0_t8.graph"
+    code, out, _ = run(capsys, "build-graph", "--t", "8", "--out", str(graph_path))
+    assert code == 0
+    assert out == "n=128 m=4032 max_clique=7 lemma1: OK\n"
+    code, out, _ = run(capsys, "verify-g0", "--graph-file", str(graph_path))
+    assert code == 0
+    assert out == "n=128 m=4032 max_clique=7 lemma1: OK file: OK\n"
 
 
 def test_build_graph_refuses_t_past_the_guard(capsys, tmp_path):

@@ -680,6 +680,13 @@ def test_product_fourth_power_is_refused_naming_n():
         t6_m4_product(1007, 4)
 
 
+def test_product_past_the_vertex_capacity_is_refused_naming_n():
+    # uniform colorings draw nothing until asked for a color
+    factor = generate_erdos_coloring(70_000, 2, 0)
+    with pytest.raises(ValueError, match="N must be in 1..4294967296, got 4900000000"):
+        product_coloring(factor, factor)
+
+
 def test_t30_spec_verifies_and_rechecks_without_building_g0(monkeypatch):
     # G0(30) has 2^29 rows of 2^29 bits; a coloring is only its tables,
     # so refuse G0 everywhere and a regression fails here at once instead

@@ -19,6 +19,7 @@ from ramseycert.graphs import (
     build_g0,
     count_independent_sets,
     g0_census,
+    g0_clique_number,
     has_clique_of_order,
     max_clique,
     orthogonality_rows,
@@ -160,6 +161,19 @@ def test_max_clique_by_orbits_matches_the_plain_path(t):
     size, witness = max_clique(g)
     assert size == max_clique(plain)[0] == t - 1
     assert len(witness) == size and is_clique(g, witness)
+
+
+@pytest.mark.parametrize("t", [2, 4, 6, 8, 10, 12, 14])
+def test_g0_clique_number_lists_a_clique_of_g0(t):
+    # the proof's vertices 1, 2, 4, ..., 2^(t-2), read off the built rows
+    g = build_g0(t)
+    clique = [1 << i for i in range(t - 1)]
+    assert g0_clique_number(t) == len(clique) == t - 1
+    assert all(g.adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+
+
+def test_g0_clique_number_past_the_g0_guard():
+    assert g0_clique_number(30) == 29
 
 
 @pytest.mark.parametrize("t", [4, 6])
@@ -315,10 +329,14 @@ def test_census_of_g0_read_back_matches_closed_form(tmp_path, t):
 def test_g0_census_rejects_what_build_g0_rejects(t):
     with pytest.raises(ValueError) as expected:
         build_g0(t)
-    with pytest.raises(ValueError) as got:
-        g0_census(t)
-    assert str(got.value) == str(expected.value)
-    assert str(got.value) in ("construction requires even t", f"t must be between 2 and 30, got {t}")
+    for closed_form in (g0_census, g0_clique_number):
+        with pytest.raises(ValueError) as got:
+            closed_form(t)
+        assert str(got.value) == str(expected.value)
+    assert str(expected.value) in (
+        "construction requires even t",
+        f"t must be between 2 and 30, got {t}",
+    )
 
 
 def test_census_complete_graph():

@@ -47,26 +47,23 @@ def exact_independence_probability(census: IndependentSetCensus, t: int) -> Frac
     return Fraction(favorable, census.n**t)
 
 
-def paper_upper_bound_p_ind(t: int, census: Optional[IndependentSetCensus] = None) -> Fraction:
+def paper_upper_bound_p_ind(t: int) -> Fraction:
     """Union-bound estimate of the independence probability for comparison.
 
     Bounds every per-image probability by (t / 2^(t-1))^t and multiplies by
-    the nonempty census total; always at least the exact value. Computes
-    the census of the t-dimensional orthogonality graph when not supplied.
+    the nonempty total of the closed-form census g0_census(t), which
+    refuses a t the construction does not cover; always at least the
+    exact value.
     """
-    if t % 2 != 0:
-        raise ValueError("construction requires even t")
-    if census is None:
-        census = g0_census(t)
-    return census.total_nonempty * Fraction(t, 2 ** (t - 1)) ** t
+    return g0_census(t).total_nonempty * Fraction(t, 2 ** (t - 1)) ** t
 
 
-def exact_decimal(value: Fraction, max_digits: int = 40) -> str:
+def exact_decimal(value: Fraction) -> str:
     """Decimal string of a rational, exact whenever the expansion terminates.
 
-    All certificate quantities have power-of-two denominators, so the
-    exact branch is the one that matters; anything else is rounded to
-    max_digits fractional digits.
+    All certificate quantities have power-of-two denominators, so their
+    expansion terminates and is exact; anything else is truncated to 40
+    fractional digits.
     """
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
@@ -78,7 +75,7 @@ def exact_decimal(value: Fraction, max_digits: int = 40) -> str:
     while d % 5 == 0:
         d //= 5
         fives += 1
-    digits = max(twos, fives) if d == 1 else max_digits
+    digits = max(twos, fives) if d == 1 else 40
     scaled = num * 10**digits // den
     if digits == 0:
         return f"{sign}{scaled}"

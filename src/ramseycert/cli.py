@@ -112,6 +112,7 @@ def cmd_generate(args) -> int:
             "edge_dump": args.edge_dump,
         },
     )
+    # refused before the coloring is drawn, which takes time and memory linear in N
     if args.edge_dump and args.N > EDGE_DUMP_LIMIT:
         raise ValueError(f"edge dumps are limited to N <= {EDGE_DUMP_LIMIT}, got {args.N}")
     spec = ColoringSpec(
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         _diag(f"error: {exc}")
+        return EXIT_PARAMS
+    except RecursionError:  # product factors nested past the interpreter's recursion limit
+        _diag("error: input nested too deeply")
         return EXIT_PARAMS
 
 

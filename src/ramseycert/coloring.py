@@ -71,6 +71,8 @@ class ColoringSpec(Record):
     def __post_init__(self) -> None:
         if not 1 <= self.N <= MAX_VERTICES:
             raise ValueError(f"N must be in 1..{MAX_VERTICES}, got {self.N}")
+        if self.ell > EXHAUSTIVE_LIMIT:  # verification's work and memory grow with the colors
+            raise ValueError(f"ell must be at most {EXHAUSTIVE_LIMIT}, got {self.ell}")
         rng.check_seed(self.seed)
         if self.kind == KIND_BLOWUP:
             check_construction_t(self.t)
@@ -165,15 +167,12 @@ def _spec_from_json(d, where: str) -> ColoringSpec:
     factors = _typed(d.get("factors"), list, f"{where}.factors", nullable=True)
     if factors is not None:
         factors = tuple(_spec_from_json(f, f"{where}.factors[{i}]") for i, f in enumerate(factors))
-    return ColoringSpec(
-        kind=_field(d, "kind", str, where),
-        t=_field(d, "t", int, where),
-        m=_field(d, "m", int, where),
-        ell=_field(d, "ell", int, where),
-        N=_field(d, "N", int, where),
-        seed=_field(d, "seed", int, where),
-        factors=factors,
-    )
+    kind = _field(d, "kind", str, where)
+    t, m, ell, N, seed = (_field(d, key, int, where) for key in ("t", "m", "ell", "N", "seed"))
+    try:
+        return ColoringSpec(kind, t, m, ell, N, seed, factors)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class EdgeColoring:
@@ -333,10 +332,12 @@ def _witness_from_json(d, where: str) -> MonoWitness:
     _typed(d, dict, where)
     _only_fields(d, MonoWitness._fields, where)
     vertices = _field(d, "vertices", list, where)
-    return MonoWitness(
-        color=_field(d, "color", int, where),
-        vertices=tuple(_typed(v, int, f"{where}.vertices[{i}]") for i, v in enumerate(vertices)),
-    )
+    color = _field(d, "color", int, where)
+    vertices = tuple(_typed(v, int, f"{where}.vertices[{i}]") for i, v in enumerate(vertices))
+    try:
+        return MonoWitness(color, vertices)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _check_materializable(N: int) -> None:
@@ -670,13 +671,6 @@ def certificate_core(d: dict) -> dict:
     return {k: v for k, v in d.items() if k != "search_stats"}
 
 
-def certificates_match(a: dict, b: dict) -> bool:
-    """Byte equality of the deterministic parts, after canonicalization."""
-    return canonical_json_bytes(certificate_core(a)) == canonical_json_bytes(
-        certificate_core(b)
-    )
-
-
 def save_certificate(cert: Certificate, path) -> None:
     with open(path, "wb") as fh:
         fh.write(canonical_json_bytes(cert.to_json_dict()))
@@ -744,10 +738,7 @@ def verify_coloring(
 
 
 def produce_certificate(
-    spec: ColoringSpec,
-    t: Optional[int] = None,
-    max_tries: int = 1,
-    census=None,
+    spec: ColoringSpec, max_tries: int = 1, census=None
 ) -> tuple[Certificate, list[tuple[int, MonoWitness]]]:
     """Seed-retry loop: try spec.seed, spec.seed+1, ... until verification.
 
@@ -764,7 +755,7 @@ def produce_certificate(
     cert = None
     for k in range(max_tries):
         used_seed = (spec.seed + k) & rng.MASK64
-        cert = verify_coloring(spec, seed=used_seed, t=t, census=census)
+        cert = verify_coloring(spec, seed=used_seed, census=census)
         cert.search_stats["tries"] = k + 1
         if cert.verified:
             break
@@ -789,15 +780,15 @@ def _first_difference(a, b, path: str) -> Optional[str]:
     return None
 
 
-def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]]:
+def recheck_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch.
 
     Checks internal consistency, t and the witness against the spec,
-    replays the search at the certificate's seed, and compares the
-    deterministic parts byte for byte; a mismatch names the first
-    differing field. A t the replay could not run at (outside 2..N, or
-    past the census of a blowup spec), or a seed it could not (other
-    than 0 for a product), fails here, before the replay.
+    replays the search at the certificate's seed on the closed-form
+    census, and compares all but search_stats (Certificate ==); a
+    mismatch names the first differing field. A t the replay could not
+    run at (outside 2..N, or past spec.t, a blowup spec's census cap), or
+    a seed it could not (other than 0 for a product), fails here first.
     """
     reasons: list[str] = []
     if not _verified_consistent(cert):
@@ -807,11 +798,10 @@ def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]
     if cert.expectation is not None and cert.expectation.t != cert.t:
         reasons.append(f"certificate.t {cert.t} does not match certificate.expectation.t")
     witness, spec = cert.witness, cert.spec
-    census_cap = spec.t if census is None else census.t  # what the replay's census covers
     if not 2 <= cert.t <= spec.N:
         reasons.append(f"certificate.t {cert.t} is not a clique size in 2..N={spec.N}")
-    elif spec.kind == KIND_BLOWUP and spec.m > 0 and cert.t > census_cap:
-        reasons.append(f"certificate.t {cert.t} exceeds the census cap {census_cap} of its spec")
+    elif spec.kind == KIND_BLOWUP and spec.m > 0 and cert.t > spec.t:
+        reasons.append(f"certificate.t {cert.t} exceeds the census cap {spec.t} of its spec")
     # the witness check and the replay regenerate at cert.seed, which a product refuses unless 0
     if spec.kind == KIND_PRODUCT and cert.seed != 0:
         reasons.append(
@@ -830,10 +820,10 @@ def recheck_certificate(cert: Certificate, census=None) -> tuple[bool, list[str]
             reasons.append("certificate.witness is not monochromatic in the regenerated coloring")
     if reasons:
         return False, reasons
-    stored = cert.to_json_dict()
-    fresh = verify_coloring(spec, seed=cert.seed, t=cert.t, census=census).to_json_dict()
-    if not certificates_match(fresh, stored):
-        path = _first_difference(certificate_core(stored), certificate_core(fresh), "certificate")
+    fresh = verify_coloring(spec, seed=cert.seed, t=cert.t)
+    if fresh != cert:
+        stored, replayed = (certificate_core(c.to_json_dict()) for c in (cert, fresh))
+        path = _first_difference(stored, replayed, "certificate")
         reasons.append(f"{path} does not reproduce from its spec and seed")
     return not reasons, reasons
 

@@ -99,13 +99,13 @@ def test_p_ind_t6_monte_carlo(g0_6, census_6):
 
 
 def test_paper_upper_bound_examples(census_4, census_6):
-    assert paper_upper_bound_p_ind(4, census_4) == Fraction(39, 16)
+    assert paper_upper_bound_p_ind(4) == Fraction(39, 16)
     for t, census in ((4, census_4), (6, census_6)):
-        bound = paper_upper_bound_p_ind(t, census)
+        bound = paper_upper_bound_p_ind(t)
         assert bound >= exact_independence_probability(census, t)
         assert math.log2(bound) <= -3 * t * t / 8 + 2 * t
-    # computes its own census when not supplied
-    assert paper_upper_bound_p_ind(4) == Fraction(39, 16)
+    with pytest.raises(ValueError, match="construction requires even t"):
+        paper_upper_bound_p_ind(5)
 
 
 def test_expected_mono_count_examples(census_4):
@@ -216,8 +216,9 @@ def test_exact_decimal():
     assert exact_decimal(Fraction(7, 1)) == "7"
     assert exact_decimal(Fraction(-3, 8)) == "-0.375"
     assert exact_decimal(Fraction(1, 10)) == "0.1"
-    # non-terminating expansions are rounded down at the digit cap
-    assert exact_decimal(Fraction(1, 3), max_digits=5) == "0.33333"
+    # non-terminating expansions are cut at 40 fractional digits
+    assert exact_decimal(Fraction(1, 3)) == "0." + "3" * 40
+    assert exact_decimal(Fraction(-2, 3)) == "-0." + "6" * 40
 
 
 def test_bound_table_rates():

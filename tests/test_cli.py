@@ -292,6 +292,13 @@ ERDOS_SPEC = {"kind": "erdos", "t": 4, "m": 0, "ell": 2, "N": 9, "seed": 1}
         (_edited(PRODUCT_SPEC, ["N"], 80), "product N must be 81, got 80"),
         (_edited(PRODUCT_SPEC, ["ell"], 5), "product ell must be 6, got 5"),
         ({**ERDOS_SPEC, "t": 1}, "clique target must be at least 2, got 1"),
+        (
+            _edited(PRODUCT_SPEC, ["factors", 1, "N"], 0),
+            "spec.factors[1]: N must be in 1..4294967296, got 0",
+        ),
+        # verification is linear in ell; past the guard, yet small enough that an unguarded
+        # run fails this case in about a second instead of exhausting memory
+        ({**ERDOS_SPEC, "ell": 10**5}, "spec: ell must be at most 10000, got 100000"),
     ],
 )
 def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
@@ -356,6 +363,14 @@ def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
         (
             lambda d: _edited(d, ["format"], "ramseycert.certificate/2"),
             "unsupported certificate format 'ramseycert.certificate/2'",
+        ),
+        (
+            lambda d: _edited(d, ["witness"], {"color": 0, "vertices": [0, 1, 2, 3]}),
+            "certificate.witness: colors are 1-based, got 0",
+        ),
+        (
+            lambda d: _edited(d, ["witness"], {"color": 2, "vertices": [3, 2, 1, 0]}),
+            "certificate.witness: witness vertices must be strictly ascending",
         ),
     ],
 )
@@ -449,6 +464,51 @@ def test_recheck_names_a_product_seed_other_than_0(capsys, tmp_path):
     ) in err
 
 
+def _nested_spec(depth):
+    """A product spec `depth` products deep, as JSON text (json.dumps would recurse as deep)."""
+    blowup = {"kind": "blowup", "t": 2, "m": 0, "ell": 2, "seed": 0}
+    text, ell = json.dumps({**blowup, "N": 2}), 2
+    one_vertex = json.dumps({**blowup, "N": 1})
+    for _ in range(depth):
+        ell += 2
+        text = (
+            f'{{"kind": "product", "t": 2, "m": 0, "ell": {ell}, "N": 2, "seed": 0, '
+            f'"factors": [{text}, {one_vertex}]}}'
+        )
+    return text
+
+
+def test_deeply_nested_input_exits_2(capsys, tmp_path):
+    # 600 products nest 1200 JSON containers, past the default recursion limit of 1000
+    spec_path, cert_path = tmp_path / "deep.json", tmp_path / "deep.certificate.json"
+    spec_path.write_text(_nested_spec(600))
+    code, _, err = run(capsys, "verify", "--spec-file", str(spec_path))
+    assert code == 2
+    assert err.endswith("error: input nested too deeply\n") and "Traceback" not in err
+    assert not cert_path.exists()
+
+    cert_path.write_text(
+        f'{{"format": "{coloring.CERTIFICATE_FORMAT}", "spec": {_nested_spec(600)}, '
+        f'"seed": 0, "t": 2, "verified": false, "exhaustive": true, '
+        f'"witness": {{"color": 1, "vertices": [0, 1]}}, "expectation": null}}'
+    )
+    code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
+    assert code == 2
+    assert err.endswith("error: input nested too deeply\n") and "Traceback" not in err
+
+
+def test_generate_refuses_m_past_the_guard(capsys, tmp_path):
+    # ell = m + 2 is bounded like any spec's; an unguarded run would draw 10^5 tables
+    code, _, err = run(
+        capsys,
+        "generate", "--t", "4", "--m", str(10**5), "--N", "10",
+        "--spec-out", str(tmp_path / "s.json"), "--edge-dump", str(tmp_path / "d.csv"),
+    )
+    assert code == 2
+    assert "error: ell must be at most 10000, got 100002" in err
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -540,6 +600,16 @@ def test_verify_g0_command(capsys, tmp_path):
     code, _, err = run(capsys, "verify-g0", "--graph-file", str(graph_path))
     assert code == 1
     assert "does not match" in err
+
+
+def test_verify_g0_skips_blank_lines(capsys, tmp_path):
+    graph_path = tmp_path / "g.graph"
+    run(capsys, "build-graph", "--t", "4", "--out", str(graph_path))
+    lines = graph_path.read_text().splitlines()
+    graph_path.write_text("\n".join([lines[0], "", *lines[1:5], "  ", *lines[5:]]) + "\n")
+    code, out, _ = run(capsys, "verify-g0", "--graph-file", str(graph_path))
+    assert code == 0
+    assert "lemma1: OK file: OK" in out
 
 
 @pytest.mark.parametrize(

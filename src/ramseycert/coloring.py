@@ -406,10 +406,10 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
     rows: dict[int, list[int]] = {}
     taken = [0] * N  # pairs at x colored by the maps so far
     for i, table in enumerate(coloring._tables[:last], start=1):
-        row = [r & ~done for r, done in zip(orthogonality_rows(table, spec.t), taken)]
+        pulled = orthogonality_rows(table, spec.t)
         if i in wanted:
-            rows[i] = row
-        taken = [done | r for done, r in zip(taken, row)]
+            rows[i] = [r & ~done for r, done in zip(pulled, taken)]
+        taken = [done | r for done, r in zip(taken, pulled)]
     if leftover:
         full = (1 << N) - 1
         heads = [0] * N  # pairs whose coin gives color m+2
@@ -789,6 +789,8 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     mismatch names the first differing field. A t the replay could not
     run at (outside 2..N, or past spec.t, a blowup spec's census cap), or
     a seed it could not (other than 0 for a product), fails here first.
+    A spec past the materialization guard raises ValueError, as the
+    replay would, before a witness check regenerates its coloring.
     """
     reasons: list[str] = []
     if not _verified_consistent(cert):
@@ -809,6 +811,7 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, list[str]]:
             f"randomness in the factors"
         )
     elif witness is not None:
+        _check_exhaustive(spec)  # before regenerate draws the coloring, m·N entries for a blowup
         bad = [v for v in witness.vertices if not 0 <= v < spec.N]
         if len(witness.vertices) != cert.t:
             reasons.append(f"certificate.witness.vertices must hold t={cert.t} vertices")

@@ -12,21 +12,21 @@ sit in 128-bit slots of one Python int, and each round is a few big-int
 operations with a lane mask after every xor-shift and multiply, so no
 bit carries or shifts across a slot boundary. A blowup table is one row
 under one key. The leftover coins of a whole class build go through
-one pass for the keys of all rows, then through lane blocks of _BLOCK
-lanes that hold the partners of consecutive rows, each lane carrying
-its own row's key. Lanes are packed and unpacked with explicit
-little-endian struct formats; the native-order memoryview casts in
-between only move whole 8-byte items, so the bits equal the scalar
-path's on hosts of either byte order.
+one pass for the keys of all rows, then through lane blocks that each
+hold the partners of whole consecutive rows, each lane carrying its own
+row's key. Lanes are packed and unpacked with explicit little-endian
+struct formats; the native-order memoryview casts in between only move
+whole 8-byte items, so the bits equal the scalar path's on hosts of
+either byte order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, tee
+from itertools import accumulate, compress
 
 MASK64 = (1 << 64) - 1
 MAX_SEED = MASK64
@@ -34,7 +34,7 @@ MAX_SEED = MASK64
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _SLOT = b"\x01" + bytes(15)  # the value 1 in one little-endian 128-bit slot
-_BLOCK = 2048  # lanes per packed coin pass; bounds its ints to 32 KiB
+_BLOCK = 2048  # a coin block is drawn once it holds this many lanes
 
 
 def _mix(x: int) -> int:
@@ -60,27 +60,16 @@ def _slots(words: bytes) -> int:
 def _lane_masks(n: int) -> tuple[int, int]:
     """(ones, lane): the value 1 and the value MASK64 in each of n 128-bit slots.
 
-    Every full block of _coin_blocks has width _BLOCK, so the last width
-    is the one asked for again; one cached entry builds these once per
-    run of blocks, and nothing is held before the first draw.
+    A blowup's tables and its row keys share the width N, so one cached
+    entry serves them all; each coin block holds whole rows, so its
+    width varies and builds its own. Nothing is held before the first draw.
     """
     ones = int.from_bytes(_SLOT * n, "little")
     return ones, ones * MASK64
 
 
-def _mix_slots(z: int, lane: int, rounds: int) -> int:
-    """`rounds` splitmix64 finalizer rounds on each 128-bit slot of z that `lane` masks."""
-    for _ in range(rounds):
-        z = (z ^ (z >> 30)) & lane
-        z = z * _M1 & lane
-        z = (z ^ (z >> 27)) & lane
-        z = z * _M2 & lane
-        z = (z ^ (z >> 31)) & lane
-    return z
-
-
-def _mix2_lanes(key: int | bytes, ys, low: int) -> bytes:
-    """_mix(_mix(k ^ y)) & low for each y of ys, in 16 little-endian bytes per y.
+def _mix_lanes(key: int | bytes, ys, rounds: int, low: int) -> bytes:
+    """`rounds` splitmix64 finalizer rounds on k ^ y, then & low, in 16 little-endian bytes per y.
 
     key is either one int k for every lane or 8 little-endian bytes per
     lane, lane j's k at offset 8j; every k, y and low is below 2^64.
@@ -90,8 +79,13 @@ def _mix2_lanes(key: int | bytes, ys, low: int) -> bytes:
     ones, lane = _lane_masks(n)
     z = _slots(_lanes64(n).pack(*ys))
     z ^= key * ones if isinstance(key, int) else _slots(key)
-    z = _mix_slots(z, lane, 2) & (ones if low == 1 else low * ones)
-    return z.to_bytes(16 * n, "little")
+    for _ in range(rounds):
+        z = (z ^ (z >> 30)) & lane
+        z = z * _M1 & lane
+        z = (z ^ (z >> 27)) & lane
+        z = z * _M2 & lane
+        z = (z ^ (z >> 31)) & lane
+    return (z & (ones if low == 1 else low * ones)).to_bytes(16 * n, "little")
 
 
 _TAG_CONSTANTS: dict[str, int] = {}
@@ -149,21 +143,8 @@ def uniform_row(bound: int, seed: int, tag: str, i: int, n: int) -> list[int]:
         raise ValueError(f"bound must be a power of two, got {bound}")
     if n < 0:
         raise ValueError(f"row length must be non-negative, got {n}")
-    lanes = _mix2_lanes(stream64(seed, tag, i), range(n), (bound - 1) & MASK64)
+    lanes = _mix_lanes(stream64(seed, tag, i), range(n), 2, (bound - 1) & MASK64)
     return list(_lanes64(n).unpack(memoryview(lanes).cast("Q")[::2].tobytes()))
-
-
-def _row_keys(seed: int, tag: str, xs: list[int]) -> bytes:
-    """stream64(seed, tag, x) for each x of xs (each below 2^64), 8 little-endian bytes each.
-
-    _mix(seed ^ tag constant) is mixed once; the one round left runs on
-    packed lanes.
-    """
-    n = len(xs)
-    ones, lane = _lane_masks(n)
-    z = _slots(_lanes64(n).pack(*xs)) ^ _mix(seed ^ _tag_constant(tag)) * ones
-    keys = _mix_slots(z, lane, 1).to_bytes(16 * n, "little")
-    return memoryview(keys).cast("Q")[::2].tobytes()
 
 
 def _partners(row: tuple[int, int]) -> list[int]:
@@ -180,24 +161,6 @@ def _partners(row: tuple[int, int]) -> list[int]:
     return list(accumulate(steps))
 
 
-def _coin_blocks(keys: bytes, gathered: Iterable[list[int]]) -> Iterator[bytes]:
-    """One coin byte per partner, in row order, drawn in blocks of _BLOCK lanes.
-
-    gathered holds the partners of each row whose 8-byte key is at
-    keys[8i:8i+8]; a row may straddle two blocks.
-    """
-    ys: list[int] = []
-    lane_keys = bytearray()
-    for i, partners in enumerate(gathered):
-        ys += partners
-        lane_keys += keys[8 * i : 8 * i + 8] * len(partners)
-        while len(ys) >= _BLOCK:
-            yield _mix2_lanes(lane_keys[: 8 * _BLOCK], ys[:_BLOCK], 1)[::16]
-            del ys[:_BLOCK], lane_keys[: 8 * _BLOCK]
-    if ys:
-        yield _mix2_lanes(lane_keys, ys, 1)[::16]
-
-
 def coin_heads(seed: int, tag: str, rows: list[tuple[int, int]]) -> Iterator[list[int]]:
     """For each (x, above) of rows, the partners y with uniform_below(2, seed, tag, x, y) = 1.
 
@@ -206,12 +169,25 @@ def coin_heads(seed: int, tag: str, rows: list[tuple[int, int]]) -> Iterator[lis
     right by x + 1), and its heads come in ascending order. Same bits as
     one uniform_below call per pair: a bound of 2 never rejects, so each
     coin is the low bit of stream64(seed, tag, x, y, 0), the low byte of
-    its lane. The rows' partners are gathered once; the coin blocks run
-    at most one block ahead of the rows handed out, so memory stays
-    bounded by the block and the rows inside it.
+    its lane. Each row's key stream64(seed, tag, x) is drawn in one pass
+    for all rows; then whole rows are gathered until a block holds at
+    least _BLOCK lanes, and the block is drawn in one call, so memory
+    stays bounded by one block plus one row.
     """
-    keys = _row_keys(seed, tag, [x for x, _ in rows])
-    drawn, kept = tee(map(_partners, rows))
-    coins = chain.from_iterable(_coin_blocks(keys, drawn))
-    for partners in kept:
-        yield list(compress(partners, islice(coins, len(partners))))
+    keyed = _mix_lanes(_mix(seed ^ _tag_constant(tag)), [x for x, _ in rows], 1, MASK64)
+    keys = memoryview(keyed).cast("Q")[::2].tobytes()
+    block: list[list[int]] = []
+    ys: list[int] = []
+    lane_keys = bytearray()
+    for i, row in enumerate(rows):
+        partners = _partners(row)
+        block.append(partners)
+        ys += partners
+        lane_keys += keys[8 * i : 8 * i + 8] * len(partners)
+        if len(ys) >= _BLOCK or i == len(rows) - 1:
+            coins = _mix_lanes(lane_keys, ys, 2, 1)[::16]
+            start = 0
+            for partners in block:
+                yield list(compress(partners, coins[start : start + len(partners)]))
+                start += len(partners)
+            block, ys, lane_keys = [], [], bytearray()

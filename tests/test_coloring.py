@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -564,6 +565,25 @@ def test_recheck_accepts_good_and_rejects_tampered(census_4):
     )
     ok, reasons = recheck_certificate(wrong_seed)
     assert not ok and any("does not reproduce" in r for r in reasons)
+
+
+def test_recheck_guards_before_drawing_the_witness_coloring(census_4):
+    # a witness in range for a t=4 m=1 spec at N=2^32 must not draw its 2^32 table entries
+    spec = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=0)
+    cert = verify_coloring(spec, census=census_4)
+    assert cert.witness is not None
+    fields = {name: getattr(cert, name) for name in Certificate._fields}
+    fields["spec"] = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=1 << 32, seed=0)
+    fields["witness"] = MonoWitness(cert.witness.color, (0, 1, 2, 3))
+    huge = Certificate(**fields)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exhaustive materialization guard"):
+            recheck_certificate(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_first_difference_names_the_first_sorted_path():

@@ -90,7 +90,7 @@ def test_packed_lanes_equal_scalar_rounds(key, pairs):
     lane_keys = [k for k, _ in pairs]
     packed = struct.pack(f"<{len(ys)}Q", *lane_keys)
     for keyed, keys in ((key, [key] * len(ys)), (packed, lane_keys)):
-        lanes = rng._mix2_lanes(keyed, ys, rng.MASK64)
+        lanes = rng._mix_lanes(keyed, ys, 2, rng.MASK64)
         slots = [int.from_bytes(lanes[16 * j : 16 * j + 16], "little") for j in range(len(ys))]
         assert slots == [rng._mix(rng._mix(k ^ y)) for k, y in zip(keys, ys)]
 
@@ -115,7 +115,7 @@ def test_pair_coins_equal_uniform_below(seed, x, above):
 
 
 def test_coin_blocks_span_rows_and_block_edges():
-    # rows of 700 partners: row 2 holds lanes 1400..2099 across the first block edge
+    # rows of 700 partners: row 2 takes the first block from 1400 lanes past _BLOCK to 2100
     rand = random.Random(7)
     rows = [(x, sum(1 << j for j in rand.sample(range(1400), 700))) for x in range(11)]
     rows[5] = (5, 0)
@@ -124,3 +124,31 @@ def test_coin_blocks_span_rows_and_block_edges():
     seed = rand.getrandbits(64)
     heads = list(rng.coin_heads(seed, "pair", rows))
     assert heads == [scalar_heads(seed, x, above) for x, above in rows]
+
+
+def test_coin_blocks_hold_whole_rows(monkeypatch):
+    # the first block closes exactly at _BLOCK; the next row alone is wider than _BLOCK
+    rand = random.Random(11)
+    widths = [1000, rng._BLOCK - 1000, rng._BLOCK + 952, 500, 0, 700]
+    rows = [(x, sum(1 << j for j in rand.sample(range(4000), w))) for x, w in enumerate(widths)]
+    drawn = []
+    mix_lanes = rng._mix_lanes
+
+    def recording(key, ys, rounds, low):
+        if rounds == 2:
+            drawn.append(len(ys))
+        return mix_lanes(key, ys, rounds, low)
+
+    monkeypatch.setattr(rng, "_mix_lanes", recording)
+    seed = rand.getrandbits(64)
+    heads = list(rng.coin_heads(seed, "pair", rows))
+    assert heads == [scalar_heads(seed, x, above) for x, above in rows]
+    assert drawn == [rng._BLOCK, rng._BLOCK + 952, 1200]
+    # each block is consecutive whole rows, and holds under _BLOCK lanes before its last row
+    row = iter(widths)
+    for width in drawn:
+        block = [next(row)]
+        while sum(block) < width:
+            block.append(next(row))
+        assert sum(block) == width <= rng._BLOCK - 1 + max(block)
+    assert next(row, None) is None

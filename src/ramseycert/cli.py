@@ -4,10 +4,10 @@ Subcommands: build-graph, census, certify, generate, verify, bounds-table,
 recheck, verify-g0. Every census and Lemma 1's clique number come from
 closed forms on the orthogonality graph (graphs.g0_census and
 graphs.g0_clique_number); the exhaustive census and clique search are
-test oracles only. `verify-g0` is the one reader of graph files; it
-checks that the file equals the construction, the graph Lemma 1's
-proof covers. Exit codes: 0 success/verified, 1 unverified outcome or
-failed recheck, 2 parameter errors and malformed input files.
+test oracles only. `verify-g0`, the one reader of graph files, checks
+that a file is the bytes of the construction Lemma 1's proof covers.
+Exit codes: 0 success/verified, 1 unverified outcome, failed recheck or
+differing graph file, 2 parameter errors and malformed input files.
 Diagnostics go to stderr; artifacts go to files and stdout. Every run
 echoes its full resolved parameter set, including a defaulted seed, so
 any output can be reproduced.
@@ -35,7 +35,7 @@ from .coloring import (
     save_certificate,
     write_edge_dump,
 )
-from .graphs import build_g0, g0_census, g0_clique_number, read_graph_file, write_graph_file
+from .graphs import build_g0, check_graph_file, g0_census, g0_clique_number, write_graph_file
 
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
@@ -187,10 +187,9 @@ def cmd_recheck(args) -> int:
 
 def cmd_verify_g0(args) -> int:
     _echo_params("verify-g0", {"graph_file": args.graph_file})
-    g, t = read_graph_file(args.graph_file)
-    reference = build_g0(t)
-    if g.n != reference.n or g.adj != reference.adj:
-        _diag(f"graph file does not match the order-{t} construction")
+    g, t, difference = check_graph_file(args.graph_file)
+    if difference:
+        _diag(difference)
         return EXIT_UNVERIFIED
     print(f"n={g.n} m={g.edge_count()} max_clique={g0_clique_number(t)} lemma1: OK file: OK")
     return EXIT_OK

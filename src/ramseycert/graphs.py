@@ -34,7 +34,7 @@ max_clique asks the k-clique search for growing k. A graph may carry
 `orbits`, one vertex per orbit of a group of its automorphisms; every
 clique then maps onto one through a representative, so max_clique
 searches only the representatives' neighbourhoods. build_g0 is the one
-source of orbits, and add_edge drops them.
+source of orbits.
 
 Record is the base of the package's immutable values (clique searches
 and censuses here; expectation reports, bound-table rows, coloring
@@ -44,16 +44,19 @@ and keyword construction, __post_init__ validation, read-only fields,
 and ==, hash and repr by type and fields, without the start-up cost of
 the dataclasses module.
 
-The text graph file is checked header first, so a bad header allocates
-nothing, and each error names the header field or the line. Everything
-here is deterministic: the same graph always gives the same witness,
-counts and traversal order.
+A graph file is graph_file_chunks's bytes; check_graph_file compares a
+file with them chunk by chunk, after a header check that allocates
+nothing, and names the header field or the first line that differs.
+Everything here is deterministic: the same graph always gives the same
+witness, counts and traversal order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from functools import reduce
+from itertools import compress
 from math import comb
 from operator import itemgetter, xor
 from typing import Iterator, Optional, Sequence
@@ -133,8 +136,7 @@ class BitGraph:
 
     `orbits` is None or one vertex per orbit of a group of automorphisms
     of the graph, ascending; max_clique searches only their
-    neighbourhoods. A new edge need not respect the group, so add_edge
-    resets it to None.
+    neighbourhoods.
     """
 
     __slots__ = ("n", "adj", "orbits")
@@ -148,37 +150,8 @@ class BitGraph:
             raise ValueError("adjacency must have one row per vertex")
         self.orbits: Optional[list[int]] = None
 
-    @classmethod
-    def complete(cls, n: int) -> "BitGraph":
-        full = (1 << n) - 1
-        return cls(n, [full & ~(1 << v) for v in range(n)])
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-        self.orbits = None
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges (i, j) with i < j, in ascending lexicographic order."""
-        for i in range(self.n):
-            rest = self.adj[i] >> (i + 1)
-            while rest:
-                low = rest & -rest
-                yield i, i + 1 + low.bit_length() - 1
-                rest ^= low
 
 
 def orthogonality_rows(table: Sequence[int], t: int) -> list[int]:
@@ -582,24 +555,27 @@ def g0_clique_number(t: int) -> int:
     return t - 1
 
 
-GRAPH_FILE_MAGIC = "g0"
+_LINE_LIMIT = 64  # bytes read of a graph file's header, or of its first line that differs
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def graph_file_chunks(g: BitGraph, t: int) -> Iterator[bytes]:
+    """Canonical graph-file bytes: `g0 t=.. n=.. m=..`, then `i j` per edge, i < j, ascending.
+
+    Each vertex i with a neighbour above it is one chunk: the binary string of
+    adj[i] >> (i + 1), reversed and mapped to bytes 0 and 1, selects their names ` j\\n`.
+    """
+    yield b"g0 t=%d n=%d m=%d\n" % (t, g.n, g.edge_count())
+    names = [b" %d\n" % j for j in range(g.n)]
+    for i, row in enumerate(g.adj):
+        if row >> (i + 1):
+            prefix, bits = b"%d" % i, format(row >> (i + 1), "b").encode().translate(_BITS)
+            yield prefix + prefix.join(compress(names[i + 1 :], bits[::-1]))
 
 
 def write_graph_file(g: BitGraph, t: int, path) -> None:
-    """Write the text graph format: header then one `i j` line per edge, i < j."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{GRAPH_FILE_MAGIC} t={t} n={g.n} m={g.edge_count()}\n")
-        for i, j in g.edges():
-            fh.write(f"{i} {j}\n")
-
-
-def _graph_file_lines(fh) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) for each line of a binary file, ASCII only."""
-    for number, raw in enumerate(fh, start=1):
-        try:
-            yield number, raw.decode("ascii").split()
-        except UnicodeDecodeError:
-            raise ValueError(f"graph file line {number}: non-ASCII byte") from None
+    with open(path, "wb") as fh:
+        fh.writelines(graph_file_chunks(g, t))
 
 
 def _graph_file_int(token: str, where: str) -> int:
@@ -608,41 +584,65 @@ def _graph_file_int(token: str, where: str) -> int:
     return int(token)
 
 
-def read_graph_file(path) -> tuple[BitGraph, int]:
-    """Read the text graph format back; returns (graph, t).
+def _edge_line(number: int, read: bytes, start: int, fh, n: int) -> bytes:
+    """Line `number`: read[start:], then fh, to _LINE_LIMIT bytes; raises unless `i j`, i<j<n."""
+    line = read[start : read.find(b"\n", start, start + _LINE_LIMIT) + 1 or start + _LINE_LIMIT]
+    if len(line) < _LINE_LIMIT and not line.endswith(b"\n"):
+        line += fh.readline(_LINE_LIMIT - len(line))
+    if not line:  # the end of the file
+        return line
+    if len(line) == _LINE_LIMIT and not line.endswith(b"\n"):
+        raise ValueError(f"graph file line {number}: longer than {_LINE_LIMIT} bytes")
+    if not line.isascii():
+        raise ValueError(f"graph file line {number}: non-ASCII byte")
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise ValueError(f"graph file line {number}: {len(tokens)} fields, expected `i j`")
+    i, j = (_graph_file_int(token.decode(), f"line {number}") for token in tokens)
+    if not i < j < n:
+        raise ValueError(f"graph file line {number}: edge {i} {j} needs i < j < n={n}")
+    return line
 
-    The header is checked before anything is allocated: t must be a
-    construction order whose G0 can be built (2..14) and n must be
-    2^(t-1). Every error names the header field or the line.
+
+def _differs(number: int, line: bytes, want: bytes) -> str:
+    line, want = (repr(text.decode()) if text else "end of file" for text in (line, want))
+    return f"graph file line {number}: {line} does not match the construction's {want}"
+
+
+def check_graph_file(path) -> tuple[BitGraph, int, Optional[str]]:
+    """(G0(t), t, None) if the file is graph_file_chunks(build_g0(t), t), t from its header.
+
+    The header is checked first, t then n, allocating nothing; then the edge lines, a chunk
+    at a time, and the header's bytes last, so a wrong m shows after the edges. The first
+    line that differs gives a message in place of None, or raises ValueError if it is not
+    ASCII `i j`, i < j < n. At most a chunk and a line of _LINE_LIMIT bytes are held.
     """
     with open(path, "rb") as fh:
-        lines = _graph_file_lines(fh)
-        _, header = next(lines, (1, []))
-        fields = dict(token.partition("=")[::2] for token in header[1:])
-        if len(header) != 4 or header[0] != GRAPH_FILE_MAGIC or sorted(fields) != ["m", "n", "t"]:
-            raise ValueError(f"graph file line 1: malformed header {' '.join(header)!r}")
-        t, n, m = (_graph_file_int(fields[key], f"header field {key}") for key in "tnm")
+        header = fh.readline(_LINE_LIMIT)
+        text = header.decode("ascii", "replace")  # a non-ASCII byte then fails the checks below
+        fields = re.fullmatch(r"g0 t=(\S*) n=(\S*) m=(\S*)\n", text)
+        if not fields:
+            raise ValueError(f"graph file line 1: malformed header {text!r}")
+        t, n, _ = (_graph_file_int(v, f"header field {k}") for k, v in zip("tnm", fields.groups()))
         try:
             order = _check_g0_order(t)
         except ValueError as exc:
             raise ValueError(f"graph file header field t: {exc}") from None
         if n != order:
             raise ValueError(f"graph file header field n: t={t} needs n={order}, got {n}")
-        g = BitGraph(n)
-        edge_lines = 0
-        for number, tokens in lines:
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise ValueError(f"graph file line {number}: {len(tokens)} fields, expected `i j`")
-            i, j = (_graph_file_int(token, f"line {number}") for token in tokens)
-            if not i < j < n:
-                raise ValueError(f"graph file line {number}: edge {i} {j} needs i < j < n={n}")
-            g.add_edge(i, j)
-            edge_lines += 1
-        if edge_lines != m or g.edge_count() != m:
-            raise ValueError(
-                f"graph file header field m={m}, but the file has {edge_lines} edge lines "
-                f"and {g.edge_count()} distinct edges"
-            )
-    return g, t
+        g = build_g0(t)
+        chunks = graph_file_chunks(g, t)
+        canonical, number = next(chunks), 2  # number: the line the next chunk starts on
+        for chunk in chunks:
+            got = fh.read(len(chunk))
+            if got != chunk:
+                same = next((k for k, (a, b) in enumerate(zip(got, chunk)) if a != b), len(got))
+                start = got.rfind(b"\n", 0, same) + 1
+                number += got.count(b"\n", 0, start)
+                line = _edge_line(number, got, start, fh, n)
+                return g, t, _differs(number, line, chunk[start : chunk.index(b"\n", start) + 1])
+            number += chunk.count(b"\n")
+        extra = fh.readline(_LINE_LIMIT)
+        if extra:
+            return g, t, _differs(number, _edge_line(number, extra, 0, fh, n), b"")
+    return g, t, None if header == canonical else _differs(1, header, canonical)

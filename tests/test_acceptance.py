@@ -28,6 +28,8 @@ from ramseycert.coloring import (
     product_coloring,
 )
 
+from graph_support import adjacent
+
 
 @contextmanager
 def criterion(num, name, budget_sec):
@@ -56,7 +58,7 @@ def test_criterion_1_clique_ceiling_at_desk_scale():
         best = 0
         for mask in range(1 << g4.n):
             verts = [v for v in range(g4.n) if (mask >> v) & 1]
-            if all(g4.adjacent(a, b) for a, b in itertools.combinations(verts, 2)):
+            if all(adjacent(g4, a, b) for a, b in itertools.combinations(verts, 2)):
                 best = max(best, len(verts))
         assert best == 3
         assert rc.max_clique(g4)[0] == 3
@@ -94,7 +96,7 @@ def test_criterion_3_census(census_4, census_6):
         for mask in range(1, 1 << g4.n):
             verts = [v for v in range(g4.n) if (mask >> v) & 1]
             if len(verts) <= 4 and all(
-                not g4.adjacent(a, b) for a, b in itertools.combinations(verts, 2)
+                not adjacent(g4, a, b) for a, b in itertools.combinations(verts, 2)
             ):
                 oracle[len(verts)] += 1
         assert tuple(oracle[1:]) == (8, 16, 12, 3)
@@ -114,14 +116,14 @@ def test_criterion_4_probability_chain(g0_4, census_4, census_6):
             1
             for tup in itertools.product(range(8), repeat=4)
             if all(
-                not g0_4.adjacent(a, b)
+                not adjacent(g0_4, a, b)
                 for a, b in itertools.combinations(set(tup), 2)
             )
         )
         assert Fraction(good, 8**4) == p
 
         # Monte Carlo, 10^6 samples, within 3 sigma
-        adj = [[g0_4.adjacent(a, b) for b in range(8)] for a in range(8)]
+        adj = [[adjacent(g0_4, a, b) for b in range(8)] for a in range(8)]
         rng = random.Random(424242)
         hits = 0
         for _ in range(1_000_000):

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -602,14 +603,57 @@ def test_verify_g0_command(capsys, tmp_path):
     assert "does not match" in err
 
 
-def test_verify_g0_skips_blank_lines(capsys, tmp_path):
+K = 3  # the edited edge line, `1 3` at t=4 and at t=6
+
+# (id, edit of the file's lines, exit code, the line the message names: None for
+# the line after the file's last). The header is compared after the edge lines.
+TAMPERS = [
+    ("drop", lambda lines: lines[: K - 1] + lines[K:], 1, K),
+    ("duplicate", lambda lines: lines[:K] + lines[K - 1 :], 1, K + 1),
+    ("swap", lambda lines: lines[: K - 1] + [lines[K], lines[K - 1]] + lines[K + 1 :], 1, K),
+    ("append", lambda lines: lines + [b"0 1\n"], 1, None),
+    ("digit", lambda lines: lines[: K - 1] + [b"1 4\n"] + lines[K:], 1, K),
+    ("crlf", lambda lines: [line.replace(b"\n", b"\r\n") for line in lines], 2, 1),
+    ("blank-line", lambda lines: lines[:1] + [b"\n"] + lines[1:], 2, 2),
+    ("header-m", lambda lines: [lines[0].replace(b" m=", b" m=1")] + lines[1:], 1, 1),
+    ("header-t-padded", lambda lines: [lines[0].replace(b" t=", b" t=0")] + lines[1:], 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, code, number", [tamper[1:] for tamper in TAMPERS], ids=[tamper[0] for tamper in TAMPERS]
+)
+@pytest.mark.parametrize("t", [4, 6])
+def test_verify_g0_names_the_tampered_line(capsys, tmp_path, t, edit, code, number):
     graph_path = tmp_path / "g.graph"
-    run(capsys, "build-graph", "--t", "4", "--out", str(graph_path))
-    lines = graph_path.read_text().splitlines()
-    graph_path.write_text("\n".join([lines[0], "", *lines[1:5], "  ", *lines[5:]]) + "\n")
-    code, out, _ = run(capsys, "verify-g0", "--graph-file", str(graph_path))
-    assert code == 0
-    assert "lemma1: OK file: OK" in out
+    run(capsys, "build-graph", "--t", str(t), "--out", str(graph_path))
+    lines = graph_path.read_bytes().splitlines(keepends=True)
+    assert lines[K - 1] == b"1 3\n"
+    graph_path.write_bytes(b"".join(edit(lines)))
+    got, _, err = run(capsys, "verify-g0", "--graph-file", str(graph_path))
+    assert got == code
+    named = f"graph file line {number or len(lines) + 1}: "
+    if code == 1:
+        assert err.splitlines()[-1].startswith(named)
+        assert "does not match the construction" in err
+    else:
+        assert f"error: {named}" in err
+
+
+def test_verify_g0_reads_a_bounded_line(capsys, tmp_path):
+    # a valid header, then 8 MB with no line end: read line by line without a
+    # limit, the one line alone would take 8 MB
+    graph_path = tmp_path / "long.graph"
+    graph_path.write_bytes(b"g0 t=4 n=8 m=12\n" + b"1" * 8_000_000)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "verify-g0", "--graph-file", str(graph_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "error: graph file line 2: longer than 64 bytes" in err
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -17,14 +17,22 @@ from ramseycert.graphs import (
     IndependentSetCensus,
     _twin_classes,
     build_g0,
+    check_graph_file,
     count_independent_sets,
     g0_census,
     g0_clique_number,
     has_clique_of_order,
     max_clique,
     orthogonality_rows,
-    read_graph_file,
     write_graph_file,
+)
+
+from graph_support import (
+    adjacent,
+    complete_graph,
+    graph_edges,
+    graph_from_edges,
+    parse_graph_file,
 )
 
 
@@ -40,11 +48,9 @@ def oracle_g0_edges(t):
 
 def random_graph(n, p, seed):
     rng = random.Random(seed)
-    g = BitGraph(n)
-    for i, j in itertools.combinations(range(n), 2):
-        if rng.random() < p:
-            g.add_edge(i, j)
-    return g
+    return graph_from_edges(
+        n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+    )
 
 
 def test_build_g0_t2():
@@ -57,18 +63,18 @@ def test_build_g0_t4_against_oracle():
     g = build_g0(4)
     assert g.n == 8
     assert g.edge_count() == 12
-    assert set(g.edges()) == oracle_g0_edges(4)
+    assert set(graph_edges(g)) == oracle_g0_edges(4)
     # the zero vector and the all-ones vector are isolated
     codes = enumerate_even_weight(4)
     zero, ones = codes.index(0), codes.index(0b1111)
-    assert g.degree(zero) == 0
-    assert g.degree(ones) == 0
+    assert g.adj[zero].bit_count() == 0
+    assert g.adj[ones].bit_count() == 0
 
 
 def test_build_g0_t6_against_oracle():
     g = build_g0(6)
     assert g.n == 32
-    assert set(g.edges()) == oracle_g0_edges(6)
+    assert set(graph_edges(g)) == oracle_g0_edges(6)
 
 
 @pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
@@ -111,7 +117,7 @@ def test_max_clique_edgeless_and_empty():
 
 
 def is_clique(g, vertices):
-    return all(g.adjacent(a, b) for a, b in itertools.combinations(vertices, 2))
+    return all(adjacent(g, a, b) for a, b in itertools.combinations(vertices, 2))
 
 
 @pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
@@ -139,7 +145,7 @@ def test_g0_orbits_are_the_weight_classes(t):
     for move in generators:
         image = [vertex[move(c)] for c in codes]
         for x in range(g.n):
-            assert g.adj[image[x]] == sum(1 << image[y] for y in range(g.n) if g.adjacent(x, y))
+            assert g.adj[image[x]] == sum(1 << image[y] for y in range(g.n) if adjacent(g, x, y))
             parent[root(x)] = root(image[x])
     orbits = {}
     for x in range(g.n):
@@ -176,37 +182,20 @@ def test_g0_clique_number_past_the_g0_guard():
     assert g0_clique_number(30) == 29
 
 
-@pytest.mark.parametrize("t", [4, 6])
-def test_add_edge_clears_the_orbits(t):
-    g = build_g0(t)
-    reps = sum(1 << r for r in g.orbits)
-    avoiding = BitGraph(g.n, [0 if reps >> v & 1 else row & ~reps for v, row in enumerate(g.adj)])
-    _, witness = max_clique(avoiding)
-    assert len(witness) == t - 1
-    # joined to the all-ones vector, which is isolated and no representative,
-    # the witness makes the one K_t, and it misses every representative
-    for v in witness:
-        g.add_edge(g.n - 1, v)
-    assert g.orbits is None
-    size, found = max_clique(g)
-    assert (size, found) == max_clique(BitGraph(g.n, list(g.adj)))
-    assert size == t and is_clique(g, found)
-
-
 def test_max_clique_g0_4_with_brute_force_oracle(g0_4):
     # oracle: scan all 2^8 subsets for the largest clique
     best = 0
     for mask in range(1 << g0_4.n):
         verts = [v for v in range(g0_4.n) if (mask >> v) & 1]
-        if all(g0_4.adjacent(a, b) for a, b in itertools.combinations(verts, 2)):
+        if all(adjacent(g0_4, a, b) for a, b in itertools.combinations(verts, 2)):
             best = max(best, len(verts))
     size, witness = max_clique(g0_4)
     assert size == best == 3
-    assert all(g0_4.adjacent(a, b) for a, b in itertools.combinations(witness, 2))
+    assert all(adjacent(g0_4, a, b) for a, b in itertools.combinations(witness, 2))
 
 
 def test_max_clique_complete_graph():
-    size, witness = max_clique(BitGraph.complete(5))
+    size, witness = max_clique(complete_graph(5))
     assert size == 5
     assert witness == [0, 1, 2, 3, 4]
 
@@ -216,14 +205,14 @@ def test_max_clique_witness_always_a_clique():
         g = random_graph(14, 0.5, seed)
         size, witness = max_clique(g)
         assert len(witness) == size
-        assert all(g.adjacent(a, b) for a, b in itertools.combinations(witness, 2))
+        assert all(adjacent(g, a, b) for a, b in itertools.combinations(witness, 2))
 
 
 def test_has_clique_examples(g0_4):
     assert not has_clique_of_order(g0_4, 4)
     hit = has_clique_of_order(g0_4, 3)
     assert hit and len(hit.witness) == 3
-    assert all(g0_4.adjacent(a, b) for a, b in itertools.combinations(hit.witness, 2))
+    assert all(adjacent(g0_4, a, b) for a, b in itertools.combinations(hit.witness, 2))
     assert has_clique_of_order(g0_4, 0).witness == []
 
 
@@ -261,7 +250,7 @@ def census_oracle(g, cap):
     for mask in range(1, 1 << g.n):
         verts = [v for v in range(g.n) if (mask >> v) & 1]
         if len(verts) <= cap and all(
-            not g.adjacent(a, b) for a, b in itertools.combinations(verts, 2)
+            not adjacent(g, a, b) for a, b in itertools.combinations(verts, 2)
         ):
             counts[len(verts)] += 1
     return counts
@@ -320,7 +309,8 @@ def test_g0_twin_classes_are_the_complement_pairs(t):
 def test_census_of_g0_read_back_matches_closed_form(tmp_path, t):
     path = tmp_path / "g0.graph"
     write_graph_file(build_g0(t), t, path)
-    g, _ = read_graph_file(path)
+    _, n, _, edges = parse_graph_file(path)
+    g = graph_from_edges(n, edges)
     assert g.orbits is None
     assert count_independent_sets(g, t) == g0_census(t)
 
@@ -340,7 +330,7 @@ def test_g0_census_rejects_what_build_g0_rejects(t):
 
 
 def test_census_complete_graph():
-    census = count_independent_sets(BitGraph.complete(4), 4)
+    census = count_independent_sets(complete_graph(4), 4)
     assert census.counts == (1, 4, 0, 0, 0)
 
 
@@ -385,35 +375,39 @@ def test_graph_file_roundtrip(tmp_path, g0_4):
     write_graph_file(g0_4, 4, path)
     first = path.read_text().splitlines()[0]
     assert first == "g0 t=4 n=8 m=12"
-    loaded, t = read_graph_file(path)
-    assert t == 4
-    assert loaded.n == g0_4.n
-    assert loaded.adj == g0_4.adj
+    t, n, m, edges = parse_graph_file(path)
+    assert (t, n, m) == (4, g0_4.n, 12)
+    assert graph_from_edges(n, edges).adj == g0_4.adj
+
+
+@pytest.mark.parametrize("t", range(2, 11, 2))
+def test_graph_file_is_the_pairwise_parity_graph(tmp_path, t):
+    # written once and read back by a parser that shares no code with the writer
+    path = tmp_path / "g0.graph"
+    write_graph_file(build_g0(t), t, path)
+    t_read, n, m, edges = parse_graph_file(path)
+    assert (t_read, n) == (t, 1 << (t - 1))
+    assert edges == sorted(oracle_g0_edges(t))
+    assert m == len(edges)
 
 
 def test_graph_file_rejects_malformed(tmp_path):
     bad_header = tmp_path / "bad1.graph"
     bad_header.write_text("graph n=2\n")
     with pytest.raises(ValueError):
-        read_graph_file(bad_header)
+        check_graph_file(bad_header)
 
     bad_edge = tmp_path / "bad2.graph"
     bad_edge.write_text("g0 t=2 n=2 m=1\n2 1\n")
     with pytest.raises(ValueError, match="line 2: edge 2 1 needs i < j < n=2"):
-        read_graph_file(bad_edge)
+        check_graph_file(bad_edge)
 
     bad_count = tmp_path / "bad3.graph"
     bad_count.write_text("g0 t=2 n=2 m=2\n0 1\n")
-    with pytest.raises(ValueError, match="header field m=2, but the file has 1 edge lines and 1 distinct edges"):
-        read_graph_file(bad_count)
-
-
-def test_bitgraph_rejects_self_loops_and_range():
-    g = BitGraph(3)
-    with pytest.raises(ValueError):
-        g.add_edge(1, 1)
-    with pytest.raises(ValueError):
-        g.add_edge(0, 3)
+    _, _, difference = check_graph_file(bad_count)
+    assert difference == (
+        "graph file line 2: '0 1\\n' does not match the construction's end of file"
+    )
 
 
 SPEC_FIELDS = dict(kind="blowup", t=4, m=1, ell=3, N=9, seed=1, factors=None)

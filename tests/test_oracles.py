@@ -32,6 +32,8 @@ from ramseycert.graphs import (
     max_clique,
 )
 
+from graph_support import graph_edges, graph_from_edges
+
 nx = pytest.importorskip("networkx")
 
 
@@ -41,14 +43,11 @@ def small_graphs(draw):
     n = draw(st.integers(0, 22))
     p = draw(st.floats(0.0, 1.0))
     rand = random.Random(draw(st.integers(0, 2**32 - 1)))
-    g = BitGraph(n)
+    edges = [pair for pair in itertools.combinations(range(n), 2) if rand.random() < p]
     oracle = nx.Graph()
     oracle.add_nodes_from(range(n))
-    for u, v in itertools.combinations(range(n), 2):
-        if rand.random() < p:
-            g.add_edge(u, v)
-            oracle.add_edge(u, v)
-    return g, oracle
+    oracle.add_edges_from(edges)
+    return graph_from_edges(n, edges), oracle
 
 
 def clique_number(oracle) -> int:
@@ -73,7 +72,7 @@ def test_max_clique_matches_networkx(graphs):
 def test_max_clique_of_g0_8_by_orbits_matches_networkx():
     g = build_g0(8)
     assert g.orbits is not None
-    oracle = nx.Graph(list(g.edges()))
+    oracle = nx.Graph(graph_edges(g))
     size, witness = max_clique(g)
     assert size == clique_number(oracle) == 7
     assert len(witness) == size and is_clique(oracle, witness)
@@ -177,11 +176,9 @@ def bit_graphs(draw):
     n = draw(st.integers(0, 40))
     p = draw(st.floats(0.0, 1.0))
     rand = random.Random(draw(st.integers(0, 2**32 - 1)))
-    g = BitGraph(n)
-    for u, v in itertools.combinations(range(n), 2):
-        if rand.random() < p:
-            g.add_edge(u, v)
-    return g
+    return graph_from_edges(
+        n, [pair for pair in itertools.combinations(range(n), 2) if rand.random() < p]
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -285,12 +282,11 @@ def twin_graphs(draw, max_n):
     labels = list(range(sum(copies)))
     rand.shuffle(labels)
     blown = [[labels.pop() for _ in range(k)] for k in copies]
-    g = BitGraph(sum(copies))
+    edges = []
     for a, b in itertools.combinations(range(len(copies)), 2):
         if rand.random() < p:
-            for u, v in itertools.product(blown[a], blown[b]):
-                g.add_edge(u, v)
-    return g
+            edges += itertools.product(blown[a], blown[b])
+    return graph_from_edges(sum(copies), edges)
 
 
 def same_census(g: BitGraph) -> None:
@@ -317,9 +313,7 @@ def test_census_on_larger_twin_classes_matches_reference(g):
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_census_of_twin_free_cycles(n):
-    cycle = BitGraph(n)
-    for v in range(n):
-        cycle.add_edge(v, (v + 1) % n)
+    cycle = graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
     assert len(_twin_classes(cycle)) == n
     same_census(cycle)
 
@@ -327,11 +321,15 @@ def test_census_of_twin_free_cycles(n):
 def test_census_puts_every_isolated_vertex_in_one_class():
     # a triangle's corners blown up into 1, 2 and 3 twins, and three isolated
     # vertices; labels interleaved so that no class is a run of vertices
-    g = BitGraph(9)
     corners = [[0], [3, 7], [1, 5, 8]]
-    for a, b in itertools.combinations(range(3), 2):
-        for u, v in itertools.product(corners[a], corners[b]):
-            g.add_edge(u, v)
+    g = graph_from_edges(
+        9,
+        [
+            edge
+            for a, b in itertools.combinations(range(3), 2)
+            for edge in itertools.product(corners[a], corners[b])
+        ],
+    )
     assert sorted(_twin_classes(g)) == [[0], [1, 5, 8], [2, 4, 6], [3, 7]]
     same_census(g)
     # any subset of the isolated vertices, with no corner or a nonempty subset of one corner

@@ -18,7 +18,6 @@ from .coloring import (
     ColoringSpec,
     EdgeColoring,
     MonoWitness,
-    find_mono_clique,
     generate_blowup_coloring,
     generate_erdos_coloring,
     load_certificate,
@@ -28,7 +27,7 @@ from .coloring import (
     save_certificate,
     verify_coloring,
 )
-from .gf2 import enumerate_even_weight, gf2_rank
+from .gf2 import gf2_rank
 from .graphs import (
     BitGraph,
     IndependentSetCensus,

@@ -200,12 +200,6 @@ class EdgeColoring:
     def ell(self) -> int:
         return self.spec.ell
 
-    def blowup_table(self, i: int) -> list[int]:
-        """The i-th blowup map (1-based color index) as a vertex -> G0-index table."""
-        if self._tables is None or not 1 <= i <= self.spec.m:
-            raise ValueError(f"no blowup map {i}")
-        return list(self._tables[i - 1])
-
     def color_of(self, x: int, y: int) -> int:
         if x == y:
             raise ValueError(f"self-pairs have no color (x = y = {x})")
@@ -360,9 +354,7 @@ def _check_exhaustive(spec: ColoringSpec) -> None:
         _check_materializable(spec.N)
 
 
-def color_class_graphs(
-    coloring: EdgeColoring, colors: Optional[list[int]] = None
-) -> dict[int, BitGraph]:
+def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, BitGraph]:
     """Materialize the requested color classes as graphs.
 
     Blowup classes are built by pullback (_blowup_rows). Products and
@@ -372,14 +364,13 @@ def color_class_graphs(
     """
     N, ell = coloring.N, coloring.ell
     _check_materializable(N)
-    wanted = list(range(1, ell + 1)) if colors is None else list(colors)
-    for c in wanted:
+    for c in colors:
         if not 1 <= c <= ell:
             raise ValueError(f"no color {c} in a coloring with colors 1..{ell}")
     if coloring.spec.kind == KIND_BLOWUP:
-        rows = _blowup_rows(coloring, set(wanted))
+        rows = _blowup_rows(coloring, set(colors))
     else:
-        rows = {c: [0] * N for c in wanted}
+        rows = {c: [0] * N for c in colors}
         color_of = coloring.color_of
         for x in range(N):
             for y in range(x + 1, N):
@@ -387,7 +378,7 @@ def color_class_graphs(
                 if row is not None:
                     row[x] |= 1 << y
                     row[y] |= 1 << x
-    return {c: BitGraph(N, rows[c]) for c in wanted}
+    return {c: BitGraph(rows[c]) for c in colors}
 
 
 def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
@@ -499,13 +490,15 @@ def _search_mono(
 ) -> tuple[Optional[MonoWitness], int, list[int], list[int]]:
     """Search every color class Lemma 1 does not discharge for a t-clique.
 
-    Returns (witness, search nodes, colors searched, colors decided on
-    factors). Scans colors ascending and the per-class search is
-    deterministic, so the witness is too; it is the one an all-class
-    search finds, since discharged classes hold no t-clique. A product
-    decides its classes on its factors and maps the witness from the
-    factor's clique (_first_clique_class), so it builds no product class.
-    A class past the materialization guard raises ValueError when built.
+    verify_coloring searches at spec.t; this is the one entry point for
+    any other target. Returns (witness, search nodes, colors searched,
+    colors decided on factors). Scans colors ascending and the per-class
+    search is deterministic, so the witness is too; it is the one an
+    all-class search finds, since discharged classes hold no t-clique. A
+    product decides its classes on its factors and maps the witness from
+    the factor's clique (_first_clique_class), so it builds no product
+    class. A class past the materialization guard raises ValueError when
+    built.
     """
     if t < 1:
         raise ValueError(f"clique target must be positive, got {t}")
@@ -518,16 +511,6 @@ def _search_mono(
     on_factors = searched if coloring.spec.kind == KIND_PRODUCT else []
     witness = None if c is None else MonoWitness(c, tuple(sorted(clique)))
     return witness, nodes, searched, on_factors
-
-
-def find_mono_clique(coloring: EdgeColoring, t: int) -> Optional[MonoWitness]:
-    """First monochromatic t-clique in deterministic order, or None.
-
-    A None return is exhaustive: every color class was fully searched or
-    discharged by Lemma 1.
-    """
-    witness, _, _, _ = _search_mono(coloring, t)
-    return witness
 
 
 # expectation fields that Certificate.to_json_dict renders from other
@@ -681,32 +664,26 @@ def load_certificate(path) -> Certificate:
         return Certificate.from_json_dict(json.loads(fh.read().decode("ascii")))
 
 
-def verify_coloring(
-    spec: ColoringSpec,
-    seed: Optional[int] = None,
-    t: Optional[int] = None,
-    census=None,
-) -> Certificate:
-    """Regenerate the coloring, search it, and wrap the outcome.
+def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None) -> Certificate:
+    """Regenerate the coloring, search it for a K_{spec.t}, and wrap the outcome.
 
-    The expectation report is attached for blowup and uniform random
-    colorings (the closed-form census of the orthogonality graph is used
-    when m > 0 and none is supplied); product colorings carry no
-    expectation. verified is True exactly when the exhaustive search
-    found nothing. A spec that would build a class past EXHAUSTIVE_LIMIT
-    raises ValueError before the coloring is drawn (_check_exhaustive; a
-    product is checked on its factors). search_stats lists the colors
-    searched, those discharged by Lemma 1 and those decided on a
-    product's factors.
+    The certificate's t is always spec.t. The expectation report is
+    attached for blowup and uniform random colorings (the closed-form
+    census of the orthogonality graph is used when m > 0 and none is
+    supplied); product colorings carry no expectation. verified is True
+    exactly when the exhaustive search found nothing. A spec that would
+    build a class past EXHAUSTIVE_LIMIT raises ValueError before the
+    coloring is drawn (_check_exhaustive; a product is checked on its
+    factors). search_stats lists the colors searched, those discharged by
+    Lemma 1 and those decided on a product's factors.
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
-    target = spec.t if t is None else t
-    if target < 2:
-        raise ValueError(f"clique target must be at least 2, got {target}")
+    if spec.t < 2:
+        raise ValueError(f"clique target must be at least 2, got {spec.t}")
     _check_exhaustive(spec)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
-    witness, nodes, searched, on_factors = _search_mono(coloring, target)
+    witness, nodes, searched, on_factors = _search_mono(coloring, spec.t)
     elapsed = time.perf_counter() - start
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
@@ -717,11 +694,11 @@ def verify_coloring(
     if spec.kind == KIND_BLOWUP or (spec.kind == KIND_ERDOS and spec.ell == 2):
         if spec.kind == KIND_BLOWUP and spec.m > 0 and census is None:
             census = g0_census(spec.t)
-        expectation = expected_mono_count(target, spec.m, spec.N, census)
+        expectation = expected_mono_count(spec.t, spec.m, spec.N, census)
     return Certificate(
         spec=spec,
         seed=used_seed,
-        t=target,
+        t=spec.t,
         verified=witness is None,
         exhaustive=True,
         witness=witness,
@@ -731,7 +708,7 @@ def verify_coloring(
             "wall_time_sec": round(elapsed, 6),
             "tries": 1,
             "searched_colors": searched,
-            "lemma1_colors": sorted(_lemma1_colors(spec, target)),
+            "lemma1_colors": sorted(_lemma1_colors(spec, spec.t)),
             "factor_colors": on_factors,
         },
     )
@@ -783,27 +760,21 @@ def _first_difference(a, b, path: str) -> Optional[str]:
 def recheck_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch.
 
-    Checks internal consistency, t and the witness against the spec,
-    replays the search at the certificate's seed on the closed-form
-    census, and compares all but search_stats (Certificate ==); a
-    mismatch names the first differing field. A t the replay could not
-    run at (outside 2..N, or past spec.t, a blowup spec's census cap), or
-    a seed it could not (other than 0 for a product), fails here first.
-    A spec past the materialization guard raises ValueError, as the
-    replay would, before a witness check regenerates its coloring.
+    Checks internal consistency and the witness against the spec, replays
+    verify_coloring at the certificate's seed (so at spec.t, on the
+    closed-form census), and compares all but search_stats (Certificate
+    ==); a mismatch names the first differing field, certificate.t
+    included. A seed the replay could not run at (other than 0 for a
+    product) fails here first. A spec past the materialization guard
+    raises ValueError, as the replay would, before a witness check
+    regenerates its coloring.
     """
     reasons: list[str] = []
     if not _verified_consistent(cert):
         reasons.append(
             "inconsistent certificate: verified must mean exhaustive search with no witness"
         )
-    if cert.expectation is not None and cert.expectation.t != cert.t:
-        reasons.append(f"certificate.t {cert.t} does not match certificate.expectation.t")
     witness, spec = cert.witness, cert.spec
-    if not 2 <= cert.t <= spec.N:
-        reasons.append(f"certificate.t {cert.t} is not a clique size in 2..N={spec.N}")
-    elif spec.kind == KIND_BLOWUP and spec.m > 0 and cert.t > spec.t:
-        reasons.append(f"certificate.t {cert.t} exceeds the census cap {spec.t} of its spec")
     # the witness check and the replay regenerate at cert.seed, which a product refuses unless 0
     if spec.kind == KIND_PRODUCT and cert.seed != 0:
         reasons.append(
@@ -813,8 +784,8 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     elif witness is not None:
         _check_exhaustive(spec)  # before regenerate draws the coloring, m·N entries for a blowup
         bad = [v for v in witness.vertices if not 0 <= v < spec.N]
-        if len(witness.vertices) != cert.t:
-            reasons.append(f"certificate.witness.vertices must hold t={cert.t} vertices")
+        if len(witness.vertices) != spec.t:
+            reasons.append(f"certificate.witness.vertices must hold t={spec.t} vertices")
         elif bad:
             reasons.append(f"certificate.witness.vertices: {bad[0]} out of range for N={spec.N}")
         elif witness.color > spec.ell:
@@ -823,7 +794,7 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, list[str]]:
             reasons.append("certificate.witness is not monochromatic in the regenerated coloring")
     if reasons:
         return False, reasons
-    fresh = verify_coloring(spec, seed=cert.seed, t=cert.t)
+    fresh = verify_coloring(spec, seed=cert.seed)
     if fresh != cert:
         stored, replayed = (certificate_core(c.to_json_dict()) for c in (cert, fresh))
         path = _first_difference(stored, replayed, "certificate")

@@ -1,4 +1,4 @@
-"""The construction's dimension check, even-weight codes and GF(2) rank.
+"""The construction's dimension check, the code of a G0 vertex and GF(2) rank.
 
 A vector in F_2^t is its integer code: coordinate i is bit i, so the
 scalar product of u and v is the parity of u & v and comparing codes
@@ -26,12 +26,6 @@ def check_construction_t(t: int) -> None:
 def even_weight_code(x: int) -> int:
     """Vertex x of G0 as a code: bits 1.. hold x, bit 0 evens the weight (increasing in x)."""
     return (x << 1) | (x.bit_count() & 1)
-
-
-def enumerate_even_weight(t: int) -> list[int]:
-    """The 2^(t-1) codes of the even-weight vectors of F_2^t, ascending."""
-    check_construction_t(t)
-    return [even_weight_code(x) for x in range(1 << (t - 1))]
 
 
 def gf2_rank(codes: Iterable[int]) -> int:

@@ -1,9 +1,10 @@
 """Bit-row adjacency graphs and the exact search kernels.
 
 Adjacency is stored as one Python integer per vertex (bit j of row i set
-iff {i, j} is an edge), so neighborhood intersections are single big-int
-ANDs. orthogonality_rows pulls the orthogonality relation back through
-any table of G0 vertices as XORs of coordinate masks; G0, the identity
+iff {i, j} is an edge), so a BitGraph's vertex count is its row count
+and neighborhood intersections are single big-int ANDs.
+orthogonality_rows pulls the orthogonality relation back through any
+table of G0 vertices as XORs of coordinate masks; G0, the identity
 table's, is built only for graph files and for the test oracles, up to
 EXHAUSTIVE_LIMIT vertices. Its clique number (g0_clique_number, Lemma 1
 by its GF(2) rank proof) and its independent-set census (g0_census)
@@ -132,7 +133,7 @@ class Record:
 
 
 class BitGraph:
-    """Undirected graph on vertices 0..n-1 with bit-mask adjacency rows.
+    """Undirected graph with one bit-mask adjacency row per vertex, n = len(adj).
 
     `orbits` is None or one vertex per orbit of a group of automorphisms
     of the graph, ascending; max_clique searches only their
@@ -141,13 +142,9 @@ class BitGraph:
 
     __slots__ = ("n", "adj", "orbits")
 
-    def __init__(self, n: int, adj: Optional[list[int]] = None):
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
-        self.n = n
-        self.adj = adj if adj is not None else [0] * n
-        if len(self.adj) != n:
-            raise ValueError("adjacency must have one row per vertex")
+    def __init__(self, adj: list[int]):
+        self.n = len(adj)
+        self.adj = adj
         self.orbits: Optional[list[int]] = None
 
     def edge_count(self) -> int:
@@ -199,7 +196,7 @@ def build_g0(t: int) -> BitGraph:
     for w = 2, 4, ..., at most t/2.
     """
     n = _check_g0_order(t)
-    g = BitGraph(n, orthogonality_rows(range(n), t))
+    g = BitGraph(orthogonality_rows(range(n), t))
     g.orbits = [0] + [(1 << (w - 1)) - 1 for w in range(2, t // 2 + 1, 2)]
     return g
 
@@ -339,7 +336,7 @@ def _clique_parts(g: BitGraph) -> Iterator[tuple[list[int], Sequence[int], BitGr
         return
     for r in g.orbits:
         vertices = _bits_to_list(g.adj[r])
-        yield [r], vertices, BitGraph(len(vertices), _induced_rows(g, vertices))
+        yield [r], vertices, BitGraph(_induced_rows(g, vertices))
 
 
 def _induced_rows(g: BitGraph, vertices: list[int]) -> list[int]:

@@ -1,8 +1,10 @@
-"""Test graphs built from rows, and a reader of graph files that shares no code with ramseycert."""
+"""Test graphs built from rows, a clique search at any target, and a reader of graph files
+that shares no code with ramseycert."""
 
 import re
 from pathlib import Path
 
+from ramseycert.coloring import _search_mono
 from ramseycert.graphs import BitGraph
 
 
@@ -12,12 +14,17 @@ def graph_from_edges(n, edges):
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return BitGraph(n, adj)
+    return BitGraph(adj)
 
 
 def complete_graph(n):
     full = (1 << n) - 1
-    return BitGraph(n, [full ^ 1 << v for v in range(n)])
+    return BitGraph([full ^ 1 << v for v in range(n)])
+
+
+def find_mono_clique(coloring, t):
+    """The first monochromatic t-clique, t any target, or None when every class is free of one."""
+    return _search_mono(coloring, t)[0]
 
 
 def adjacent(g, u, v):

@@ -404,7 +404,7 @@ def test_recheck_rejects_malformed_certificate(capsys, tmp_path, edit, message):
             "1/2",
             "expectation.expected_count_exact does not reproduce from its spec and seed",
         ),
-        (1, ["t"], 5, "t 5 does not match certificate.expectation.t"),
+        (1, ["t"], 5, "t does not reproduce from its spec and seed"),
         (1, ["seed"], 0, "verified does not reproduce from its spec and seed"),
     ],
     ids=[
@@ -426,17 +426,10 @@ def test_recheck_names_the_tampered_field(capsys, tmp_path, seed, edit, value, m
     assert f"recheck failed: certificate.{message}" in err
 
 
-@pytest.mark.parametrize(
-    "t, message",
-    [
-        (5, "t 5 exceeds the census cap 4 of its spec"),
-        (10, "t 10 is not a clique size in 2..N=9"),
-        (1, "t 1 is not a clique size in 2..N=9"),
-    ],
-    ids=["past-census", "past-N", "below-2"],
-)
-def test_recheck_fails_on_a_t_the_replay_cannot_run(capsys, tmp_path, t, message):
-    # t and expectation.t edited together pass the consistency check between them
+@pytest.mark.parametrize("t", [5, 10, 1], ids=["past-census", "past-N", "below-2"])
+def test_recheck_replays_at_spec_t_whatever_t_the_file_holds(capsys, tmp_path, t):
+    # the replay runs at spec.t=4, so t and expectation.t edited together do not
+    # reproduce; expectation.t is the first of them in sorted key order
     spec_path = _write_spec(tmp_path, capsys, seed=1)
     cert_path = tmp_path / "cert.json"
     run(capsys, "verify", "--spec-file", str(spec_path), "--certificate-out", str(cert_path))
@@ -444,7 +437,25 @@ def test_recheck_fails_on_a_t_the_replay_cannot_run(capsys, tmp_path, t, message
     cert_path.write_text(json.dumps(_edited(doc, ["expectation", "t"], t)))
     code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
     assert code == 1
-    assert f"recheck failed: certificate.{message}" in err
+    assert "recheck failed: certificate.expectation.t does not reproduce" in err
+
+
+def test_recheck_names_t_on_a_product_below_spec_t(capsys, tmp_path):
+    # no expectation block, so t is the only field edited; a replay at the
+    # file's t=3 would find a triangle and blame verified instead
+    spec_path = tmp_path / "product.json"
+    spec_path.write_text(json.dumps(PRODUCT_SPEC))
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "verify", "--spec-file", str(spec_path), "--certificate-out", str(cert_path)
+    )
+    assert code == 0
+    doc = json.loads(cert_path.read_text())
+    assert doc["expectation"] is None
+    cert_path.write_text(json.dumps(_edited(doc, ["t"], 3)))
+    code, _, err = run(capsys, "recheck", "--certificate-file", str(cert_path))
+    assert code == 1
+    assert "recheck failed: certificate.t does not reproduce from its spec and seed" in err
 
 
 def test_recheck_names_a_product_seed_other_than_0(capsys, tmp_path):

@@ -18,7 +18,6 @@ from ramseycert.coloring import (
     canonical_json_bytes,
     certificate_core,
     color_class_graphs,
-    find_mono_clique,
     generate_blowup_coloring,
     generate_erdos_coloring,
     load_certificate,
@@ -32,7 +31,7 @@ from ramseycert.coloring import (
 )
 from ramseycert.graphs import g0_census, has_clique_of_order
 
-from graph_support import adjacent
+from graph_support import adjacent, find_mono_clique
 
 BLOWUP_SPEC_N9 = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=1)
 
@@ -107,7 +106,7 @@ def test_color_of_rejects_bad_pairs():
 def test_collapsed_pairs_never_take_blowup_color():
     # f_i(x) = f_i(y) means color != i
     coloring = generate_blowup_coloring(4, 1, 40, 11)
-    table = coloring.blowup_table(1)
+    table = [rng.uniform_below(8, 11, "blowup", 1, x) for x in range(40)]
     collisions = [
         (x, y)
         for x, y in itertools.combinations(range(40), 2)
@@ -158,12 +157,11 @@ def test_class_graphs_match_color_of_pair_loop():
         kinds.add(coloring.spec.kind)
         ell = coloring.ell
         subset = sorted(rand.sample(range(1, ell + 1), rand.randint(1, ell)))
-        for colors in (None, subset):
+        for colors in (list(range(1, ell + 1)), subset):
             graphs = color_class_graphs(coloring, colors)
-            wanted = list(range(1, ell + 1)) if colors is None else subset
-            expected = pair_loop_classes(coloring, wanted)
-            assert sorted(graphs) == wanted
-            for c in wanted:
+            expected = pair_loop_classes(coloring, colors)
+            assert sorted(graphs) == colors
+            for c in colors:
                 assert graphs[c].adj == expected[c], (coloring.spec, c)
     assert kinds == {"blowup", "erdos", "product"}
 
@@ -194,7 +192,7 @@ def test_all_class_search_finds_the_same_witness():
         for t, m, N in ((4, 1, 12), (4, 2, 14), (4, 0, 9)):
             coloring = generate_blowup_coloring(t, m, N, seed)
             witness = find_mono_clique(coloring, t)
-            graphs = color_class_graphs(coloring)
+            graphs = color_class_graphs(coloring, list(range(1, coloring.ell + 1)))
             full = None
             for c in sorted(graphs):
                 result = has_clique_of_order(graphs[c], t)
@@ -208,7 +206,7 @@ def test_all_class_search_finds_the_same_witness():
 
 def all_class_witness(coloring, t):
     """The first witness of a search of every class in color order: the reference."""
-    graphs = color_class_graphs(coloring)
+    graphs = color_class_graphs(coloring, list(range(1, coloring.ell + 1)))
     for c in sorted(graphs):
         result = has_clique_of_order(graphs[c], t)
         if result.found:
@@ -231,9 +229,10 @@ def test_product_search_on_factors_finds_the_all_class_witness():
     seen = {"witness": 0, "none": 0, "nested": 0, "erdos": 0, "small_factor": 0, "below_t": 0}
     for _ in range(300):
         coloring = random_product(rand)
-        spec = coloring.spec
         target = rand.randint(2, min(coloring.N, 6))
-        cert = verify_coloring(spec, t=target)
+        factors = coloring.spec.factors
+        spec = ColoringSpec("product", target, 0, coloring.ell, coloring.N, 0, factors)
+        cert = verify_coloring(spec)
         reference = all_class_witness(coloring, target)
         assert cert.witness == reference, (spec, target)
         expected = Certificate(
@@ -248,12 +247,11 @@ def test_product_search_on_factors_finds_the_all_class_witness():
         )
         assert certificate_core(cert.to_json_dict()) == certificate_core(expected.to_json_dict())
         assert cert.search_stats["factor_colors"] == cert.search_stats["searched_colors"]
-        factors = spec.factors
         seen["witness" if reference else "none"] += 1
         seen["nested"] += any(f.kind == "product" for f in factors)
         seen["erdos"] += any(f.kind == "erdos" for f in factors)
         seen["small_factor"] += any(f.N < target for f in factors)
-        seen["below_t"] += target < spec.t
+        seen["below_t"] += target < coloring.spec.t
     assert min(seen.values()) >= 10, seen
 
 
@@ -267,7 +265,7 @@ def test_verified_product_builds_only_factor_classes(monkeypatch):
     real_classes = coloring_module.color_class_graphs
     real_search = coloring_module.has_clique_of_order
 
-    def classes(coloring, colors=None):
+    def classes(coloring, colors):
         built.append(coloring.N)
         return real_classes(coloring, colors)
 
@@ -288,7 +286,8 @@ def test_verified_product_builds_only_factor_classes(monkeypatch):
     # with a witness too: it is mapped from the factor's clique
     built.clear()
     searched.clear()
-    cert = verify_coloring(spec, t=3)
+    spec = ColoringSpec(kind="product", t=3, m=0, ell=6, N=81, seed=0, factors=factors)
+    cert = verify_coloring(spec)
     assert cert.witness is not None and cert.witness.holds_in(regenerate(spec))
     assert built and max(built) == 9
     assert cert.search_stats["nodes"] == sum(searched)
@@ -298,12 +297,12 @@ def test_target_below_spec_t_searches_blowup_classes():
     # Lemma 1 discharges only targets of at least spec.t: the order-6
     # graph has triangles, so a triangle target finds one in class 1
     spec = ColoringSpec(kind="blowup", t=6, m=2, ell=4, N=40, seed=3)
-    cert = verify_coloring(spec, t=3)
-    assert cert.witness is not None and cert.witness.color == 1
-    assert cert.witness.holds_in(regenerate(spec))
-    assert cert.search_stats["lemma1_colors"] == []
-    assert cert.search_stats["searched_colors"] == [1]
-    assert find_mono_clique(regenerate(spec), 3) == cert.witness
+    coloring = regenerate(spec)
+    witness, _, searched, _ = coloring_module._search_mono(coloring, 3)
+    assert witness is not None and witness.color == 1
+    assert witness.holds_in(coloring)
+    assert coloring_module._lemma1_colors(spec, 3) == set()
+    assert searched == [1]
 
 
 def test_search_stats_name_searched_and_discharged_colors(census_4):

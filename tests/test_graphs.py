@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ramseycert.bounds import BoundTableRow, ExpectationReport
 from ramseycert.coloring import Certificate, ColoringSpec, MonoWitness
-from ramseycert.gf2 import enumerate_even_weight
 from ramseycert.graphs import (
     BitGraph,
     CliqueSearch,
@@ -59,13 +58,19 @@ def test_build_g0_t2():
     assert g.edge_count() == 0
 
 
+@functools.lru_cache(maxsize=None)
+def even_weight_codes(t):
+    """The even-weight codes of F_2^t, ascending, by popcount: G0's vertices in order."""
+    return [c for c in range(1 << t) if bin(c).count("1") % 2 == 0]
+
+
 def test_build_g0_t4_against_oracle():
     g = build_g0(4)
     assert g.n == 8
     assert g.edge_count() == 12
     assert set(graph_edges(g)) == oracle_g0_edges(4)
     # the zero vector and the all-ones vector are isolated
-    codes = enumerate_even_weight(4)
+    codes = even_weight_codes(4)
     zero, ones = codes.index(0), codes.index(0b1111)
     assert g.adj[zero].bit_count() == 0
     assert g.adj[ones].bit_count() == 0
@@ -80,16 +85,10 @@ def test_build_g0_t6_against_oracle():
 @pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
 def test_build_g0_rows_are_the_parity_definition(t):
     g = build_g0(t)
-    codes = enumerate_even_weight(t)
-    assert codes == [c for c in range(1 << t) if bin(c).count("1") % 2 == 0]
+    codes = even_weight_codes(t)
     for i, ci in enumerate(codes):
         row = sum(1 << j for j, cj in enumerate(codes) if bin(ci & cj).count("1") % 2)
         assert g.adj[i] == row
-
-
-@functools.lru_cache(maxsize=None)
-def even_weight_codes(t):
-    return [c for c in range(1 << t) if bin(c).count("1") % 2 == 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,7 +112,7 @@ def test_build_g0_rejects_odd_t():
 
 def test_max_clique_edgeless_and_empty():
     assert max_clique(build_g0(2)) == (1, [0])
-    assert max_clique(BitGraph(0)) == (0, [])
+    assert max_clique(BitGraph([])) == (0, [])
 
 
 def is_clique(g, vertices):
@@ -123,7 +122,7 @@ def is_clique(g, vertices):
 @pytest.mark.parametrize("t", [2, 4, 6, 8, 10])
 def test_g0_orbits_are_the_weight_classes(t):
     g = build_g0(t)
-    codes = enumerate_even_weight(t)
+    codes = even_weight_codes(t)
     vertex = {c: x for x, c in enumerate(codes)}
     ones = (1 << t) - 1
 
@@ -162,7 +161,7 @@ def test_g0_orbits_are_the_weight_classes(t):
 @pytest.mark.parametrize("t", [2, 4, 6, 8])
 def test_max_clique_by_orbits_matches_the_plain_path(t):
     g = build_g0(t)
-    plain = BitGraph(g.n, list(g.adj))
+    plain = BitGraph(list(g.adj))
     assert plain.orbits is None
     size, witness = max_clique(g)
     assert size == max_clique(plain)[0] == t - 1

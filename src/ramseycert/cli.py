@@ -118,6 +118,8 @@ def cmd_generate(args) -> int:
     spec = ColoringSpec(
         kind=KIND_BLOWUP, t=args.t, m=args.m, ell=args.m + 2, N=args.N, seed=seed
     )
+    if spec.N < spec.t:  # no coloring of K_N holds a K_t, so the spec would prove nothing
+        raise ValueError(f"N={spec.N} is below the clique target t={spec.t}")
     payload = canonical_json_bytes(spec.to_json_dict())
     Path(spec_out).write_bytes(payload)
     sys.stdout.write(payload.decode("ascii"))

@@ -386,36 +386,25 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
 
     The pairs f_i separates across an edge are orthogonality_rows of its
     table (t coordinate masks); class i keeps those no earlier map took.
-    Every leftover coin of the build comes from one rng.coin_heads pass
-    over the rows' unseparated partners above the diagonal, and each head
-    is scattered into both of its rows.
+    Every leftover coin of the build comes from one rng.coin_rows pass
+    over the rows of the pairs no map took, which returns the heads.
     """
     spec = coloring.spec
     N, m = spec.N, spec.m
     leftover = bool(wanted - set(range(1, m + 1)))
     last = m if leftover else max(wanted, default=0)
     rows: dict[int, list[int]] = {}
-    taken = [0] * N  # pairs at x colored by the maps so far
+    full = (1 << N) - 1
+    free = [full ^ (1 << x) for x in range(N)]  # pairs at x no map has colored so far
     for i, table in enumerate(coloring._tables[:last], start=1):
-        pulled = orthogonality_rows(table, spec.t)
+        pulled = orthogonality_rows(table, spec.t)  # no diagonal: codes have even weight
         if i in wanted:
-            rows[i] = [r & ~done for r, done in zip(pulled, taken)]
-        taken = [done | r for done, r in zip(taken, pulled)]
+            rows[i] = [r & f for r, f in zip(pulled, free)]
+        free = [f & ~r for f, r in zip(free, pulled)]
     if leftover:
-        full = (1 << N) - 1
-        heads = [0] * N  # pairs whose coin gives color m+2
-        above = [(x, (full ^ done) >> (x + 1)) for x, done in enumerate(taken)]  # partners y > x
-        for x, ys in enumerate(rng.coin_heads(spec.seed, TAG_PAIR, above)):
-            bit = 1 << x
-            ahead = 0
-            for y in ys:
-                ahead |= 1 << y
-                heads[y] |= bit
-            heads[x] |= ahead
+        heads = rng.coin_rows(spec.seed, TAG_PAIR, free)  # pairs whose coin gives color m+2
         if m + 1 in wanted:
-            rows[m + 1] = [
-                full ^ (1 << x) ^ done ^ h for x, (done, h) in enumerate(zip(taken, heads))
-            ]
+            rows[m + 1] = [f ^ h for f, h in zip(free, heads)]
         if m + 2 in wanted:
             rows[m + 2] = heads
     return rows
@@ -463,17 +452,23 @@ def _first_clique_class(
       block 0, unchanged.
 
     Nested products compose the two maps; the product's nodes are the
-    factor searches' only.
+    factor searches' only. The answer is a function of the factor's spec,
+    its colors and t, so a second factor equal to a first that held no
+    t-clique in the same colors is not built or searched again.
     """
     if coloring.N < t or not colors:
         return None, None, 0
     if coloring.spec.kind == KIND_PRODUCT:
         c1, c2 = coloring._factors
         ell1 = c1.ell
-        c, clique, nodes = _first_clique_class(c1, [c for c in colors if c <= ell1], t)
+        colors1 = [c for c in colors if c <= ell1]
+        colors2 = [c - ell1 for c in colors if c > ell1]
+        c, clique, nodes = _first_clique_class(c1, colors1, t)
         if c is not None:
             return c, [a * c2.N for a in clique], nodes
-        c, clique, more = _first_clique_class(c2, [c - ell1 for c in colors if c > ell1], t)
+        if c2.spec == c1.spec and colors2 == colors1:  # a square: that factor answered no
+            return None, None, nodes
+        c, clique, more = _first_clique_class(c2, colors2, t)
         return None if c is None else ell1 + c, clique, nodes + more
     graphs = color_class_graphs(coloring, colors)
     nodes = 0
@@ -503,7 +498,7 @@ def _search_mono(
     if t < 1:
         raise ValueError(f"clique target must be positive, got {t}")
     if coloring.N < t:
-        raise ValueError("target exceeds vertex count")
+        raise ValueError(f"N={coloring.N} is below the clique target t={t}")
     discharged = _lemma1_colors(coloring.spec, t)
     colors = [c for c in range(1, coloring.ell + 1) if c not in discharged]
     c, clique, nodes = _first_clique_class(coloring, colors, t)
@@ -680,6 +675,8 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     if spec.t < 2:
         raise ValueError(f"clique target must be at least 2, got {spec.t}")
+    if spec.N < spec.t:
+        raise ValueError(f"N={spec.N} is below the clique target t={spec.t}")
     _check_exhaustive(spec)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)

@@ -11,21 +11,20 @@ Whole rows of draws run their last rounds on packed lanes: 64-bit keys
 sit in 128-bit slots of one Python int, and each round is a few big-int
 operations with a lane mask after every xor-shift and multiply, so no
 bit carries or shifts across a slot boundary. A blowup table is one row
-under one key. The leftover coins of a whole class build go through
-one pass for the keys of all rows, then through lane blocks that each
-hold the partners of whole consecutive rows, each lane carrying its own
-row's key. Lanes are packed and unpacked with explicit little-endian
-struct formats; the native-order memoryview casts in between only move
-whole 8-byte items, so the bits equal the scalar path's on hosts of
-either byte order.
+under one key. The leftover coins of a whole class build (coin_rows) go
+through one pass for the keys of all rows, then through lane blocks
+that each hold the partners of whole consecutive rows, each lane
+carrying its own row's key. The caller of a draw owns its lane masks,
+so nothing is cached between draws. Lanes are packed and unpacked with
+explicit little-endian struct formats; the native-order memoryview
+casts in between only move whole 8-byte items, so the bits equal the
+scalar path's on hosts of either byte order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from collections.abc import Iterator
-from functools import lru_cache
 from itertools import accumulate, compress
 
 MASK64 = (1 << 64) - 1
@@ -49,36 +48,30 @@ def _lanes64(n: int) -> struct.Struct:
     return struct.Struct(f"<{n}Q")
 
 
-def _slots(words: bytes) -> int:
-    """The little-endian 8-byte words of `words`, one in each 128-bit slot of an int."""
-    slots = bytearray(2 * len(words))
-    memoryview(slots).cast("Q")[::2] = memoryview(words).cast("Q")
-    return int.from_bytes(slots, "little")
-
-
-@lru_cache(maxsize=1)
 def _lane_masks(n: int) -> tuple[int, int]:
-    """(ones, lane): the value 1 and the value MASK64 in each of n 128-bit slots.
-
-    A blowup's tables and its row keys share the width N, so one cached
-    entry serves them all; each coin block holds whole rows, so its
-    width varies and builds its own. Nothing is held before the first draw.
-    """
+    """(ones, lane): the value 1 and the value MASK64 in each of n 128-bit slots."""
     ones = int.from_bytes(_SLOT * n, "little")
     return ones, ones * MASK64
 
 
-def _mix_lanes(key: int | bytes, ys, rounds: int, low: int) -> bytes:
+def _mix_lanes(key: int | bytes, ys, rounds: int, low: int, masks: tuple[int, int]) -> bytes:
     """`rounds` splitmix64 finalizer rounds on k ^ y, then & low, in 16 little-endian bytes per y.
 
     key is either one int k for every lane or 8 little-endian bytes per
     lane, lane j's k at offset 8j; every k, y and low is below 2^64.
-    Slot j of the result is ys[j]'s.
+    Slot j of the result is ys[j]'s. masks is _lane_masks(w) for any
+    w >= len(ys): an AND keeps the narrower operand's width, so a wider
+    mask is exact. The keys are XORed into the packed 8-byte words as one
+    int, which is then spread into the slots once.
     """
     n = len(ys)
-    ones, lane = _lane_masks(n)
-    z = _slots(_lanes64(n).pack(*ys))
-    z ^= key * ones if isinstance(key, int) else _slots(key)
+    ones, lane = masks
+    if isinstance(key, int):
+        key = key.to_bytes(8, "little") * n
+    words = int.from_bytes(_lanes64(n).pack(*ys), "little") ^ int.from_bytes(key, "little")
+    slots = bytearray(16 * n)
+    memoryview(slots).cast("Q")[::2] = memoryview(words.to_bytes(8 * n, "little")).cast("Q")
+    z = int.from_bytes(slots, "little")
     for _ in range(rounds):
         z = (z ^ (z >> 30)) & lane
         z = z * _M1 & lane
@@ -143,51 +136,53 @@ def uniform_row(bound: int, seed: int, tag: str, i: int, n: int) -> list[int]:
         raise ValueError(f"bound must be a power of two, got {bound}")
     if n < 0:
         raise ValueError(f"row length must be non-negative, got {n}")
-    lanes = _mix_lanes(stream64(seed, tag, i), range(n), 2, (bound - 1) & MASK64)
+    lanes = _mix_lanes(stream64(seed, tag, i), range(n), 2, (bound - 1) & MASK64, _lane_masks(n))
     return list(_lanes64(n).unpack(memoryview(lanes).cast("Q")[::2].tobytes()))
 
 
-def _partners(row: tuple[int, int]) -> list[int]:
-    """The partners x + 1 + j of row (x, above) over the set bits j of above, ascending.
+def coin_rows(seed: int, tag: str, free: list[int]) -> list[int]:
+    """The rows of the pairs x < y of `free` with uniform_below(2, seed, tag, x, y) = 1.
 
-    Splitting above's bits, lowest first, on "1" gives the gaps between
-    partners, so the gather is linear in the row's width and peels no bits.
+    free holds the symmetric rows of a relation on range(len(free)), with
+    no diagonal; so does the result. Same bits as one uniform_below call
+    per pair: a bound of 2 never rejects, so each coin is the low bit of
+    stream64(seed, tag, x, y, 0), the low byte of its lane. Each row's key
+    stream64(seed, tag, x) is drawn in one pass for all rows. Splitting
+    row x's bits above x, lowest first, on "1" gives the gaps between its
+    partners y > x, so the gather peels no bits; whole rows are gathered
+    until a block holds at least _BLOCK lanes, and the block is drawn in
+    one call, so the lanes held stay bounded by one block plus one row.
+    The lane masks are sized to the widest draw so far, and each head is
+    ORed into both of its rows from one table of powers of two.
     """
-    x, above = row
-    steps = [len(gap) + 1 for gap in format(above, "b")[::-1].split("1")]
-    steps.pop()  # the zeros past the top partner, or the lone "0" of an empty row
-    if steps:
-        steps[0] += x
-    return list(accumulate(steps))
-
-
-def coin_heads(seed: int, tag: str, rows: list[tuple[int, int]]) -> Iterator[list[int]]:
-    """For each (x, above) of rows, the partners y with uniform_below(2, seed, tag, x, y) = 1.
-
-    The partners of x are y = x + 1 + j over the set bits j of `above`
-    (the pairs above the diagonal of a symmetric relation, row x shifted
-    right by x + 1), and its heads come in ascending order. Same bits as
-    one uniform_below call per pair: a bound of 2 never rejects, so each
-    coin is the low bit of stream64(seed, tag, x, y, 0), the low byte of
-    its lane. Each row's key stream64(seed, tag, x) is drawn in one pass
-    for all rows; then whole rows are gathered until a block holds at
-    least _BLOCK lanes, and the block is drawn in one call, so memory
-    stays bounded by one block plus one row.
-    """
-    keyed = _mix_lanes(_mix(seed ^ _tag_constant(tag)), [x for x, _ in rows], 1, MASK64)
+    n = len(free)
+    width, masks = n, _lane_masks(n)
+    keyed = _mix_lanes(_mix(seed ^ _tag_constant(tag)), range(n), 1, MASK64, masks)
     keys = memoryview(keyed).cast("Q")[::2].tobytes()
-    block: list[list[int]] = []
+    power = [1 << y for y in range(n)]
+    heads = [0] * n
+    block: list[tuple[int, int]] = []  # (x, partner count) of the rows gathered
     ys: list[int] = []
     lane_keys = bytearray()
-    for i, row in enumerate(rows):
-        partners = _partners(row)
-        block.append(partners)
-        ys += partners
-        lane_keys += keys[8 * i : 8 * i + 8] * len(partners)
-        if len(ys) >= _BLOCK or i == len(rows) - 1:
-            coins = _mix_lanes(lane_keys, ys, 2, 1)[::16]
-            start = 0
-            for partners in block:
-                yield list(compress(partners, coins[start : start + len(partners)]))
-                start += len(partners)
+    for x, row in enumerate(free):
+        steps = [len(gap) + 1 for gap in format(row >> x + 1, "b")[::-1].split("1")]
+        steps.pop()  # the zeros past the top partner, or the lone "0" of an empty row
+        if steps:
+            steps[0] += x
+            ys += accumulate(steps)
+            block.append((x, len(steps)))
+            lane_keys += keys[8 * x : 8 * x + 8] * len(steps)
+        if len(ys) >= _BLOCK or ys and x == n - 1:
+            if len(ys) > width:
+                width, masks = len(ys), _lane_masks(len(ys))
+            coins = _mix_lanes(lane_keys, ys, 2, 1, masks)[::16]
+            end = 0
+            for a, count in block:
+                start, end = end, end + count
+                bit, ahead = power[a], 0
+                for y in compress(ys[start:end], coins[start:end]):
+                    ahead |= power[y]
+                    heads[y] |= bit
+                heads[a] |= ahead
             block, ys, lane_keys = [], [], bytearray()
+    return heads

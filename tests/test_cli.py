@@ -153,6 +153,15 @@ def test_generate_rejects_t_outside_construction(capsys, tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_generate_refuses_n_below_t(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "generate", "--t", "4", "--m", "1", "--N", "3", "--spec-out", str(tmp_path / "s")
+    )
+    assert code == 2
+    assert "N=3 is below the clique target t=4" in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_generate_edge_dump(capsys, tmp_path):
     dump = tmp_path / "edges.csv"
     code, _, _ = run(

@@ -472,7 +472,7 @@ def test_find_mono_clique_on_constant_coloring():
 
 def test_find_mono_clique_target_too_large():
     coloring = generate_erdos_coloring(3, 2, 0)
-    with pytest.raises(ValueError, match="target exceeds vertex count"):
+    with pytest.raises(ValueError, match="N=3 is below the clique target t=4"):
         find_mono_clique(coloring, 4)
 
 
@@ -640,6 +640,19 @@ def test_verify_guard_comes_before_drawing_the_coloring(monkeypatch):
         verify_coloring(big)
 
 
+def test_verify_refuses_n_below_t_before_drawing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("regenerate called for a spec with N < t")
+
+    monkeypatch.setattr(coloring_module, "regenerate", refuse)
+    for spec in (
+        ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=3, seed=1),
+        ColoringSpec(kind="erdos", t=5, m=0, ell=2, N=4, seed=1),
+    ):
+        with pytest.raises(ValueError, match=f"N={spec.N} is below the clique target t={spec.t}"):
+            verify_coloring(spec)
+
+
 def test_verify_guard_checks_a_products_factors_before_drawing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("regenerate called for a spec past the guard")
@@ -652,17 +665,29 @@ def test_verify_guard_checks_a_products_factors_before_drawing(monkeypatch):
         verify_coloring(spec)
 
 
-def test_product_past_the_guard_verifies_on_its_factors(tmp_path):
+def test_product_past_the_guard_verifies_on_its_factors(tmp_path, monkeypatch):
     # N = 651^2 is past the guard, but verification builds only the
-    # N=651 factor classes; the certificate proves r(6;12) >= 423,802
+    # N=651 factor classes, once for both equal factors; the certificate
+    # proves r(6;12) >= 423,802
+    built = []
+    real_classes = coloring_module.color_class_graphs
+
+    def classes(coloring, colors):
+        built.append((coloring.spec, colors))
+        return real_classes(coloring, colors)
+
+    monkeypatch.setattr(coloring_module, "color_class_graphs", classes)
     factor = ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=1007)
     spec = ColoringSpec(
         kind="product", t=6, m=0, ell=12, N=651 * 651, seed=0, factors=(factor, factor)
     )
     cert = verify_coloring(spec)
+    assert built == [(factor, [5, 6])]
+    assert cert.search_stats["nodes"] == verify_coloring(factor).search_stats["nodes"]
     assert cert.verified and cert.certified_bound() == 423_802
     save_certificate(cert, tmp_path / "cert.json")
     assert recheck_certificate(load_certificate(tmp_path / "cert.json")) == (True, [])
+    # the core recorded while the square searched both factors
     core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
     assert hashlib.sha256(core).hexdigest() == (
         "8f0c16098f4f381ae137ab505ce1159d1a760f66c0b1021a7b43b35a1071b5d0"

@@ -82,6 +82,10 @@ def test_uniform_row_rejects_other_bounds():
         rng.uniform_row(8, 0, "blowup", 1, -1)
 
 
+def slot_words(lanes, n):
+    return [int.from_bytes(lanes[16 * j : 16 * j + 16], "little") for j in range(n)]
+
+
 @given(key=WORDS, pairs=st.lists(st.tuples(WORDS, WORDS), max_size=12))
 def test_packed_lanes_equal_scalar_rounds(key, pairs):
     # whole 128-bit slots: nothing above the low 64 bits may survive a round
@@ -90,20 +94,66 @@ def test_packed_lanes_equal_scalar_rounds(key, pairs):
     lane_keys = [k for k, _ in pairs]
     packed = struct.pack(f"<{len(ys)}Q", *lane_keys)
     for keyed, keys in ((key, [key] * len(ys)), (packed, lane_keys)):
-        lanes = rng._mix_lanes(keyed, ys, 2, rng.MASK64)
-        slots = [int.from_bytes(lanes[16 * j : 16 * j + 16], "little") for j in range(len(ys))]
-        assert slots == [rng._mix(rng._mix(k ^ y)) for k, y in zip(keys, ys)]
+        lanes = rng._mix_lanes(keyed, ys, 2, rng.MASK64, rng._lane_masks(len(ys)))
+        assert slot_words(lanes, len(ys)) == [rng._mix(rng._mix(k ^ y)) for k, y in zip(keys, ys)]
 
 
-def scalar_heads(seed, x, above):
-    partners = [x + 1 + j for j in range(above.bit_length()) if above >> j & 1]
-    return [y for y in partners if rng.uniform_below(2, seed, "pair", x, y)]
+@given(
+    pairs=st.lists(st.tuples(WORDS, WORDS), max_size=12),
+    wider=st.integers(1, 40),
+    low=st.sampled_from([1, 7, rng.MASK64]) | WORDS,
+)
+def test_draw_narrower_than_its_masks_equals_scalar_rounds(pairs, wider, low):
+    # the caller's masks may be sized to a wider draw: the AND keeps the narrower width
+    ys = [y for _, y in pairs]
+    keys = [k for k, _ in pairs]
+    packed = struct.pack(f"<{len(ys)}Q", *keys)
+    lanes = rng._mix_lanes(packed, ys, 2, low, rng._lane_masks(len(ys) + wider))
+    assert len(lanes) == 16 * len(ys)
+    scalar = [rng._mix(rng._mix(k ^ y)) & low for k, y in zip(keys, ys)]
+    assert slot_words(lanes, len(ys)) == scalar
+
+
+# rows near 0 and near the 2^32 vertex capacity
+ROWS = st.integers(0, 7) | st.integers((1 << 32) - 8, (1 << 32) - 1) | st.integers(0, 1 << 32)
+
+
+@given(seed=SEEDS, xs=st.lists(ROWS, max_size=12))
+def test_row_keys_equal_stream64(seed, xs):
+    # coin_rows' key pass: one int key, a lane per row x
+    key = rng._mix(seed ^ rng._tag_constant("pair"))
+    lanes = rng._mix_lanes(key, xs, 1, rng.MASK64, rng._lane_masks(len(xs)))
+    assert slot_words(lanes, len(xs)) == [rng.stream64(seed, "pair", x) for x in xs]
+
+
+def symmetric(n, pairs):
+    """Rows on range(n) of the pairs (x, y)."""
+    rows = [0] * n
+    for x, y in pairs:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return rows
+
+
+def scalar_rows(seed, free):
+    """The rows coin_rows should return, one scalar uniform_below per pair x < y."""
+    heads = [0] * len(free)
+    for x, row in enumerate(free):
+        for y in range(x + 1, row.bit_length()):
+            if row >> y & 1 and rng.uniform_below(2, seed, "pair", x, y):
+                heads[x] |= 1 << y
+                heads[y] |= 1 << x
+    return heads
+
+
+def upper(x, above):
+    """The partners x + 1 + j of x over the set bits j of above."""
+    return [x + 1 + j for j in range(above.bit_length()) if above >> j & 1]
 
 
 @given(
     seed=SEEDS,
-    # x and the lane edges: near 0 and near the 2^32 vertex capacity
-    x=st.integers(0, 7) | st.integers((1 << 32) - 8, (1 << 32) - 1) | st.integers(0, (1 << 32) - 1),
+    x=st.integers(0, 7),
     # an empty mask, a single bit, random masks, and a full 4096-bit row
     above=st.just(0)
     | st.integers(0, 4095).map(lambda j: 1 << j)
@@ -111,38 +161,38 @@ def scalar_heads(seed, x, above):
     | st.just((1 << 4096) - 1),
 )
 def test_pair_coins_equal_uniform_below(seed, x, above):
-    assert list(rng.coin_heads(seed, "pair", [(x, above)])) == [scalar_heads(seed, x, above)]
+    free = symmetric(x + 1 + above.bit_length(), [(x, y) for y in upper(x, above)])
+    assert rng.coin_rows(seed, "pair", free) == scalar_rows(seed, free)
 
 
 def test_coin_blocks_span_rows_and_block_edges():
     # rows of 700 partners: row 2 takes the first block from 1400 lanes past _BLOCK to 2100
     rand = random.Random(7)
-    rows = [(x, sum(1 << j for j in rand.sample(range(1400), 700))) for x in range(11)]
-    rows[5] = (5, 0)
-    lanes = sum(above.bit_count() for _, above in rows)
-    assert lanes >= 3 * rng._BLOCK and 1400 < rng._BLOCK < 2100
+    pairs = [(x, x + 1 + j) for x in range(11) if x != 5 for j in rand.sample(range(1400), 700)]
+    assert len(pairs) >= 3 * rng._BLOCK and 1400 < rng._BLOCK < 2100
+    free = symmetric(11 + 1400, pairs)
     seed = rand.getrandbits(64)
-    heads = list(rng.coin_heads(seed, "pair", rows))
-    assert heads == [scalar_heads(seed, x, above) for x, above in rows]
+    assert rng.coin_rows(seed, "pair", free) == scalar_rows(seed, free)
 
 
 def test_coin_blocks_hold_whole_rows(monkeypatch):
     # the first block closes exactly at _BLOCK; the next row alone is wider than _BLOCK
     rand = random.Random(11)
     widths = [1000, rng._BLOCK - 1000, rng._BLOCK + 952, 500, 0, 700]
-    rows = [(x, sum(1 << j for j in rand.sample(range(4000), w))) for x, w in enumerate(widths)]
+    pairs = [(x, x + 1 + j) for x, w in enumerate(widths) for j in rand.sample(range(4000), w)]
+    free = symmetric(len(widths) + 4000, pairs)
     drawn = []
     mix_lanes = rng._mix_lanes
 
-    def recording(key, ys, rounds, low):
+    def recording(key, ys, rounds, low, masks):
+        assert masks[0].bit_length() > 128 * (len(ys) - 1)  # the masks are never narrower
         if rounds == 2:
             drawn.append(len(ys))
-        return mix_lanes(key, ys, rounds, low)
+        return mix_lanes(key, ys, rounds, low, masks)
 
     monkeypatch.setattr(rng, "_mix_lanes", recording)
     seed = rand.getrandbits(64)
-    heads = list(rng.coin_heads(seed, "pair", rows))
-    assert heads == [scalar_heads(seed, x, above) for x, above in rows]
+    assert rng.coin_rows(seed, "pair", free) == scalar_rows(seed, free)
     assert drawn == [rng._BLOCK, rng._BLOCK + 952, 1200]
     # each block is consecutive whole rows, and holds under _BLOCK lanes before its last row
     row = iter(widths)
@@ -152,3 +202,18 @@ def test_coin_blocks_hold_whole_rows(monkeypatch):
             block.append(next(row))
         assert sum(block) == width <= rng._BLOCK - 1 + max(block)
     assert next(row, None) is None
+
+
+def test_coin_masks_grow_only_for_a_wider_block(monkeypatch):
+    # 41 rows: the key pass sizes the masks to 41 lanes, the one block of 820 lanes widens them
+    masks_seen = []
+    mix_lanes = rng._mix_lanes
+
+    def recording(key, ys, rounds, low, masks):
+        masks_seen.append((len(ys), masks[0].bit_length()))
+        return mix_lanes(key, ys, rounds, low, masks)
+
+    monkeypatch.setattr(rng, "_mix_lanes", recording)
+    free = symmetric(41, [(x, y) for x in range(41) for y in range(x + 1, 41)])
+    assert rng.coin_rows(5, "pair", free) == scalar_rows(5, free)
+    assert masks_seen == [(41, 128 * 40 + 1), (820, 128 * 819 + 1)]

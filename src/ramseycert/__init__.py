@@ -32,11 +32,9 @@ from .graphs import (
     BitGraph,
     IndependentSetCensus,
     build_g0,
-    count_independent_sets,
     g0_census,
     g0_clique_number,
     has_clique_of_order,
-    max_clique,
 )
 
 __version__ = "0.1.0"

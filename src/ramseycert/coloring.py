@@ -427,7 +427,7 @@ def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
 
 
 def _first_clique_class(
-    coloring: EdgeColoring, colors: list[int], t: int
+    coloring: EdgeColoring, colors: list[int], t: int, clique_free: dict
 ) -> tuple[Optional[int], Optional[list[int]], int]:
     """The first of `colors` (ascending) whose class holds a t-clique.
 
@@ -452,60 +452,40 @@ def _first_clique_class(
       block 0, unchanged.
 
     Nested products compose the two maps; the product's nodes are the
-    factor searches' only. The answer is a function of the factor's spec,
-    its colors and t, so a second factor equal to a first that held no
-    t-clique in the same colors is not built or searched again.
+    factor searches' only. The answer is a function of the coloring's
+    spec, its colors and t, so `clique_free` (one verification, one t)
+    keys every (spec, colors) found free of t-cliques, and a coloring
+    already keyed there, factor or sub-product at any depth, answers no
+    without being built or searched; its value counts those reuses.
     """
     if coloring.N < t or not colors:
         return None, None, 0
+    key = (coloring.spec, tuple(colors))
+    if key in clique_free:
+        clique_free[key] += 1
+        return None, None, 0
+    nodes = 0
     if coloring.spec.kind == KIND_PRODUCT:
         c1, c2 = coloring._factors
         ell1 = c1.ell
         colors1 = [c for c in colors if c <= ell1]
         colors2 = [c - ell1 for c in colors if c > ell1]
-        c, clique, nodes = _first_clique_class(c1, colors1, t)
+        c, clique, nodes = _first_clique_class(c1, colors1, t, clique_free)
         if c is not None:
             return c, [a * c2.N for a in clique], nodes
-        if c2.spec == c1.spec and colors2 == colors1:  # a square: that factor answered no
-            return None, None, nodes
-        c, clique, more = _first_clique_class(c2, colors2, t)
-        return None if c is None else ell1 + c, clique, nodes + more
-    graphs = color_class_graphs(coloring, colors)
-    nodes = 0
-    for c in colors:
-        result = has_clique_of_order(graphs[c], t)
-        nodes += result.nodes
-        if result.found:
-            return c, result.witness, nodes
+        c, clique, more = _first_clique_class(c2, colors2, t, clique_free)
+        if c is not None:
+            return ell1 + c, clique, nodes + more
+        nodes += more
+    else:
+        graphs = color_class_graphs(coloring, colors)
+        for c in colors:
+            result = has_clique_of_order(graphs[c], t)
+            nodes += result.nodes
+            if result.found:
+                return c, result.witness, nodes
+    clique_free[key] = 0
     return None, None, nodes
-
-
-def _search_mono(
-    coloring: EdgeColoring, t: int
-) -> tuple[Optional[MonoWitness], int, list[int], list[int]]:
-    """Search every color class Lemma 1 does not discharge for a t-clique.
-
-    verify_coloring searches at spec.t; this is the one entry point for
-    any other target. Returns (witness, search nodes, colors searched,
-    colors decided on factors). Scans colors ascending and the per-class
-    search is deterministic, so the witness is too; it is the one an
-    all-class search finds, since discharged classes hold no t-clique. A
-    product decides its classes on its factors and maps the witness from
-    the factor's clique (_first_clique_class), so it builds no product
-    class. A class past the materialization guard raises ValueError when
-    built.
-    """
-    if t < 1:
-        raise ValueError(f"clique target must be positive, got {t}")
-    if coloring.N < t:
-        raise ValueError(f"N={coloring.N} is below the clique target t={t}")
-    discharged = _lemma1_colors(coloring.spec, t)
-    colors = [c for c in range(1, coloring.ell + 1) if c not in discharged]
-    c, clique, nodes = _first_clique_class(coloring, colors, t)
-    searched = colors if c is None else colors[: colors.index(c) + 1]
-    on_factors = searched if coloring.spec.kind == KIND_PRODUCT else []
-    witness = None if c is None else MonoWitness(c, tuple(sorted(clique)))
-    return witness, nodes, searched, on_factors
 
 
 # expectation fields that Certificate.to_json_dict renders from other
@@ -669,8 +649,9 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     exactly when the exhaustive search found nothing. A spec that would
     build a class past EXHAUSTIVE_LIMIT raises ValueError before the
     coloring is drawn (_check_exhaustive; a product is checked on its
-    factors). search_stats lists the colors searched, those discharged by
-    Lemma 1 and those decided on a product's factors.
+    factors). search_stats lists the colors searched and those discharged
+    by Lemma 1, and counts the factor decisions a product reused
+    (_first_clique_class).
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     if spec.t < 2:
@@ -680,8 +661,14 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     _check_exhaustive(spec)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
-    witness, nodes, searched, on_factors = _search_mono(coloring, spec.t)
+    discharged = _lemma1_colors(spec, spec.t)
+    colors = [c for c in range(1, spec.ell + 1) if c not in discharged]
+    clique_free: dict = {}
+    c, clique, nodes = _first_clique_class(coloring, colors, spec.t, clique_free)
     elapsed = time.perf_counter() - start
+    # colors ascend and each class search is deterministic, so the witness is
+    # the one an all-class search finds: discharged classes hold no t-clique
+    witness = None if c is None else MonoWitness(c, tuple(sorted(clique)))
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
     # the expectation formula covers the blowup family (m maps plus two
@@ -704,9 +691,9 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
             "nodes": nodes,
             "wall_time_sec": round(elapsed, 6),
             "tries": 1,
-            "searched_colors": searched,
-            "lemma1_colors": sorted(_lemma1_colors(spec, spec.t)),
-            "factor_colors": on_factors,
+            "searched_colors": colors if c is None else colors[: colors.index(c) + 1],
+            "lemma1_colors": sorted(discharged),
+            "reused_factors": sum(clique_free.values()),
         },
     )
 

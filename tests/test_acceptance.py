@@ -26,6 +26,7 @@ from ramseycert.coloring import (
     produce_certificate,
     product_coloring,
 )
+from ramseycert.graphs import max_clique
 
 from graph_support import adjacent, find_mono_clique
 
@@ -46,7 +47,7 @@ def criterion(num, name, budget_sec):
 def test_criterion_1_clique_ceiling_at_desk_scale():
     with criterion(1, "clique ceiling t in {2,4,6,8,10}", 60):
         for t in (2, 4, 6, 8, 10):
-            size, witness = rc.max_clique(rc.build_g0(t))
+            size, witness = max_clique(rc.build_g0(t))
             assert size <= t - 1, f"t={t}: clique of size {size}"
             assert len(witness) == size
             # the search is the oracle of Lemma 1's rank proof
@@ -60,7 +61,7 @@ def test_criterion_1_clique_ceiling_at_desk_scale():
             if all(adjacent(g4, a, b) for a, b in itertools.combinations(verts, 2)):
                 best = max(best, len(verts))
         assert best == 3
-        assert rc.max_clique(g4)[0] == 3
+        assert max_clique(g4)[0] == 3
 
 
 def test_criterion_2_even_cliques_have_full_rank():

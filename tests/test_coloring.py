@@ -215,18 +215,29 @@ def all_class_witness(coloring, t):
 
 
 def random_product(rand: random.Random) -> EdgeColoring:
-    """A product of two small random colorings, themselves possibly products."""
+    """A product of two small random colorings, themselves possibly products; a square at times."""
     while True:
-        first, second = random_coloring(rand, 1), random_coloring(rand, 1)
+        first = random_coloring(rand, 1)
+        second = first if rand.random() < 0.2 else random_coloring(rand, 1)
         if 2 <= first.N * second.N <= 150:
             return product_coloring(first, second)
+
+
+def sub_specs(spec):
+    """Every factor spec below a product spec, at any depth, repeats included."""
+    if spec.factors is None:
+        return []
+    return [s for f in spec.factors for s in (f, *sub_specs(f))]
 
 
 def test_product_search_on_factors_finds_the_all_class_witness():
     # deciding product classes on their factors must not change the
     # witness or the core: compare with a search of every product class
     rand = random.Random(6)
-    seen = {"witness": 0, "none": 0, "nested": 0, "erdos": 0, "small_factor": 0, "below_t": 0}
+    seen = {
+        "witness": 0, "none": 0, "nested": 0, "erdos": 0, "small_factor": 0, "below_t": 0,
+        "reused": 0,
+    }
     for _ in range(300):
         coloring = random_product(rand)
         target = rand.randint(2, min(coloring.N, 6))
@@ -246,8 +257,11 @@ def test_product_search_on_factors_finds_the_all_class_witness():
             search_stats=cert.search_stats,
         )
         assert certificate_core(cert.to_json_dict()) == certificate_core(expected.to_json_dict())
-        assert cert.search_stats["factor_colors"] == cert.search_stats["searched_colors"]
+        below = sub_specs(spec)
+        if len(set(below)) == len(below):  # only an equal spec is answered from the reuse dict
+            assert cert.search_stats["reused_factors"] == 0
         seen["witness" if reference else "none"] += 1
+        seen["reused"] += cert.search_stats["reused_factors"] > 0
         seen["nested"] += any(f.kind == "product" for f in factors)
         seen["erdos"] += any(f.kind == "erdos" for f in factors)
         seen["small_factor"] += any(f.N < target for f in factors)
@@ -257,7 +271,50 @@ def test_product_search_on_factors_finds_the_all_class_witness():
 
 def test_first_clique_class_on_too_few_vertices_answers_no():
     small = generate_blowup_coloring(4, 1, 3, 0)
-    assert coloring_module._first_clique_class(small, [1, 2, 3], 4) == (None, None, 0)
+    assert coloring_module._first_clique_class(small, [1, 2, 3], 4, {}) == (None, None, 0)
+
+
+def count_class_builds(monkeypatch):
+    """The (spec, colors) of every color_class_graphs call from here on."""
+    built = []
+    real_classes = coloring_module.color_class_graphs
+
+    def classes(coloring, colors):
+        built.append((coloring.spec, colors))
+        return real_classes(coloring, colors)
+
+    monkeypatch.setattr(coloring_module, "color_class_graphs", classes)
+    return built
+
+
+def test_clique_free_answers_are_keyed_by_spec_and_colors(monkeypatch):
+    built = count_class_builds(monkeypatch)
+    clique_free = {}
+    coloring, other = regenerate(BLOWUP_SPEC_N9), regenerate(BLOWUP_SPEC_N9, seed=2)
+    for decided, colors in ((coloring, [2]), (coloring, [2]), (coloring, [2, 3]), (other, [2])):
+        c, _, _ = coloring_module._first_clique_class(decided, colors, 4, clique_free)
+        assert c is None
+    # the repeat is answered from the dict; other colors, or another seed, are built
+    assert built == [(BLOWUP_SPEC_N9, [2]), (BLOWUP_SPEC_N9, [2, 3]), (other.spec, [2])]
+    assert clique_free == {
+        (BLOWUP_SPEC_N9, (2,)): 1, (BLOWUP_SPEC_N9, (2, 3)): 0, (other.spec, (2,)): 0
+    }
+
+
+def test_repeated_sub_product_is_answered_whole(monkeypatch):
+    # (F x F) x (F x F): F is decided once, the inner square's second F and
+    # the whole second square come from the reuse dict
+    built = count_class_builds(monkeypatch)
+    factor = BLOWUP_SPEC_N9
+    square = ColoringSpec(kind="product", t=4, m=0, ell=6, N=81, seed=0, factors=(factor, factor))
+    spec = ColoringSpec(
+        kind="product", t=4, m=0, ell=12, N=81 * 81, seed=0, factors=(square, square)
+    )
+    cert = verify_coloring(spec)
+    assert built == [(factor, [2, 3])]
+    assert cert.verified and cert.search_stats["reused_factors"] == 2
+    assert cert.search_stats["nodes"] == verify_coloring(factor).search_stats["nodes"]
+    assert cert.search_stats["searched_colors"] == [2, 3, 5, 6, 8, 9, 11, 12]
 
 
 def test_verified_product_builds_only_factor_classes(monkeypatch):
@@ -298,11 +355,10 @@ def test_target_below_spec_t_searches_blowup_classes():
     # graph has triangles, so a triangle target finds one in class 1
     spec = ColoringSpec(kind="blowup", t=6, m=2, ell=4, N=40, seed=3)
     coloring = regenerate(spec)
-    witness, _, searched, _ = coloring_module._search_mono(coloring, 3)
-    assert witness is not None and witness.color == 1
-    assert witness.holds_in(coloring)
     assert coloring_module._lemma1_colors(spec, 3) == set()
-    assert searched == [1]
+    c, clique, _ = coloring_module._first_clique_class(coloring, [1, 2, 3, 4], 3, {})
+    assert c == 1
+    assert MonoWitness(c, tuple(sorted(clique))).holds_in(coloring)
 
 
 def test_search_stats_name_searched_and_discharged_colors(census_4):
@@ -310,16 +366,24 @@ def test_search_stats_name_searched_and_discharged_colors(census_4):
     assert cert.verified
     assert cert.search_stats["searched_colors"] == [2, 3]
     assert cert.search_stats["lemma1_colors"] == [1]
-    assert cert.search_stats["factor_colors"] == []
+    assert cert.search_stats["reused_factors"] == 0
     ok, _ = recheck_certificate(cert)
     assert ok
 
+    # a factor on fewer than t vertices answers no before the reuse dict is asked
     factor = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=3, seed=5)
     prod = ColoringSpec(kind="product", t=4, m=0, ell=6, N=9, seed=0, factors=(factor, factor))
     cert = verify_coloring(prod)
     assert cert.search_stats["lemma1_colors"] == [1, 4]
     assert cert.search_stats["searched_colors"] == [2, 3, 5, 6]
-    assert cert.search_stats["factor_colors"] == [2, 3, 5, 6]
+    assert cert.search_stats["reused_factors"] == 0
+
+    factors = (BLOWUP_SPEC_N9, BLOWUP_SPEC_N9)
+    square = ColoringSpec(kind="product", t=4, m=0, ell=6, N=81, seed=0, factors=factors)
+    cert = verify_coloring(square)
+    assert cert.verified and cert.search_stats["searched_colors"] == [2, 3, 5, 6]
+    assert cert.search_stats["reused_factors"] == 1
+    assert cert.search_stats["nodes"] == verify_coloring(BLOWUP_SPEC_N9).search_stats["nodes"]
 
 
 def test_t8_m2_certificate_core_is_pinned():
@@ -468,18 +532,6 @@ def test_find_mono_clique_on_constant_coloring():
     assert all(c == 1 for c in all_pair_colors(coloring).values())
     witness = find_mono_clique(coloring, 4)
     assert witness == MonoWitness(color=1, vertices=(0, 1, 2, 3))
-
-
-def test_find_mono_clique_target_too_large():
-    coloring = generate_erdos_coloring(3, 2, 0)
-    with pytest.raises(ValueError, match="N=3 is below the clique target t=4"):
-        find_mono_clique(coloring, 4)
-
-
-def test_find_mono_clique_target_must_be_positive():
-    coloring = generate_erdos_coloring(3, 2, 0)
-    with pytest.raises(ValueError, match="clique target must be positive, got 0"):
-        find_mono_clique(coloring, 0)
 
 
 def test_verified_certificate(census_4, tmp_path):
@@ -669,14 +721,7 @@ def test_product_past_the_guard_verifies_on_its_factors(tmp_path, monkeypatch):
     # N = 651^2 is past the guard, but verification builds only the
     # N=651 factor classes, once for both equal factors; the certificate
     # proves r(6;12) >= 423,802
-    built = []
-    real_classes = coloring_module.color_class_graphs
-
-    def classes(coloring, colors):
-        built.append((coloring.spec, colors))
-        return real_classes(coloring, colors)
-
-    monkeypatch.setattr(coloring_module, "color_class_graphs", classes)
+    built = count_class_builds(monkeypatch)
     factor = ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=1007)
     spec = ColoringSpec(
         kind="product", t=6, m=0, ell=12, N=651 * 651, seed=0, factors=(factor, factor)
@@ -684,6 +729,7 @@ def test_product_past_the_guard_verifies_on_its_factors(tmp_path, monkeypatch):
     cert = verify_coloring(spec)
     assert built == [(factor, [5, 6])]
     assert cert.search_stats["nodes"] == verify_coloring(factor).search_stats["nodes"]
+    assert cert.search_stats["reused_factors"] == 1
     assert cert.verified and cert.certified_bound() == 423_802
     save_certificate(cert, tmp_path / "cert.json")
     assert recheck_certificate(load_certificate(tmp_path / "cert.json")) == (True, [])
@@ -718,14 +764,46 @@ def test_witnessed_square_maps_the_factor_clique():
     assert cert.witness.holds_in(regenerate(spec))
 
 
-def test_product_cube_past_the_guard_verifies_on_its_factors(tmp_path):
-    # N = 651^3 with 18 colors: the certificate proves r(6;18) >= 275,894,452
+def test_product_cube_past_the_guard_verifies_on_its_factors(tmp_path, monkeypatch):
+    # N = 651^3 with 18 colors: the certificate proves r(6;18) >= 275,894,452;
+    # the factor is decided once, and the square's second factor and the
+    # cube's third are answered from that decision
+    built = count_class_builds(monkeypatch)
     spec = t6_m4_product(1007, 3)
     assert (spec.N, spec.ell) == (275_894_451, 18)
     cert = verify_coloring(spec)
+    factor = t6_m4_product(1007, 1)
+    assert built == [(factor, [5, 6])]
+    assert cert.search_stats["nodes"] == verify_coloring(factor).search_stats["nodes"] == 546
+    assert cert.search_stats["reused_factors"] == 2
     assert cert.verified and cert.certified_bound() == 275_894_452
     save_certificate(cert, tmp_path / "cert.json")
     assert recheck_certificate(load_certificate(tmp_path / "cert.json")) == (True, [])
+    # the core recorded while the cube decided its factor twice
+    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
+    assert hashlib.sha256(core).hexdigest() == (
+        "5b4394d1f040421d1339bcfb958d08925f87edcf6bcdaff3babf5d0a23ff2475"
+    )
+
+
+def test_right_nested_cube_decides_its_factor_once(monkeypatch):
+    # F x (F x F): the square inside the second factor is answered from the
+    # first factor's decision, both its factors from the reuse dict
+    built = count_class_builds(monkeypatch)
+    factor = t6_m4_product(1007, 1)
+    square = t6_m4_product(1007, 2)
+    spec = ColoringSpec(
+        kind="product", t=6, m=0, ell=18, N=651**3, seed=0, factors=(factor, square)
+    )
+    cert = verify_coloring(spec)
+    assert built == [(factor, [5, 6])]
+    assert cert.verified and cert.search_stats["nodes"] == 546
+    assert cert.search_stats["reused_factors"] == 2
+    # the core recorded while the cube decided its factor twice
+    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
+    assert hashlib.sha256(core).hexdigest() == (
+        "b8989bae9e3f7f62b200d87fc8869e62455d34e32d966ec5ff143d14583d97ea"
+    )
 
 
 def test_product_fourth_power_is_refused_naming_n():

@@ -20,7 +20,6 @@ from .coloring import (
     MonoWitness,
     generate_blowup_coloring,
     generate_erdos_coloring,
-    load_certificate,
     produce_certificate,
     product_coloring,
     recheck_certificate,

@@ -110,8 +110,9 @@ class ExpectationReport(Record):
             "N": self.N,
             "p_ind_exact": None if self.p_ind is None else str(self.p_ind),
             "per_set_mono_exact": str(self.per_set_mono),
-            "expected_count": exact_decimal(self.expected_count),
             "expected_count_exact": str(self.expected_count),
+            # rendered, so after its source: a recheck names the source first
+            "expected_count": exact_decimal(self.expected_count),
             "census_fingerprint": self.census_fingerprint,
         }
 

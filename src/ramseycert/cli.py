@@ -6,6 +6,8 @@ closed forms on the orthogonality graph (graphs.g0_census and
 graphs.g0_clique_number); the exhaustive census and clique search are
 test oracles only. `verify-g0`, the one reader of graph files, checks
 that a file is the bytes of the construction Lemma 1's proof covers.
+`recheck` validates a certificate file, replays its verification once
+and names the first field, in certificate order, that does not reproduce.
 Exit codes: 0 success/verified, 1 unverified outcome, failed recheck or
 differing graph file, 2 parameter errors and malformed input files.
 Diagnostics go to stderr; artifacts go to files and stdout. Every run
@@ -28,7 +30,6 @@ from .coloring import (
     KIND_BLOWUP,
     ColoringSpec,
     canonical_json_bytes,
-    load_certificate,
     produce_certificate,
     recheck_certificate,
     regenerate,
@@ -177,13 +178,13 @@ def cmd_bounds_table(args) -> int:
 
 def cmd_recheck(args) -> int:
     _echo_params("recheck", {"certificate_file": args.certificate_file})
-    cert = load_certificate(args.certificate_file)
-    ok, reasons = recheck_certificate(cert)
-    if ok:
+    reason = recheck_certificate(
+        json.loads(Path(args.certificate_file).read_text(encoding="ascii"))
+    )
+    if reason is None:
         print("recheck: OK")
         return EXIT_OK
-    for reason in reasons:
-        _diag(f"recheck failed: {reason}")
+    _diag(f"recheck failed: {reason}")
     return EXIT_UNVERIFIED
 
 

@@ -17,7 +17,8 @@ product's classes are decided on its factors, and its witness is mapped
 from the factor's clique, so no product class is ever built. The
 outcome, together with the exact expectation arithmetic, goes into a
 Certificate. A verified certificate at N vertices is a concrete proof
-that r(t; m+2) >= N+1.
+that r(t; m+2) >= N+1, and recheck_certificate trusts one only if a
+single replay of its verification reproduces it field by field.
 
 A blowup coloring is its m tables and builds no orthogonality graph:
 color_of takes the parity of the two codes' AND, class i's rows are
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import json
 import time
-from math import comb
 from typing import Optional
 
 from . import rng
@@ -488,14 +488,6 @@ def _first_clique_class(
     return None, None, nodes
 
 
-# expectation fields that Certificate.to_json_dict renders from other
-# fields, with what each is rendered from
-_RENDERED_FROM = {
-    "expected_count": "expected_count_exact",
-    "certified_bound": "verified flag and spec.N",
-}
-
-
 class Certificate(Record):
     """A verified (or failed) lower-bound witness for one coloring.
 
@@ -553,7 +545,7 @@ class Certificate(Record):
         _only_fields(d, ["format", *cls._fields], where)
         witness = _field(d, "witness", dict, where, nullable=True)
         expectation = _field(d, "expectation", dict, where, nullable=True)
-        cert = cls(
+        return cls(
             spec=_spec_from_json(_field(d, "spec", dict, where), f"{where}.spec"),
             seed=_field(d, "seed", int, where),
             t=_field(d, "t", int, where),
@@ -565,38 +557,6 @@ class Certificate(Record):
             else _expectation_from_json(expectation, f"{where}.expectation"),
             search_stats=dict(_typed(d.get("search_stats", {}), dict, f"{where}.search_stats")),
         )
-        if expectation is not None:
-            _check_rendered(cert, expectation, f"{where}.expectation")
-        return cert
-
-
-def _verified_consistent(cert: Certificate) -> bool:
-    """verified must mean an exhaustive search that found no witness."""
-    return cert.verified == (cert.witness is None and cert.exhaustive)
-
-
-def _check_rendered(cert: Certificate, stored: dict, where: str) -> None:
-    """ValueError naming a stored rendered field that its source does not render.
-
-    The replay in recheck_certificate compares only the sources, so a
-    rendered field is checked here. A source that contradicts the rest
-    of the document is left to recheck, which names the source instead:
-    expected_count_exact off C(N,t) * per_set_mono_exact, or verified off
-    the witness and exhaustive fields.
-    """
-    report = cert.expectation
-    source_holds = {
-        "expected_count": min(report.N, report.t) >= 0
-        and report.expected_count == comb(report.N, report.t) * report.per_set_mono,
-        "certified_bound": _verified_consistent(cert),
-    }
-    rendered = cert.to_json_dict()["expectation"]
-    for key, source in _RENDERED_FROM.items():
-        if source_holds[key] and stored[key] != rendered[key]:
-            raise ValueError(
-                f"{where}.{key} {stored[key]!r} does not match the {source}, "
-                f"which gives {rendered[key]!r}"
-            )
 
 
 def _expectation_from_json(d: dict, where: str) -> ExpectationReport:
@@ -632,11 +592,6 @@ def certificate_core(d: dict) -> dict:
 def save_certificate(cert: Certificate, path) -> None:
     with open(path, "wb") as fh:
         fh.write(canonical_json_bytes(cert.to_json_dict()))
-
-
-def load_certificate(path) -> Certificate:
-    with open(path, "rb") as fh:
-        return Certificate.from_json_dict(json.loads(fh.read().decode("ascii")))
 
 
 def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None) -> Certificate:
@@ -725,65 +680,40 @@ def produce_certificate(
     return cert, failures
 
 
-# a diff names the field a rendered one comes from instead
-_RENDERED = {f"certificate.expectation.{key}" for key in _RENDERED_FROM}
-
-
 def _first_difference(a, b, path: str) -> Optional[str]:
-    """Dotted path of the first place two JSON values differ, object keys in sorted order."""
+    """Dotted path of the first place two JSON values differ.
+
+    Object keys are walked in b's order, then any key only a has; other
+    values compare as canonical JSON, so a list of objects compares
+    whatever order their keys were written in.
+    """
     if not (isinstance(a, dict) and isinstance(b, dict)):
-        return None if json.dumps(a) == json.dumps(b) else path
-    for key in sorted(a.keys() | b.keys()):
+        return None if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True) else path
+    for key in {**b, **a}:
         sub = f"{path}.{key}"
-        found = sub not in _RENDERED and _first_difference(a.get(key), b.get(key), sub)
+        found = sub if (key in a) != (key in b) else _first_difference(a[key], b[key], sub)
         if found:
             return found
     return None
 
 
-def recheck_certificate(cert: Certificate) -> tuple[bool, list[str]]:
-    """Re-verify a certificate from scratch.
+def recheck_certificate(doc: dict) -> Optional[str]:
+    """Re-verify a certificate document from scratch: None if it reproduces, else why not.
 
-    Checks internal consistency and the witness against the spec, replays
-    verify_coloring at the certificate's seed (so at spec.t, on the
-    closed-form census), and compares all but search_stats (Certificate
-    ==); a mismatch names the first differing field, certificate.t
-    included. A seed the replay could not run at (other than 0 for a
-    product) fails here first. A spec past the materialization guard
-    raises ValueError, as the replay would, before a witness check
-    regenerates its coloring.
+    Validates the document (Certificate.from_json_dict raises ValueError
+    naming a malformed field), replays verify_coloring once at its seed,
+    and compares the document with the replayed certificate field by
+    field, all but search_stats, in certificate order: every source field
+    comes before the fields rendered from it, so the reason names the
+    first field that does not reproduce. A product replays at its spec's
+    seed 0, where its factors carry the randomness. A spec past the
+    materialization guard raises ValueError before anything is drawn.
     """
-    reasons: list[str] = []
-    if not _verified_consistent(cert):
-        reasons.append(
-            "inconsistent certificate: verified must mean exhaustive search with no witness"
-        )
-    witness, spec = cert.witness, cert.spec
-    # the witness check and the replay regenerate at cert.seed, which a product refuses unless 0
-    if spec.kind == KIND_PRODUCT and cert.seed != 0:
-        reasons.append(
-            f"certificate.seed {cert.seed} must be 0: product colorings carry their "
-            f"randomness in the factors"
-        )
-    elif witness is not None:
-        _check_exhaustive(spec)  # before regenerate draws the coloring, m·N entries for a blowup
-        bad = [v for v in witness.vertices if not 0 <= v < spec.N]
-        if len(witness.vertices) != spec.t:
-            reasons.append(f"certificate.witness.vertices must hold t={spec.t} vertices")
-        elif bad:
-            reasons.append(f"certificate.witness.vertices: {bad[0]} out of range for N={spec.N}")
-        elif witness.color > spec.ell:
-            reasons.append(f"certificate.witness.color {witness.color} exceeds ell={spec.ell}")
-        elif not witness.holds_in(regenerate(spec, seed=cert.seed)):
-            reasons.append("certificate.witness is not monochromatic in the regenerated coloring")
-    if reasons:
-        return False, reasons
-    fresh = verify_coloring(spec, seed=cert.seed)
-    if fresh != cert:
-        stored, replayed = (certificate_core(c.to_json_dict()) for c in (cert, fresh))
-        path = _first_difference(stored, replayed, "certificate")
-        reasons.append(f"{path} does not reproduce from its spec and seed")
-    return not reasons, reasons
+    cert = Certificate.from_json_dict(doc)
+    seed = None if cert.spec.kind == KIND_PRODUCT else cert.seed
+    replayed = verify_coloring(cert.spec, seed=seed).to_json_dict()
+    path = _first_difference(certificate_core(doc), certificate_core(replayed), "certificate")
+    return None if path is None else f"{path} does not reproduce from its spec and seed"
 
 
 def write_edge_dump(coloring: EdgeColoring, path) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -20,7 +21,6 @@ from ramseycert.coloring import (
     color_class_graphs,
     generate_blowup_coloring,
     generate_erdos_coloring,
-    load_certificate,
     produce_certificate,
     product_coloring,
     recheck_certificate,
@@ -367,8 +367,7 @@ def test_search_stats_name_searched_and_discharged_colors(census_4):
     assert cert.search_stats["searched_colors"] == [2, 3]
     assert cert.search_stats["lemma1_colors"] == [1]
     assert cert.search_stats["reused_factors"] == 0
-    ok, _ = recheck_certificate(cert)
-    assert ok
+    assert recheck_certificate(cert.to_json_dict()) is None
 
     # a factor on fewer than t vertices answers no before the reuse dict is asked
     factor = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=3, seed=5)
@@ -542,7 +541,7 @@ def test_verified_certificate(census_4, tmp_path):
 
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
-    loaded = load_certificate(path)
+    loaded = Certificate.from_json_dict(json.loads(path.read_text(encoding="ascii")))
     assert loaded == cert
     # bit-exact round trip
     save_certificate(loaded, tmp_path / "cert2.json")
@@ -589,8 +588,7 @@ def test_certificate_equality_and_hash_ignore_search_stats():
 
 def test_recheck_accepts_good_and_rejects_tampered(census_4):
     cert = verify_coloring(BLOWUP_SPEC_N9, census=census_4)
-    ok, reasons = recheck_certificate(cert)
-    assert ok and not reasons
+    assert recheck_certificate(cert.to_json_dict()) is None
 
     tampered = Certificate(
         spec=cert.spec,
@@ -602,8 +600,10 @@ def test_recheck_accepts_good_and_rejects_tampered(census_4):
         expectation=cert.expectation,
         search_stats=dict(cert.search_stats),
     )
-    ok, reasons = recheck_certificate(tampered)
-    assert not ok and any("inconsistent" in r for r in reasons)
+    # verified with a witness: the replay, which agrees it verifies, names the witness
+    assert recheck_certificate(tampered.to_json_dict()) == (
+        "certificate.witness does not reproduce from its spec and seed"
+    )
 
     # seed 0 does not verify, so claiming it does must fail the replay
     wrong_seed = Certificate(
@@ -616,8 +616,9 @@ def test_recheck_accepts_good_and_rejects_tampered(census_4):
         expectation=cert.expectation,
         search_stats=dict(cert.search_stats),
     )
-    ok, reasons = recheck_certificate(wrong_seed)
-    assert not ok and any("does not reproduce" in r for r in reasons)
+    assert recheck_certificate(wrong_seed.to_json_dict()) == (
+        "certificate.verified does not reproduce from its spec and seed"
+    )
 
 
 def test_recheck_guards_before_drawing_the_witness_coloring(census_4):
@@ -632,27 +633,36 @@ def test_recheck_guards_before_drawing_the_witness_coloring(census_4):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="exhaustive materialization guard"):
-            recheck_certificate(huge)
+            recheck_certificate(huge.to_json_dict())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
 
 
-def test_first_difference_names_the_first_sorted_path():
+def test_first_difference_names_the_first_path_in_document_order():
     first_difference = coloring_module._first_difference
     stored = {"b": {"y": [1, 2], "x": 1}, "a": 0}
     assert first_difference(stored, stored, "c") is None
-    assert first_difference(stored, {**stored, "a": 1}, "c") == "c.a"
-    assert first_difference(stored, {**stored, "b": {"y": [1, 3], "x": 2}}, "c") == "c.b.x"
-    assert first_difference(stored, {**stored, "b": {"y": [1, 3], "x": 1}}, "c") == "c.b.y"
+    # keys are walked in the replayed (second) dict's order, not sorted
+    assert first_difference(stored, {"b": {"y": [1, 3], "x": 2}, "a": 1}, "c") == "c.b.y"
+    assert first_difference(stored, {"a": 1, "b": {"y": [1, 3], "x": 2}}, "c") == "c.a"
+    assert first_difference(stored, {"b": {"x": 2, "y": [1, 3]}, "a": 0}, "c") == "c.b.x"
+    # a key only one side has is a difference, after the replayed dict's keys
     assert first_difference(stored, {"a": 0}, "c") == "c.b"
-    # the decimal expected_count is rendered from expected_count_exact, which is named
-    stored = {"expectation": {"expected_count": "0.5", "expected_count_exact": "1/2"}}
-    altered = {"expectation": {"expected_count": "0.25", "expected_count_exact": "1/4"}}
-    assert first_difference(stored, altered, "certificate") == (
-        "certificate.expectation.expected_count_exact"
-    )
+    assert first_difference({"a": 0}, stored, "c") == "c.b"
+    assert first_difference({**stored, "z": None, "e": None}, stored, "c") == "c.z"
+    # lists of objects compare whatever order their keys were written in
+    factors = [{"kind": "blowup", "t": 4}, {"kind": "erdos", "t": 3}]
+    written = [dict(sorted(f.items(), reverse=True)) for f in factors]
+    assert first_difference({"f": written}, {"f": factors}, "c") is None
+    assert first_difference({"f": written[::-1]}, {"f": factors}, "c") == "c.f"
+    # Certificate.to_json_dict puts expected_count_exact before the decimal it renders
+    expectation = verify_coloring(BLOWUP_SPEC_N9).to_json_dict()["expectation"]
+    keys = list(expectation)
+    assert keys.index("expected_count_exact") < keys.index("expected_count")
+    altered = {**expectation, "expected_count": "0.25", "expected_count_exact": "1/4"}
+    assert first_difference(altered, expectation, "e") == "e.expected_count_exact"
     # integers and booleans are distinct JSON values even where Python equates them
     assert first_difference({"a": 1}, {"a": True}, "c") == "c.a"
 
@@ -732,7 +742,7 @@ def test_product_past_the_guard_verifies_on_its_factors(tmp_path, monkeypatch):
     assert cert.search_stats["reused_factors"] == 1
     assert cert.verified and cert.certified_bound() == 423_802
     save_certificate(cert, tmp_path / "cert.json")
-    assert recheck_certificate(load_certificate(tmp_path / "cert.json")) == (True, [])
+    assert recheck_certificate(json.loads((tmp_path / "cert.json").read_text())) is None
     # the core recorded while the square searched both factors
     core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
     assert hashlib.sha256(core).hexdigest() == (
@@ -778,7 +788,7 @@ def test_product_cube_past_the_guard_verifies_on_its_factors(tmp_path, monkeypat
     assert cert.search_stats["reused_factors"] == 2
     assert cert.verified and cert.certified_bound() == 275_894_452
     save_certificate(cert, tmp_path / "cert.json")
-    assert recheck_certificate(load_certificate(tmp_path / "cert.json")) == (True, [])
+    assert recheck_certificate(json.loads((tmp_path / "cert.json").read_text())) is None
     # the core recorded while the cube decided its factor twice
     core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
     assert hashlib.sha256(core).hexdigest() == (
@@ -829,7 +839,7 @@ def test_t30_spec_verifies_and_rechecks_without_building_g0(monkeypatch):
     monkeypatch.setattr(coloring_module, "build_g0", refuse, raising=False)
     cert = verify_coloring(ColoringSpec(kind="blowup", t=30, m=1, ell=3, N=60, seed=1))
     assert cert.verified and cert.search_stats["lemma1_colors"] == [1]
-    assert recheck_certificate(cert) == (True, [])
+    assert recheck_certificate(cert.to_json_dict()) is None
 
 
 def test_product_seed_override_rejected():

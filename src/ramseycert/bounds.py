@@ -116,19 +116,6 @@ class ExpectationReport(Record):
             "census_fingerprint": self.census_fingerprint,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExpectationReport":
-        p_ind = d.get("p_ind_exact")
-        return cls(
-            t=int(d["t"]),
-            m=int(d["m"]),
-            N=int(d["N"]),
-            p_ind=None if p_ind is None else Fraction(p_ind),
-            per_set_mono=Fraction(d["per_set_mono_exact"]),
-            expected_count=Fraction(d["expected_count_exact"]),
-            census_fingerprint=d.get("census_fingerprint"),
-        )
-
 
 def expected_mono_count(
     t: int, m: int, N: int, census: Optional[IndependentSetCensus] = None

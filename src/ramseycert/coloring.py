@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
 from typing import Optional
 
 from . import rng
@@ -493,9 +494,9 @@ class Certificate(Record):
 
     verified holds exactly when the search was exhaustive and found no
     witness; such a certificate proves r(t; ell) >= N+1 for its spec.
-    search_stats carries timing and is excluded from certificate
-    comparisons: == and hash cover every other field, and everything
-    else is deterministic in (spec, seed).
+    search_stats carries timing and node counts; everything else is
+    deterministic in (spec, seed), so certificates are compared by
+    certificate_core(cert.to_json_dict()).
     """
 
     spec: ColoringSpec
@@ -505,14 +506,7 @@ class Certificate(Record):
     exhaustive: bool
     witness: Optional[MonoWitness]
     expectation: Optional[ExpectationReport]
-    search_stats: dict = None  # None gives each certificate a fresh dict
-
-    def __post_init__(self) -> None:
-        if self.search_stats is None:
-            object.__setattr__(self, "search_stats", {})
-
-    def _compared(self) -> tuple:
-        return self._values()[:-1]  # all but search_stats, the last field
+    search_stats: dict
 
     def certified_bound(self) -> Optional[int]:
         """The proven lower bound on r(t; ell): N+1 when verified."""
@@ -560,22 +554,19 @@ class Certificate(Record):
 
 
 def _expectation_from_json(d: dict, where: str) -> ExpectationReport:
-    required = {
-        "t": int,
-        "m": int,
-        "N": int,
-        "per_set_mono_exact": str,
-        "expected_count_exact": str,
-        "expected_count": str,
-    }
+    strings = ("per_set_mono_exact", "expected_count_exact", "expected_count")
     nullable = {"certified_bound": int, "p_ind_exact": str, "census_fingerprint": str}
-    _only_fields(d, [*required, *nullable], where)
-    for key, kind in required.items():
-        _field(d, key, kind, where)
-    for key, kind in nullable.items():
-        _field(d, key, kind, where, nullable=True)
+    _only_fields(d, ["t", "m", "N", *strings, *nullable], where)
+    t, m, N = (_field(d, key, int, where) for key in ("t", "m", "N"))
+    per_set_mono, expected_count, _ = (_field(d, key, str, where) for key in strings)
+    _, p_ind, fingerprint = (
+        _field(d, key, kind, where, nullable=True) for key, kind in nullable.items()
+    )
     try:
-        return ExpectationReport.from_json_dict(d)
+        return ExpectationReport(
+            t, m, N, None if p_ind is None else Fraction(p_ind),
+            Fraction(per_set_mono), Fraction(expected_count), fingerprint,
+        )
     except (ValueError, ZeroDivisionError) as exc:  # a fraction string that does not parse
         raise ValueError(f"{where}: {exc}") from None
 

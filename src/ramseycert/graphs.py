@@ -74,8 +74,7 @@ class Record:
     the field's default, and may validate them in __post_init__. Fields
     are given positionally or by keyword and are read-only afterwards.
     Two records are equal when they have the same type and equal fields;
-    hash and repr are taken from the fields too. A subclass may leave
-    fields out of == and hash by overriding _compared.
+    hash and repr are taken from the fields too.
     """
 
     _fields = ()
@@ -109,17 +108,13 @@ class Record:
         d = self.__dict__
         return tuple([d[name] for name in self._fields])
 
-    def _compared(self) -> tuple:
-        """The field values that == and hash compare: all of them."""
-        return self._values()
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._compared() == other._compared()
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._compared())
+        return hash(self._values())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
@@ -216,9 +211,6 @@ class CliqueSearch(Record):
     found: bool
     witness: Optional[list[int]]
     nodes: int
-
-    def __bool__(self) -> bool:
-        return self.found
 
 
 def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:

@@ -165,7 +165,7 @@ def test_criterion_6_blowup_classes_never_host_cliques():
             coloring = generate_blowup_coloring(4, 2, 200, seed)
             graphs = color_class_graphs(coloring, colors=[1, 2])
             for c in (1, 2):
-                assert not rc.has_clique_of_order(graphs[c], 4), (seed, c)
+                assert not rc.has_clique_of_order(graphs[c], 4).found, (seed, c)
 
 
 def test_criterion_7_bound_table():

@@ -21,6 +21,7 @@ from ramseycert.bounds import (
     surjection_count,
     write_bounds_csv,
 )
+from ramseycert.coloring import _expectation_from_json
 from ramseycert.graphs import build_g0, count_independent_sets
 
 from graph_support import adjacent, complete_graph
@@ -207,9 +208,8 @@ def test_report_json_roundtrip(census_4):
     report = expected_mono_count(4, 2, 20, census_4)
     d = report.to_json_dict()
     assert d["p_ind_exact"] == "23/128"
-    from ramseycert.bounds import ExpectationReport
-
-    assert ExpectationReport.from_json_dict(d) == report
+    # a certificate's expectation block also carries certified_bound
+    assert _expectation_from_json({**d, "certified_bound": None}, "e") == report
 
 
 def test_exact_decimal():

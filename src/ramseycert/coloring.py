@@ -179,19 +179,20 @@ def _spec_from_json(d, where: str) -> ColoringSpec:
 class EdgeColoring:
     """A total symmetric coloring of the pairs of [N], values in 1..ell.
 
-    Immutable after construction; color_of is a pure function of
-    (spec, seed, pair).
+    Built from its spec alone: a blowup draws its m tables, a product
+    builds its two factor colorings. Immutable after construction;
+    color_of is a pure function of (spec, pair).
     """
 
-    def __init__(
-        self,
-        spec: ColoringSpec,
-        tables: Optional[list[list[int]]] = None,
-        factors: Optional[tuple["EdgeColoring", "EdgeColoring"]] = None,
-    ):
+    def __init__(self, spec: ColoringSpec):
         self.spec = spec
-        self._tables = tables
-        self._factors = factors
+        if spec.kind == KIND_BLOWUP:
+            self._tables = [
+                rng.uniform_row(1 << (spec.t - 1), spec.seed, TAG_BLOWUP, i, spec.N)
+                for i in range(1, spec.m + 1)
+            ]
+        elif spec.kind == KIND_PRODUCT:
+            self._factors = tuple(EdgeColoring(f) for f in spec.factors)
 
     @property
     def N(self) -> int:
@@ -228,17 +229,16 @@ class EdgeColoring:
 
 
 def generate_blowup_coloring(t: int, m: int, N: int, seed: int) -> EdgeColoring:
-    """Draw the m blowup maps for an (m+2)-coloring of K_N.
+    """The (m+2)-coloring of K_N drawn from m blowup maps.
 
-    Each table entry f_i(x) is an independent uniform index into the
-    2^(t-1) graph vertices, keyed by (seed, "blowup", i, x); each map is
-    drawn as one packed row (rng.uniform_row), with the same bits as one
-    uniform_below per entry. Leftover pair colors are deferred to
-    color_of. Same spec and seed always regenerate the identical coloring.
+    EdgeColoring draws each table entry f_i(x) as an independent uniform
+    index into the 2^(t-1) graph vertices, keyed by (seed, "blowup", i,
+    x); each map is drawn as one packed row (rng.uniform_row), with the
+    same bits as one uniform_below per entry. Leftover pair colors are
+    deferred to color_of. Same spec and seed always regenerate the
+    identical coloring.
     """
-    spec = ColoringSpec(kind=KIND_BLOWUP, t=t, m=m, ell=m + 2, N=N, seed=seed)
-    tables = [rng.uniform_row(1 << (t - 1), seed, TAG_BLOWUP, i, N) for i in range(1, m + 1)]
-    return EdgeColoring(spec, tables=tables)
+    return EdgeColoring(ColoringSpec(kind=KIND_BLOWUP, t=t, m=m, ell=m + 2, N=N, seed=seed))
 
 
 def generate_erdos_coloring(N: int, ell: int, seed: int, t: int = 0) -> EdgeColoring:
@@ -246,8 +246,7 @@ def generate_erdos_coloring(N: int, ell: int, seed: int, t: int = 0) -> EdgeColo
 
     t is carried only as the default clique target for later verification.
     """
-    spec = ColoringSpec(kind=KIND_ERDOS, t=t, m=0, ell=ell, N=N, seed=seed)
-    return EdgeColoring(spec)
+    return EdgeColoring(ColoringSpec(kind=KIND_ERDOS, t=t, m=0, ell=ell, N=N, seed=seed))
 
 
 def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
@@ -276,27 +275,18 @@ def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
         seed=0,
         factors=(c1.spec, c2.spec),
     )
-    return EdgeColoring(spec, factors=(c1, c2))
+    return EdgeColoring(spec)
 
 
 def regenerate(spec: ColoringSpec, seed: Optional[int] = None) -> EdgeColoring:
-    """Rebuild a coloring from its spec, optionally overriding the seed.
+    """Rebuild a coloring from its spec, optionally with another seed.
 
-    Product colorings carry all randomness in their factors, so their
-    seed cannot be overridden.
+    The seed goes into a new spec, so ColoringSpec refuses one a product
+    cannot take: its randomness lives in the factors and its seed is 0.
     """
-    if spec.kind == KIND_BLOWUP:
-        return generate_blowup_coloring(
-            spec.t, spec.m, spec.N, spec.seed if seed is None else seed
-        )
-    if spec.kind == KIND_ERDOS:
-        return generate_erdos_coloring(
-            spec.N, spec.ell, spec.seed if seed is None else seed, t=spec.t
-        )
-    if seed is not None and seed != spec.seed:
-        raise ValueError("product colorings carry their randomness in the factors")
-    f1, f2 = spec.factors
-    return product_coloring(regenerate(f1), regenerate(f2))
+    if seed is not None:
+        spec = ColoringSpec(**{**vars(spec), "seed": seed})
+    return EdgeColoring(spec)
 
 
 class MonoWitness(Record):
@@ -383,31 +373,27 @@ def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, B
 
 
 def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
-    """Blowup class rows by pullback; coins only for pairs no map separates.
+    """Rows of the wanted blowup classes and of both leftover classes, by pullback.
 
     The pairs f_i separates across an edge are orthogonality_rows of its
     table (t coordinate masks); class i keeps those no earlier map took.
     Every leftover coin of the build comes from one rng.coin_rows pass
-    over the rows of the pairs no map took, which returns the heads.
+    over the rows of the pairs no map took, which returns the heads, so
+    coins are drawn only for pairs no map separates.
     """
     spec = coloring.spec
     N, m = spec.N, spec.m
-    leftover = bool(wanted - set(range(1, m + 1)))
-    last = m if leftover else max(wanted, default=0)
     rows: dict[int, list[int]] = {}
     full = (1 << N) - 1
     free = [full ^ (1 << x) for x in range(N)]  # pairs at x no map has colored so far
-    for i, table in enumerate(coloring._tables[:last], start=1):
+    for i, table in enumerate(coloring._tables, start=1):
         pulled = orthogonality_rows(table, spec.t)  # no diagonal: codes have even weight
         if i in wanted:
             rows[i] = [r & f for r, f in zip(pulled, free)]
         free = [f & ~r for f, r in zip(free, pulled)]
-    if leftover:
-        heads = rng.coin_rows(spec.seed, TAG_PAIR, free)  # pairs whose coin gives color m+2
-        if m + 1 in wanted:
-            rows[m + 1] = [f ^ h for f, h in zip(free, heads)]
-        if m + 2 in wanted:
-            rows[m + 2] = heads
+    heads = rng.coin_rows(spec.seed, TAG_PAIR, free)  # pairs whose coin gives color m+2
+    rows[m + 1] = [f ^ h for f, h in zip(free, heads)]
+    rows[m + 2] = heads
     return rows
 
 
@@ -428,16 +414,19 @@ def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
 
 
 def _first_clique_class(
-    coloring: EdgeColoring, colors: list[int], t: int, clique_free: dict
-) -> tuple[Optional[int], Optional[list[int]], int]:
-    """The first of `colors` (ascending) whose class holds a t-clique.
+    coloring: EdgeColoring, t: int, clique_free: dict
+) -> tuple[Optional[MonoWitness], int]:
+    """The first t-clique, by ascending color, among the classes Lemma 1 leaves open.
 
-    Returns (that color or None, the clique has_clique_of_order reports
-    on that class, the search nodes spent). A coloring on fewer than t
-    vertices holds no t-clique. A product decides each class on the
-    factor that owns it (see product_coloring), recursively, so only
-    factor classes are built, and it maps the factor's clique to the
-    one a search of the product class would report:
+    Returns (its witness or None, the search nodes spent). Each blowup or
+    uniform random coloring searches the colors _lemma1_colors(spec, t)
+    does not discharge, ascending, and the witness is the clique
+    has_clique_of_order reports on the first class that holds one. A
+    coloring on fewer than t vertices holds no t-clique. A product
+    decides each class on the factor that owns it (see product_coloring),
+    recursively, so only factor classes are built, and it maps the
+    factor's clique to the one a search of the product class would
+    report:
 
     - First-factor class c <= ell1: the product class is the factor
       class with each vertex a replaced by N2 pairwise non-adjacent twins
@@ -454,39 +443,38 @@ def _first_clique_class(
 
     Nested products compose the two maps; the product's nodes are the
     factor searches' only. The answer is a function of the coloring's
-    spec, its colors and t, so `clique_free` (one verification, one t)
-    keys every (spec, colors) found free of t-cliques, and a coloring
-    already keyed there, factor or sub-product at any depth, answers no
-    without being built or searched; its value counts those reuses.
+    spec and t, so `clique_free` (one verification, one t) keys every
+    spec found free of t-cliques, and a coloring already keyed there,
+    factor or sub-product at any depth, answers no without being built
+    or searched; its value counts those reuses.
     """
-    if coloring.N < t or not colors:
-        return None, None, 0
-    key = (coloring.spec, tuple(colors))
-    if key in clique_free:
-        clique_free[key] += 1
-        return None, None, 0
+    spec = coloring.spec
+    if spec.N < t:
+        return None, 0
+    if spec in clique_free:
+        clique_free[spec] += 1
+        return None, 0
     nodes = 0
-    if coloring.spec.kind == KIND_PRODUCT:
+    if spec.kind == KIND_PRODUCT:
         c1, c2 = coloring._factors
-        ell1 = c1.ell
-        colors1 = [c for c in colors if c <= ell1]
-        colors2 = [c - ell1 for c in colors if c > ell1]
-        c, clique, nodes = _first_clique_class(c1, colors1, t, clique_free)
-        if c is not None:
-            return c, [a * c2.N for a in clique], nodes
-        c, clique, more = _first_clique_class(c2, colors2, t, clique_free)
-        if c is not None:
-            return ell1 + c, clique, nodes + more
+        witness, nodes = _first_clique_class(c1, t, clique_free)
+        if witness is not None:
+            return MonoWitness(witness.color, tuple(a * c2.N for a in witness.vertices)), nodes
+        witness, more = _first_clique_class(c2, t, clique_free)
         nodes += more
+        if witness is not None:
+            return MonoWitness(c1.ell + witness.color, witness.vertices), nodes
     else:
+        discharged = _lemma1_colors(spec, t)
+        colors = [c for c in range(1, spec.ell + 1) if c not in discharged]
         graphs = color_class_graphs(coloring, colors)
         for c in colors:
             result = has_clique_of_order(graphs[c], t)
             nodes += result.nodes
             if result.found:
-                return c, result.witness, nodes
-    clique_free[key] = 0
-    return None, None, nodes
+                return MonoWitness(c, tuple(sorted(result.witness))), nodes
+    clique_free[spec] = 0
+    return None, nodes
 
 
 class Certificate(Record):
@@ -610,11 +598,10 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     discharged = _lemma1_colors(spec, spec.t)
     colors = [c for c in range(1, spec.ell + 1) if c not in discharged]
     clique_free: dict = {}
-    c, clique, nodes = _first_clique_class(coloring, colors, spec.t, clique_free)
-    elapsed = time.perf_counter() - start
     # colors ascend and each class search is deterministic, so the witness is
     # the one an all-class search finds: discharged classes hold no t-clique
-    witness = None if c is None else MonoWitness(c, tuple(sorted(clique)))
+    witness, nodes = _first_clique_class(coloring, spec.t, clique_free)
+    elapsed = time.perf_counter() - start
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
     # the expectation formula covers the blowup family (m maps plus two
@@ -637,7 +624,9 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
             "nodes": nodes,
             "wall_time_sec": round(elapsed, 6),
             "tries": 1,
-            "searched_colors": colors if c is None else colors[: colors.index(c) + 1],
+            "searched_colors": colors
+            if witness is None
+            else colors[: colors.index(witness.color) + 1],
             "lemma1_colors": sorted(discharged),
             "reused_factors": sum(clique_free.values()),
         },

@@ -4,7 +4,7 @@ that shares no code with ramseycert."""
 import re
 from pathlib import Path
 
-from ramseycert.coloring import MonoWitness, _first_clique_class, _lemma1_colors
+from ramseycert.coloring import _first_clique_class
 from ramseycert.graphs import BitGraph
 
 
@@ -24,10 +24,7 @@ def complete_graph(n):
 
 def find_mono_clique(coloring, t):
     """The first monochromatic t-clique, t any target, or None when every class is free of one."""
-    discharged = _lemma1_colors(coloring.spec, t)
-    colors = [c for c in range(1, coloring.ell + 1) if c not in discharged]
-    c, clique, _ = _first_clique_class(coloring, colors, t, {})
-    return None if c is None else MonoWitness(c, tuple(sorted(clique)))
+    return _first_clique_class(coloring, t, {})[0]
 
 
 def adjacent(g, u, v):

@@ -77,6 +77,10 @@ def test_same_seed_regenerates_identical_colors():
     assert all_pair_colors(a) == all_pair_colors(b)
     c = generate_blowup_coloring(4, 2, 50, 43)
     assert all_pair_colors(a) != all_pair_colors(c)
+    # a seed override draws the coloring of the spec with that seed
+    assert all_pair_colors(regenerate(a.spec, seed=43)) == all_pair_colors(c)
+    prod = product_coloring(a, generate_erdos_coloring(3, 2, 7, t=4))
+    assert all_pair_colors(regenerate(prod.spec)) == all_pair_colors(prod)
 
 
 def test_m0_blowup_equals_erdos_two_coloring():
@@ -271,7 +275,7 @@ def test_product_search_on_factors_finds_the_all_class_witness():
 
 def test_first_clique_class_on_too_few_vertices_answers_no():
     small = generate_blowup_coloring(4, 1, 3, 0)
-    assert coloring_module._first_clique_class(small, [1, 2, 3], 4, {}) == (None, None, 0)
+    assert coloring_module._first_clique_class(small, 4, {}) == (None, 0)
 
 
 def count_class_builds(monkeypatch):
@@ -287,18 +291,15 @@ def count_class_builds(monkeypatch):
     return built
 
 
-def test_clique_free_answers_are_keyed_by_spec_and_colors(monkeypatch):
+def test_clique_free_answers_are_keyed_by_spec(monkeypatch):
     built = count_class_builds(monkeypatch)
     clique_free = {}
     coloring, other = regenerate(BLOWUP_SPEC_N9), regenerate(BLOWUP_SPEC_N9, seed=2)
-    for decided, colors in ((coloring, [2]), (coloring, [2]), (coloring, [2, 3]), (other, [2])):
-        c, _, _ = coloring_module._first_clique_class(decided, colors, 4, clique_free)
-        assert c is None
-    # the repeat is answered from the dict; other colors, or another seed, are built
-    assert built == [(BLOWUP_SPEC_N9, [2]), (BLOWUP_SPEC_N9, [2, 3]), (other.spec, [2])]
-    assert clique_free == {
-        (BLOWUP_SPEC_N9, (2,)): 1, (BLOWUP_SPEC_N9, (2, 3)): 0, (other.spec, (2,)): 0
-    }
+    for decided in (coloring, coloring, other):
+        assert coloring_module._first_clique_class(decided, 4, clique_free)[0] is None
+    # the repeat is answered from the dict; another seed is built
+    assert built == [(BLOWUP_SPEC_N9, [2, 3]), (other.spec, [2, 3])]
+    assert clique_free == {BLOWUP_SPEC_N9: 1, other.spec: 0}
 
 
 def test_repeated_sub_product_is_answered_whole(monkeypatch):
@@ -356,9 +357,8 @@ def test_target_below_spec_t_searches_blowup_classes():
     spec = ColoringSpec(kind="blowup", t=6, m=2, ell=4, N=40, seed=3)
     coloring = regenerate(spec)
     assert coloring_module._lemma1_colors(spec, 3) == set()
-    c, clique, _ = coloring_module._first_clique_class(coloring, [1, 2, 3, 4], 3, {})
-    assert c == 1
-    assert MonoWitness(c, tuple(sorted(clique))).holds_in(coloring)
+    witness = find_mono_clique(coloring, 3)
+    assert witness.color == 1 and witness.holds_in(coloring)
 
 
 def test_search_stats_name_searched_and_discharged_colors(census_4):
@@ -803,7 +803,7 @@ def test_product_seed_override_rejected():
     f1 = generate_erdos_coloring(5, 2, 131, t=3)
     f2 = generate_erdos_coloring(5, 2, 138, t=3)
     prod = product_coloring(f1, f2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="so seed = 0, got seed=5"):
         regenerate(prod.spec, seed=5)
 
 

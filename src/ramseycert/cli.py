@@ -11,8 +11,9 @@ and names the first field, in certificate order, that does not reproduce.
 Exit codes: 0 success/verified, 1 unverified outcome, failed recheck or
 differing graph file, 2 parameter errors and malformed input files.
 Diagnostics go to stderr; artifacts go to files and stdout. Every run
-echoes its full resolved parameter set, including a defaulted seed, so
-any output can be reproduced.
+echoes its parsed arguments, read from the parser's namespace once each
+command has resolved its defaults into it (output paths, a drawn seed),
+so any output can be reproduced.
 """
 
 from __future__ import annotations
@@ -49,26 +50,27 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _echo_params(command: str, params: dict) -> None:
-    rendered = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
-    _diag(f"params: command={command} {rendered}")
+def _echo_params(args) -> None:
+    """One stderr line with every parsed argument but None ones, in parser order."""
+    rendered = " ".join(f"{k}={v}" for k, v in vars(args).items() if k != "func" and v is not None)
+    _diag(f"params: {rendered}")
 
 
 def cmd_build_graph(args) -> int:
-    out = args.out or f"g0_t{args.t}.graph"
-    _echo_params("build-graph", {"t": args.t, "out": out})
+    args.out = args.out or f"g0_t{args.t}.graph"
+    _echo_params(args)
     g = build_g0(args.t)
-    write_graph_file(g, args.t, out)
+    write_graph_file(g, args.t, args.out)
     print(f"n={g.n} m={g.edge_count()} max_clique={g0_clique_number(args.t)} lemma1: OK")
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
     t = args.t
-    out = args.out or f"census_t{t}.csv"
-    _echo_params("census", {"t": t, "out": out})
+    args.out = args.out or f"census_t{t}.csv"
+    _echo_params(args)
     census = g0_census(t)
-    with open(out, "w", encoding="ascii") as fh:
+    with open(args.out, "w", encoding="ascii") as fh:
         fh.write("k,i_k\n")
         for k, count in enumerate(census.counts):
             fh.write(f"{k},{count}\n")
@@ -84,7 +86,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    _echo_params("certify", {"t": args.t, "m": args.m})
+    _echo_params(args)
     census = g0_census(args.t) if args.m > 0 else None
     best_n, report = certify_max_N(args.t, args.m, census)
     if report.p_ind is not None:
@@ -100,29 +102,20 @@ def cmd_certify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
-    spec_out = args.spec_out or f"coloring_t{args.t}_m{args.m}_N{args.N}.json"
-    _echo_params(
-        "generate",
-        {
-            "t": args.t,
-            "m": args.m,
-            "N": args.N,
-            "seed": seed,
-            "spec_out": spec_out,
-            "edge_dump": args.edge_dump,
-        },
-    )
+    if args.seed is None:
+        args.seed = random.SystemRandom().getrandbits(64)
+    args.spec_out = args.spec_out or f"coloring_t{args.t}_m{args.m}_N{args.N}.json"
+    _echo_params(args)
     # refused before the coloring is drawn, which takes time and memory linear in N
     if args.edge_dump and args.N > EDGE_DUMP_LIMIT:
         raise ValueError(f"edge dumps are limited to N <= {EDGE_DUMP_LIMIT}, got {args.N}")
     spec = ColoringSpec(
-        kind=KIND_BLOWUP, t=args.t, m=args.m, ell=args.m + 2, N=args.N, seed=seed
+        kind=KIND_BLOWUP, t=args.t, m=args.m, ell=args.m + 2, N=args.N, seed=args.seed
     )
     if spec.N < spec.t:  # no coloring of K_N holds a K_t, so the spec would prove nothing
         raise ValueError(f"N={spec.N} is below the clique target t={spec.t}")
     payload = canonical_json_bytes(spec.to_json_dict())
-    Path(spec_out).write_bytes(payload)
+    Path(args.spec_out).write_bytes(payload)
     sys.stdout.write(payload.decode("ascii"))
     if args.edge_dump:
         write_edge_dump(regenerate(spec), args.edge_dump)
@@ -130,17 +123,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert_out = args.certificate_out or str(
+    args.certificate_out = args.certificate_out or str(
         Path(args.spec_file).with_suffix(".certificate.json")
     )
-    _echo_params(
-        "verify",
-        {
-            "spec_file": args.spec_file,
-            "max_tries": args.max_tries,
-            "certificate_out": cert_out,
-        },
-    )
+    _echo_params(args)
     spec = ColoringSpec.from_json_dict(
         json.loads(Path(args.spec_file).read_text(encoding="ascii"))
     )
@@ -150,24 +136,24 @@ def cmd_verify(args) -> int:
             f"try seed={seed}: monochromatic K_{cert.t} found, "
             f"color={witness.color} vertices={list(witness.vertices)}"
         )
-    save_certificate(cert, cert_out)
+    save_certificate(cert, args.certificate_out)
     if cert.verified:
         print(
             f"verified: r({cert.t};{spec.ell}) >= {cert.certified_bound()} "
             f"(seed={cert.seed}, tries={cert.search_stats['tries']})"
         )
         return EXIT_OK
-    _diag(f"unverified after {cert.search_stats['tries']} tries; certificate at {cert_out}")
+    _diag(
+        f"unverified after {cert.search_stats['tries']} tries; "
+        f"certificate at {args.certificate_out}"
+    )
     return EXIT_UNVERIFIED
 
 
 def cmd_bounds_table(args) -> int:
-    out = args.out or "bounds_table.csv"
-    _echo_params(
-        "bounds-table", {"ell_min": args.ell_min, "ell_max": args.ell_max, "out": out}
-    )
+    _echo_params(args)
     rows = asymptotic_bound_table(args.ell_min, args.ell_max)
-    with open(out, "w", encoding="ascii") as fh:
+    with open(args.out, "w", encoding="ascii") as fh:
         write_bounds_csv(rows, fh)
     for row in rows:
         rate = str(row.rate) if row.rate is not None else row.rate_expr
@@ -177,7 +163,7 @@ def cmd_bounds_table(args) -> int:
 
 
 def cmd_recheck(args) -> int:
-    _echo_params("recheck", {"certificate_file": args.certificate_file})
+    _echo_params(args)
     reason = recheck_certificate(
         json.loads(Path(args.certificate_file).read_text(encoding="ascii"))
     )
@@ -189,7 +175,7 @@ def cmd_recheck(args) -> int:
 
 
 def cmd_verify_g0(args) -> int:
-    _echo_params("verify-g0", {"graph_file": args.graph_file})
+    _echo_params(args)
     g, t, difference = check_graph_file(args.graph_file)
     if difference:
         _diag(difference)
@@ -238,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds-table", help="compare lower-bound growth rates")
     p.add_argument("--ell-min", type=int, required=True)
     p.add_argument("--ell-max", type=int, required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", default="bounds_table.csv")
     p.set_defaults(func=cmd_bounds_table)
 
     p = sub.add_parser("recheck", help="re-verify a certificate from scratch")

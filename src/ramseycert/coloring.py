@@ -111,14 +111,7 @@ class ColoringSpec(Record):
             raise ValueError(f"unknown coloring kind {self.kind!r}")
 
     def to_json_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "t": self.t,
-            "m": self.m,
-            "ell": self.ell,
-            "N": self.N,
-            "seed": self.seed,
-        }
+        d = {name: getattr(self, name) for name in self._fields if name != "factors"}
         if self.factors is not None:
             d["factors"] = [f.to_json_dict() for f in self.factors]
         return d
@@ -472,7 +465,7 @@ def _first_clique_class(
             result = has_clique_of_order(graphs[c], t)
             nodes += result.nodes
             if result.found:
-                return MonoWitness(c, tuple(sorted(result.witness))), nodes
+                return MonoWitness(c, tuple(result.witness)), nodes
     clique_free[spec] = 0
     return None, nodes
 

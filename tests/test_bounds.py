@@ -22,7 +22,7 @@ from ramseycert.bounds import (
     write_bounds_csv,
 )
 from ramseycert.coloring import _expectation_from_json
-from ramseycert.graphs import build_g0, count_independent_sets
+from ramseycert.graphs import BitGraph, build_g0, count_independent_sets
 
 from graph_support import adjacent, complete_graph
 
@@ -82,6 +82,9 @@ def test_p_ind_complete_graph():
 def test_p_ind_requires_census_cap(census_4):
     with pytest.raises(ValueError):
         exact_independence_probability(census_4, 6)
+    # a census of the empty graph has the cap but no vertex to map into
+    with pytest.raises(ValueError, match="nonempty graph"):
+        exact_independence_probability(count_independent_sets(BitGraph([]), 2), 2)
 
 
 def test_p_ind_t6_monte_carlo(g0_6, census_6):
@@ -244,6 +247,9 @@ def test_bound_table_validation():
         asymptotic_bound_table(5, 4)
     with pytest.raises(ValueError):
         bound_table_row(4, "unknown")
+    # asymptotic_bound_table checks its range first; only a direct call gets here
+    with pytest.raises(ValueError, match="at least two colors, got ell=1"):
+        bound_table_row(1, SOURCE_ERDOS)
 
 
 def test_rate_comparisons_exact():

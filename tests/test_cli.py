@@ -254,6 +254,46 @@ def test_bad_input_file_still_echoes_params(capsys, tmp_path, command, flag, con
     assert "error: " in err
 
 
+# each command on small inputs with every default left out, and its echo:
+# every argument of the subparser, in parser order, its default resolved
+ECHOES = [
+    ("build-graph", ["--t", "2"], "t=2 out=g0_t2.graph"),
+    ("census", ["--t", "4"], "t=4 out=census_t4.csv"),
+    ("certify", ["--t", "4", "--m", "1"], "t=4 m=1"),
+    (
+        "generate",
+        ["--t", "4", "--m", "1", "--N", "9", "--edge-dump", "edges.txt"],
+        "t=4 m=1 N=9 seed=7 spec_out=coloring_t4_m1_N9.json edge_dump=edges.txt",
+    ),
+    (
+        "verify",
+        ["--spec-file", "spec.json"],
+        "spec_file=spec.json max_tries=64 certificate_out=spec.certificate.json",
+    ),
+    (
+        "bounds-table",
+        ["--ell-min", "2", "--ell-max", "3"],
+        "ell_min=2 ell_max=3 out=bounds_table.csv",
+    ),
+    ("recheck", ["--certificate-file", "cert.json"], "certificate_file=cert.json"),
+    ("verify-g0", ["--graph-file", "g.graph"], "graph_file=g.graph"),
+]
+
+
+@pytest.mark.parametrize("command, argv, echoed", ECHOES, ids=[case[0] for case in ECHOES])
+def test_params_line_echoes_every_argument_in_parser_order(
+    capsys, monkeypatch, command, argv, echoed
+):
+    spec = coloring.ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=1)
+    Path("spec.json").write_bytes(coloring.canonical_json_bytes(spec.to_json_dict()))
+    coloring.save_certificate(coloring.verify_coloring(spec), "cert.json")
+    graphs.write_graph_file(graphs.build_g0(2), 2, "g.graph")
+    monkeypatch.setattr(random.SystemRandom, "getrandbits", lambda self, k: 7)
+    code, _, err = run(capsys, command, *argv)
+    assert code == 0
+    assert err.splitlines()[0] == f"params: command={command} {echoed}"
+
+
 _DROP = object()
 
 

@@ -302,6 +302,46 @@ def test_clique_free_answers_are_keyed_by_spec(monkeypatch):
     assert clique_free == {BLOWUP_SPEC_N9: 1, other.spec: 0}
 
 
+def leaf_offsets(spec, offset=0):
+    """(leaf spec, the offset of its palette in `spec`'s) for every non-product leaf, in order."""
+    if spec.kind != "product":
+        return [(spec, offset)]
+    f1, f2 = spec.factors
+    return leaf_offsets(f1, offset) + leaf_offsets(f2, offset + f1.ell)
+
+
+def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
+    # verify_coloring reports searched_colors and lemma1_colors from the whole
+    # spec; each leaf picks its own colors: the two must agree
+    built = count_class_builds(monkeypatch)
+    rand = random.Random(28)
+    tied = discharged = nested = 0
+    while tied < 40:
+        coloring = random_product(rand)
+        if rand.random() < 0.5:  # a sub-product as second factor shifts a whole palette
+            coloring = product_coloring(random_coloring(rand, 1), coloring)
+        target = rand.randint(2, 6)
+        leaves = leaf_offsets(coloring.spec)
+        specs = [leaf for leaf, _ in leaves]
+        if len(set(specs)) < len(specs) or any(leaf.N < target for leaf in specs):
+            continue  # a repeat is answered from the reuse dict, a small leaf is not built
+        factors = coloring.spec.factors
+        spec = ColoringSpec("product", target, 0, coloring.ell, coloring.N, 0, factors)
+        built.clear()
+        cert = verify_coloring(spec)
+        if not cert.verified:
+            continue  # the search stops at the witness's leaf
+        assert [leaf for leaf, _ in built] == specs
+        searched = [offset + c for (_, offset), (_, colors) in zip(leaves, built) for c in colors]
+        assert cert.search_stats["searched_colors"] == searched, spec
+        rest = sorted(set(range(1, spec.ell + 1)) - set(searched))
+        assert cert.search_stats["lemma1_colors"] == rest, spec
+        tied += 1
+        discharged += bool(rest)
+        nested += len(specs) > 2
+    assert discharged >= 10 and nested >= 5
+
+
 def test_repeated_sub_product_is_answered_whole(monkeypatch):
     # (F x F) x (F x F): F is decided once, the inner square's second F and
     # the whole second square come from the reuse dict

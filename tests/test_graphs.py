@@ -362,6 +362,15 @@ def test_census_zero_cap(g0_4):
     assert census.counts == (1,)
 
 
+def test_census_rejects_a_negative_cap_and_malformed_counts(g0_4):
+    with pytest.raises(ValueError, match="max_size must be non-negative, got -1"):
+        count_independent_sets(g0_4, -1)
+    with pytest.raises(ValueError, match="one entry per size 0..t"):
+        IndependentSetCensus(t=2, n=4, counts=(1, 4))
+    with pytest.raises(ValueError, match=r"counts\[0\] == 1"):
+        IndependentSetCensus(t=2, n=4, counts=(0, 4, 3))
+
+
 def test_growth_against_slack_bound(census_4, census_6):
     import math
 

@@ -13,8 +13,8 @@ Verification accounts for every color class: a blowup class i cannot
 hold a t-clique, because f_i maps one injectively onto a t-clique of the
 orthogonality graph, whose clique number is at most t-1 (Lemma 1), so
 every class is searched exhaustively or discharged by Lemma 1. A
-product's classes are decided on its factors, and its witness is mapped
-from the factor's clique, so no product class is ever built. The
+product's classes are decided on its leaves, and its witness is mapped
+from a leaf's clique, so no product class is ever built. The
 outcome, together with the exact expectation arithmetic, goes into a
 Certificate. A verified certificate at N vertices is a concrete proof
 that r(t; m+2) >= N+1, and recheck_certificate trusts one only if a
@@ -59,7 +59,13 @@ CERTIFICATE_FORMAT = "ramseycert.certificate/1"
 
 
 class ColoringSpec(Record):
-    """Parameters that, with the seed, fully determine an edge coloring."""
+    """Parameters that, with the seed, fully determine an edge coloring.
+
+    A product is read only through its leaves, the non-product specs at
+    the bottom of its factors, in order (_leaves), and its own t, which
+    every leaf is decided at: how the leaves nest and the t of an inner
+    product are never read.
+    """
 
     kind: str
     t: int
@@ -173,7 +179,7 @@ class EdgeColoring:
     """A total symmetric coloring of the pairs of [N], values in 1..ell.
 
     Built from its spec alone: a blowup draws its m tables, a product
-    builds its two factor colorings. Immutable after construction;
+    builds the colorings of its leaves. Immutable after construction;
     color_of is a pure function of (spec, pair).
     """
 
@@ -185,7 +191,7 @@ class EdgeColoring:
                 for i in range(1, spec.m + 1)
             ]
         elif spec.kind == KIND_PRODUCT:
-            self._factors = tuple(EdgeColoring(f) for f in spec.factors)
+            self._leaves = [(EdgeColoring(s), mult, offset) for s, mult, offset in _leaves(spec)]
 
     @property
     def N(self) -> int:
@@ -211,14 +217,31 @@ class EdgeColoring:
         if kind == KIND_ERDOS:
             lo, hi = (x, y) if x < y else (y, x)
             return 1 + rng.uniform_below(self.spec.ell, self.spec.seed, TAG_PAIR, lo, hi)
-        # product: first factor colors pairs split by the first coordinate,
-        # second factor (shifted palette) colors pairs inside one block
-        c1, c2 = self._factors
-        a1, b1 = divmod(x, c2.N)
-        a2, b2 = divmod(y, c2.N)
-        if a1 != a2:
-            return c1.color_of(a1, a2)
-        return c1.ell + c2.color_of(b1, b2)
+        # product: the first leaf whose coordinates differ colors the pair (see product_coloring)
+        for leaf, mult, offset in self._leaves:
+            a, b = x // mult % leaf.N, y // mult % leaf.N
+            if a != b:
+                return offset + leaf.color_of(a, b)
+
+
+def _leaves(spec: ColoringSpec) -> list[tuple[ColoringSpec, int, int]]:
+    """(leaf, mult, offset) for each non-product leaf of `spec`, in order.
+
+    v // mult % leaf.N is vertex v's coordinate in the leaf, however the
+    leaves nest, and offset shifts the leaf's palette into the product's:
+    mult is the product of the later leaves' N, offset the sum of the
+    earlier leaves' ell. A blowup or uniform spec is its own one leaf.
+    """
+    leaves, stack, mult, offset = [], [spec], spec.N, 0
+    while stack:
+        leaf = stack.pop()
+        if leaf.kind == KIND_PRODUCT:
+            stack.extend(reversed(leaf.factors))
+            continue
+        mult //= leaf.N
+        leaves.append((leaf, mult, offset))
+        offset += leaf.ell
+    return leaves
 
 
 def generate_blowup_coloring(t: int, m: int, N: int, seed: int) -> EdgeColoring:
@@ -243,21 +266,28 @@ def generate_erdos_coloring(N: int, ell: int, seed: int, t: int = 0) -> EdgeColo
 
 
 def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
-    """Palette-disjoint product on N1*N2 vertices.
+    """Palette-disjoint product on N1*N2 vertices; its spec's m and seed are 0.
 
-    Vertex v encodes the pair (v // N2, v % N2); pairs differing in the
+    Vertex v encodes the pair (v // N2, v % N2): pairs differing in the
     first coordinate take the first factor's color, pairs inside a block
-    take the second factor's color shifted past the first palette.
-
-    Product class c <= ell1 holds a K_t exactly when factor 1's class c
-    does: such a clique has one vertex per block and projects injectively
-    onto one, and a factor clique lifts to any choice of one vertex per
-    block. Class ell1+c holds a K_t exactly when factor 2's class c does,
-    since that clique lies inside one block. So the product holds a
-    monochromatic K_t iff a factor does, and verification decides each
-    product class on its factor and maps the factor's clique into the
-    product (_first_clique_class). The spec's m and seed are always 0:
-    the maps and the randomness live in the factors.
+    the second factor's, shifted past the first palette. Unfolded to any
+    depth, v has the coordinate v // mult % N in each leaf (_leaves), and
+    a pair takes the color, shifted by the leaf's palette offset, that
+    the first leaf whose coordinates differ gives them. So the product
+    class of a leaf's class c is one copy per block of N*mult consecutive
+    vertices (equal earlier coordinates) of the leaf's class with each
+    vertex a replaced by the mult pairwise non-adjacent twins a*mult ..
+    a*mult+mult-1. A K_t in it lies in one block with distinct leaf
+    coordinates, so it projects onto a K_t of the leaf's class, and a
+    leaf clique w lifts to [a * mult for a in w]: the product holds a
+    monochromatic K_t iff a leaf does. That lift is the clique a search
+    of the product class reports: has_clique_of_order's greedy coloring,
+    in ascending vertex order, puts every twin of a in a's class, so the
+    search visits twins consecutively, lowest first, each with the leaf's
+    subtree at a, and block 0 before the other blocks, whose subtrees
+    repeat block 0's failures; the first success at every depth is at
+    the lowest twin in block 0. So verification decides the leaves
+    (_decide_leaves) and builds no product class.
     """
     spec = ColoringSpec(
         kind=KIND_PRODUCT,
@@ -326,16 +356,11 @@ def _check_materializable(N: int) -> None:
 def _check_exhaustive(spec: ColoringSpec) -> None:
     """Refuse a spec whose verification would build a color class past EXHAUSTIVE_LIMIT.
 
-    Verification builds the classes of a blowup or uniform random
-    coloring, but decides a product's classes on its factors, so a
-    product is guarded on the colorings whose classes get built, not on
-    its own N (capped only by MAX_VERTICES).
+    Verification builds the classes of the leaves only, so a product is
+    guarded on its leaves, not on its own N (capped only by MAX_VERTICES).
     """
-    if spec.kind == KIND_PRODUCT:
-        for factor in spec.factors:
-            _check_exhaustive(factor)
-    else:
-        _check_materializable(spec.N)
+    for leaf, _, _ in _leaves(spec):
+        _check_materializable(leaf.N)
 
 
 def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, BitGraph]:
@@ -344,7 +369,7 @@ def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, B
     Blowup classes are built by pullback (_blowup_rows). Products and
     uniform random colorings go through one color_of pass over all
     pairs; verification never builds a product class, since it decides
-    each one on its factors.
+    each one on its leaves.
     """
     N, ell = coloring.N, coloring.ell
     _check_materializable(N)
@@ -391,83 +416,58 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
 
 
 def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
-    """Colors in which Lemma 1 rules out a t-clique of `spec`.
+    """Colors in which Lemma 1 rules out a t-clique of a blowup or uniform `spec`.
 
     Blowup class i of a t0-spec pulls back the order-t0 graph through
     f_i, which is injective on any clique of the class; Lemma 1 caps that
     graph's clique number at t0-1, so no class i <= m holds K_t once
-    t >= t0. A product class is discharged when its factor's class is.
+    t >= t0.
     """
-    if spec.kind == KIND_BLOWUP:
-        return set(range(1, spec.m + 1)) if t >= spec.t else set()
-    if spec.kind == KIND_PRODUCT:
-        f1, f2 = spec.factors
-        return _lemma1_colors(f1, t) | {f1.ell + c for c in _lemma1_colors(f2, t)}
-    return set()
+    return set(range(1, spec.m + 1)) if spec.kind == KIND_BLOWUP and t >= spec.t else set()
 
 
-def _first_clique_class(
-    coloring: EdgeColoring, t: int, clique_free: dict
-) -> tuple[Optional[MonoWitness], int]:
-    """The first t-clique, by ascending color, among the classes Lemma 1 leaves open.
+class _Decision(Record):
+    """How one leaf was decided, in the product's colors and vertices."""
 
-    Returns (its witness or None, the search nodes spent). Each blowup or
-    uniform random coloring searches the colors _lemma1_colors(spec, t)
-    does not discharge, ascending, and the witness is the clique
-    has_clique_of_order reports on the first class that holds one. A
-    coloring on fewer than t vertices holds no t-clique. A product
-    decides each class on the factor that owns it (see product_coloring),
-    recursively, so only factor classes are built, and it maps the
-    factor's clique to the one a search of the product class would
-    report:
+    colors: tuple[int, ...]  # the classes asked: those Lemma 1 leaves open
+    witness: Optional[MonoWitness]
+    nodes: int
+    reused: bool  # answered by an equal leaf already found free of t-cliques
 
-    - First-factor class c <= ell1: the product class is the factor
-      class with each vertex a replaced by N2 pairwise non-adjacent twins
-      a*N2 .. a*N2+N2-1. The greedy coloring of has_clique_of_order,
-      ascending vertex order, puts every twin of a in a's class, so the
-      search visits them consecutively, lowest first, and each twin's
-      subtree is the factor's subtree at a. At every depth the first success is at twin
-      a*N2, so factor clique w maps to [a * N2 for a in w].
-    - Second-factor class ell1+c: the product class is N1 disjoint
-      copies of the factor class. Within each greedy class the search
-      visits block 0 before the other blocks, whose subtrees repeat the
-      failures block 0 already had, so the clique is the factor's, in
-      block 0, unchanged.
 
-    Nested products compose the two maps; the product's nodes are the
-    factor searches' only. The answer is a function of the coloring's
-    spec and t, so `clique_free` (one verification, one t) keys every
-    spec found free of t-cliques, and a coloring already keyed there,
-    factor or sub-product at any depth, answers no without being built
-    or searched; its value counts those reuses.
+def _decide_leaves(coloring: EdgeColoring, t: int) -> list[_Decision]:
+    """Decide the leaves in order, up to the first that holds a t-clique.
+
+    Each leaf builds the classes _lemma1_colors(leaf, t) leaves open and
+    searches them ascending; its first clique w, in class c, is the
+    product's witness in class offset + c on [a * mult for a in w] (see
+    product_coloring). So the witness is the one a search of every
+    product class, ascending, would report. A leaf on fewer than t
+    vertices holds no t-clique; a leaf equal to one already found free
+    of t-cliques is answered without being built or searched.
     """
-    spec = coloring.spec
-    if spec.N < t:
-        return None, 0
-    if spec in clique_free:
-        clique_free[spec] += 1
-        return None, 0
-    nodes = 0
-    if spec.kind == KIND_PRODUCT:
-        c1, c2 = coloring._factors
-        witness, nodes = _first_clique_class(c1, t, clique_free)
-        if witness is not None:
-            return MonoWitness(witness.color, tuple(a * c2.N for a in witness.vertices)), nodes
-        witness, more = _first_clique_class(c2, t, clique_free)
-        nodes += more
-        if witness is not None:
-            return MonoWitness(c1.ell + witness.color, witness.vertices), nodes
-    else:
+    leaves = coloring._leaves if coloring.spec.kind == KIND_PRODUCT else [(coloring, 1, 0)]
+    free_leaves: set[ColoringSpec] = set()
+    decisions = []
+    for leaf, mult, offset in leaves:
+        spec = leaf.spec
         discharged = _lemma1_colors(spec, t)
         colors = [c for c in range(1, spec.ell + 1) if c not in discharged]
-        graphs = color_class_graphs(coloring, colors)
-        for c in colors:
-            result = has_clique_of_order(graphs[c], t)
-            nodes += result.nodes
-            if result.found:
-                return MonoWitness(c, tuple(result.witness)), nodes
-    clique_free[spec] = 0
-    return None, nodes
+        witness, nodes, reused = None, 0, spec in free_leaves
+        if spec.N >= t and not reused:
+            graphs = color_class_graphs(leaf, colors)
+            for c in colors:
+                result = has_clique_of_order(graphs[c], t)
+                nodes += result.nodes
+                if result.found:
+                    witness = MonoWitness(offset + c, tuple(a * mult for a in result.witness))
+                    break
+            else:
+                free_leaves.add(spec)
+        decisions.append(_Decision(tuple(offset + c for c in colors), witness, nodes, reused))
+        if witness is not None:
+            break
+    return decisions
 
 
 class Certificate(Record):
@@ -576,9 +576,10 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     exactly when the exhaustive search found nothing. A spec that would
     build a class past EXHAUSTIVE_LIMIT raises ValueError before the
     coloring is drawn (_check_exhaustive; a product is checked on its
-    factors). search_stats lists the colors searched and those discharged
-    by Lemma 1, and counts the factor decisions a product reused
-    (_first_clique_class).
+    leaves). search_stats is read off the leaf decisions (_decide_leaves):
+    their nodes, the colors searched and those discharged by Lemma 1 up
+    to the witness's color (every color when verified), and how many
+    leaves were answered by an equal leaf.
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     if spec.t < 2:
@@ -588,13 +589,9 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     _check_exhaustive(spec)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
-    discharged = _lemma1_colors(spec, spec.t)
-    colors = [c for c in range(1, spec.ell + 1) if c not in discharged]
-    clique_free: dict = {}
-    # colors ascend and each class search is deterministic, so the witness is
-    # the one an all-class search finds: discharged classes hold no t-clique
-    witness, nodes = _first_clique_class(coloring, spec.t, clique_free)
+    decisions = _decide_leaves(coloring, spec.t)
     elapsed = time.perf_counter() - start
+    witness = decisions[-1].witness
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
     # the expectation formula covers the blowup family (m maps plus two
@@ -605,6 +602,8 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
         if spec.kind == KIND_BLOWUP and spec.m > 0 and census is None:
             census = g0_census(spec.t)
         expectation = expected_mono_count(spec.t, spec.m, spec.N, census)
+    asked = [c for decision in decisions for c in decision.colors]
+    last = spec.ell if witness is None else witness.color
     return Certificate(
         spec=spec,
         seed=used_seed,
@@ -614,14 +613,12 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
         witness=witness,
         expectation=expectation,
         search_stats={
-            "nodes": nodes,
+            "nodes": sum(decision.nodes for decision in decisions),
             "wall_time_sec": round(elapsed, 6),
             "tries": 1,
-            "searched_colors": colors
-            if witness is None
-            else colors[: colors.index(witness.color) + 1],
-            "lemma1_colors": sorted(discharged),
-            "reused_factors": sum(clique_free.values()),
+            "searched_colors": [c for c in asked if c <= last],
+            "lemma1_colors": [c for c in range(1, last + 1) if c not in asked],
+            "reused_factors": sum(decision.reused for decision in decisions),
         },
     )
 

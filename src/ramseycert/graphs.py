@@ -237,8 +237,8 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     The visit order is a contract: classes highest first, the lowest
     vertex first within a class, each visited vertex counted as one node
     and removed from the candidates. The same graph gives the same
-    witness and node count, and coloring._first_clique_class maps a
-    product's witness from its factor's clique by assuming this order.
+    witness and node count, and coloring._decide_leaves maps a
+    product's witness from its leaf's clique by assuming this order.
     """
     if k < 0:
         raise ValueError(f"clique order must be non-negative, got {k}")

@@ -4,7 +4,7 @@ that shares no code with ramseycert."""
 import re
 from pathlib import Path
 
-from ramseycert.coloring import _first_clique_class
+from ramseycert.coloring import _decide_leaves
 from ramseycert.graphs import BitGraph
 
 
@@ -24,7 +24,7 @@ def complete_graph(n):
 
 def find_mono_clique(coloring, t):
     """The first monochromatic t-clique, t any target, or None when every class is free of one."""
-    return _first_clique_class(coloring, t, {})[0]
+    return _decide_leaves(coloring, t)[-1].witness
 
 
 def adjacent(g, u, v):

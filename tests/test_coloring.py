@@ -262,7 +262,7 @@ def test_product_search_on_factors_finds_the_all_class_witness():
         )
         assert certificate_core(cert.to_json_dict()) == certificate_core(expected.to_json_dict())
         below = sub_specs(spec)
-        if len(set(below)) == len(below):  # only an equal spec is answered from the reuse dict
+        if len(set(below)) == len(below):  # only an equal leaf is answered by another's decision
             assert cert.search_stats["reused_factors"] == 0
         seen["witness" if reference else "none"] += 1
         seen["reused"] += cert.search_stats["reused_factors"] > 0
@@ -273,9 +273,17 @@ def test_product_search_on_factors_finds_the_all_class_witness():
     assert min(seen.values()) >= 10, seen
 
 
-def test_first_clique_class_on_too_few_vertices_answers_no():
+def test_leaf_on_too_few_vertices_answers_no(monkeypatch):
+    # with 0 nodes and no class build, and its repeat is not counted as reused
+    built = count_class_builds(monkeypatch)
     small = generate_blowup_coloring(4, 1, 3, 0)
-    assert coloring_module._first_clique_class(small, 4, {}) == (None, 0)
+    decision = coloring_module._Decision
+    assert coloring_module._decide_leaves(small, 4) == [decision((2, 3), None, 0, False)]
+    square = product_coloring(small, small)
+    assert coloring_module._decide_leaves(square, 4) == [
+        decision((2, 3), None, 0, False), decision((5, 6), None, 0, False)
+    ]
+    assert built == []
 
 
 def count_class_builds(monkeypatch):
@@ -293,13 +301,15 @@ def count_class_builds(monkeypatch):
 
 def test_clique_free_answers_are_keyed_by_spec(monkeypatch):
     built = count_class_builds(monkeypatch)
-    clique_free = {}
     coloring, other = regenerate(BLOWUP_SPEC_N9), regenerate(BLOWUP_SPEC_N9, seed=2)
-    for decided in (coloring, coloring, other):
-        assert coloring_module._first_clique_class(decided, 4, clique_free)[0] is None
-    # the repeat is answered from the dict; another seed is built
+    decisions = coloring_module._decide_leaves(
+        product_coloring(product_coloring(coloring, coloring), other), 4
+    )
+    # the repeated leaf is answered from the first one's decision; another seed is built
     assert built == [(BLOWUP_SPEC_N9, [2, 3]), (other.spec, [2, 3])]
-    assert clique_free == {BLOWUP_SPEC_N9: 1, other.spec: 0}
+    assert [d.witness for d in decisions] == [None, None, None]
+    assert [d.reused for d in decisions] == [False, True, False]
+    assert decisions[1].nodes == 0
 
 
 def leaf_offsets(spec, offset=0):
@@ -311,8 +321,8 @@ def leaf_offsets(spec, offset=0):
 
 
 def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
-    # verify_coloring reports searched_colors and lemma1_colors from the whole
-    # spec; each leaf picks its own colors: the two must agree
+    # verify_coloring reads searched_colors and lemma1_colors off the leaf
+    # decisions: they must be the classes each leaf builds, palette-shifted
     built = count_class_builds(monkeypatch)
     rand = random.Random(28)
     tied = discharged = nested = 0
@@ -324,7 +334,7 @@ def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
         leaves = leaf_offsets(coloring.spec)
         specs = [leaf for leaf, _ in leaves]
         if len(set(specs)) < len(specs) or any(leaf.N < target for leaf in specs):
-            continue  # a repeat is answered from the reuse dict, a small leaf is not built
+            continue  # a repeat is answered by an equal leaf, a small leaf is not built
         factors = coloring.spec.factors
         spec = ColoringSpec("product", target, 0, coloring.ell, coloring.N, 0, factors)
         built.clear()
@@ -342,9 +352,9 @@ def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
     assert discharged >= 10 and nested >= 5
 
 
-def test_repeated_sub_product_is_answered_whole(monkeypatch):
-    # (F x F) x (F x F): F is decided once, the inner square's second F and
-    # the whole second square come from the reuse dict
+def test_repeated_sub_product_is_answered_per_leaf(monkeypatch):
+    # (F x F) x (F x F): F is decided once, and its three repeats are
+    # answered from that decision, one leaf at a time
     built = count_class_builds(monkeypatch)
     factor = BLOWUP_SPEC_N9
     square = ColoringSpec(kind="product", t=4, m=0, ell=6, N=81, seed=0, factors=(factor, factor))
@@ -353,7 +363,7 @@ def test_repeated_sub_product_is_answered_whole(monkeypatch):
     )
     cert = verify_coloring(spec)
     assert built == [(factor, [2, 3])]
-    assert cert.verified and cert.search_stats["reused_factors"] == 2
+    assert cert.verified and cert.search_stats["reused_factors"] == 3
     assert cert.search_stats["nodes"] == verify_coloring(factor).search_stats["nodes"]
     assert cert.search_stats["searched_colors"] == [2, 3, 5, 6, 8, 9, 11, 12]
 
@@ -409,7 +419,7 @@ def test_search_stats_name_searched_and_discharged_colors(census_4):
     assert cert.search_stats["reused_factors"] == 0
     assert recheck_certificate(cert.to_json_dict()) is None
 
-    # a factor on fewer than t vertices answers no before the reuse dict is asked
+    # a factor on fewer than t vertices answers no, and its repeat is not counted as reused
     factor = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=3, seed=5)
     prod = ColoringSpec(kind="product", t=4, m=0, ell=6, N=9, seed=0, factors=(factor, factor))
     cert = verify_coloring(prod)
@@ -769,6 +779,9 @@ def test_witnessed_square_maps_the_factor_clique():
     assert cert.witness == MonoWitness(5, (37107, 104811, 263004, 324849, 345681, 380835))
     assert cert.witness.vertices == tuple(a * 651 for a in clique)
     assert cert.witness.holds_in(regenerate(spec))
+    # search_stats stop at the witness's color: the second leaf is never decided
+    assert cert.search_stats["searched_colors"] == [5]
+    assert cert.search_stats["lemma1_colors"] == [1, 2, 3, 4]
 
 
 def test_product_cube_past_the_guard_verifies_on_its_factors(tmp_path, monkeypatch):
@@ -794,8 +807,8 @@ def test_product_cube_past_the_guard_verifies_on_its_factors(tmp_path, monkeypat
 
 
 def test_right_nested_cube_decides_its_factor_once(monkeypatch):
-    # F x (F x F): the square inside the second factor is answered from the
-    # first factor's decision, both its factors from the reuse dict
+    # F x (F x F): both leaves of the square inside the second factor are
+    # answered from the first factor's decision
     built = count_class_builds(monkeypatch)
     factor = t6_m4_product(1007, 1)
     square = t6_m4_product(1007, 2)

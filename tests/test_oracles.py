@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseycert.coloring import ColoringSpec, color_class_graphs, regenerate
+from ramseycert.coloring import ColoringSpec, EdgeColoring, color_class_graphs, regenerate
 from ramseycert.graphs import (
     BitGraph,
     CliqueSearch,
@@ -135,8 +135,8 @@ def reference_has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     nodes = 0
 
     # keep this visit order (greedy classes last to first, lowest vertex
-    # first within a class): coloring._first_clique_class maps a product's
-    # witness from its factor's clique by assuming it, so product
+    # first within a class): coloring._decide_leaves maps a product's
+    # witness from its leaf's clique by assuming it, so product
     # witnesses depend on it
     def expand(r_mask: int, size: int, cand: int) -> int:
         nonlocal nodes
@@ -196,6 +196,74 @@ def test_blowup_class_search_matches_reference():
     coloring = regenerate(ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=3))
     result = same_search(color_class_graphs(coloring, [5])[5], 6)
     assert (result.found, result.nodes) == (False, 246)
+
+
+def reference_color_of(spec: ColoringSpec):
+    """color_of of `spec` by the two-factor product rule, recursively.
+
+    A product vertex v is the pair divmod(v, N2): the first factor colors
+    the pairs whose first coordinates differ, the second factor, shifted
+    past the first palette, the pairs inside one block.
+    """
+    if spec.kind != "product":
+        return EdgeColoring(spec).color_of
+    f1, f2 = spec.factors
+    first, second = reference_color_of(f1), reference_color_of(f2)
+
+    def color_of(x: int, y: int) -> int:
+        (a1, b1), (a2, b2) = divmod(x, f2.N), divmod(y, f2.N)
+        return first(a1, a2) if a1 != a2 else f1.ell + second(b1, b2)
+
+    return color_of
+
+
+def random_nested_spec(rand: random.Random, depth: int) -> ColoringSpec:
+    """A spec nested up to `depth` products deep, either way, over blowup and uniform leaves."""
+    if depth and rand.random() < 0.7:
+        f1, f2 = random_nested_spec(rand, depth - 1), random_nested_spec(rand, depth - 1)
+        return ColoringSpec(
+            "product", max(f1.t, f2.t), 0, f1.ell + f2.ell, f1.N * f2.N, 0, (f1, f2)
+        )
+    N = rand.choice((1, rand.randint(2, 7)))
+    if rand.random() < 0.5:
+        m = rand.randint(0, 2)
+        return ColoringSpec("blowup", rand.choice((2, 4)), m, m + 2, N, rand.getrandbits(64))
+    return ColoringSpec("erdos", 3, 0, rand.randint(2, 3), N, rand.getrandbits(64))
+
+
+def leaf_specs(spec: ColoringSpec) -> list[ColoringSpec]:
+    if spec.kind != "product":
+        return [spec]
+    return [leaf for factor in spec.factors for leaf in leaf_specs(factor)]
+
+
+def nesting_depth(spec: ColoringSpec) -> int:
+    return 0 if spec.kind != "product" else 1 + max(map(nesting_depth, spec.factors))
+
+
+def test_product_colors_by_the_first_differing_leaf_as_by_two_factors():
+    # a product colors a pair by its first leaf whose coordinates differ;
+    # on every ordered pair that must be the two-factor rule applied level by level
+    rand = random.Random(29)
+    seen = {"left": 0, "right": 0, "depth3": 0, "blowup": 0, "erdos": 0, "N=1": 0}
+    checked = 0
+    while checked < 60:
+        spec = random_nested_spec(rand, 3)
+        if spec.kind != "product" or spec.N > 120:
+            continue
+        color_of, reference = regenerate(spec).color_of, reference_color_of(spec)
+        for x, y in itertools.permutations(range(spec.N), 2):
+            assert color_of(x, y) == reference(x, y), (spec, x, y)
+        leaves = leaf_specs(spec)
+        f1, f2 = spec.factors
+        seen["left"] += f1.kind == "product"
+        seen["right"] += f2.kind == "product"
+        seen["depth3"] += nesting_depth(spec) == 3
+        seen["blowup"] += any(leaf.kind == "blowup" for leaf in leaves)
+        seen["erdos"] += any(leaf.kind == "erdos" for leaf in leaves)
+        seen["N=1"] += any(leaf.N == 1 for leaf in leaves)
+        checked += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def reference_count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:

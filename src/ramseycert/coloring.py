@@ -179,7 +179,8 @@ class EdgeColoring:
     """A total symmetric coloring of the pairs of [N], values in 1..ell.
 
     Built from its spec alone: a blowup draws its m tables, a product
-    builds the colorings of its leaves. Immutable after construction;
+    builds one coloring per distinct leaf, which its equal leaves share.
+    Immutable after construction;
     color_of is a pure function of (spec, pair).
     """
 
@@ -191,7 +192,9 @@ class EdgeColoring:
                 for i in range(1, spec.m + 1)
             ]
         elif spec.kind == KIND_PRODUCT:
-            self._leaves = [(EdgeColoring(s), mult, offset) for s, mult, offset in _leaves(spec)]
+            leaves = _leaves(spec)
+            built = {s: EdgeColoring(s) for s in dict.fromkeys(s for s, _, _ in leaves)}
+            self._leaves = [(built[s], mult, offset) for s, mult, offset in leaves]
 
     @property
     def N(self) -> int:
@@ -281,13 +284,17 @@ def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
     coordinates, so it projects onto a K_t of the leaf's class, and a
     leaf clique w lifts to [a * mult for a in w]: the product holds a
     monochromatic K_t iff a leaf does. That lift is the clique a search
-    of the product class reports: has_clique_of_order's greedy coloring,
-    in ascending vertex order, puts every twin of a in a's class, so the
-    search visits twins consecutively, lowest first, each with the leaf's
-    subtree at a, and block 0 before the other blocks, whose subtrees
-    repeat block 0's failures; the first success at every depth is at
-    the lowest twin in block 0. So verification decides the leaves
-    (_decide_leaves) and builds no product class.
+    of the product class reports. color_class_graphs numbers a class
+    from the top, and has_clique_of_order peels the highest graph vertex
+    first, so its greedy coloring meets the product's vertices in
+    ascending order and puts every twin of a in a's class; the search
+    visits twins consecutively, the lowest product vertex first, each
+    with the leaf's subtree at a, and block 0 before the other blocks,
+    whose subtrees repeat block 0's failures; the first success at every
+    depth is at the lowest twin in block 0. The leaf's class is numbered
+    from the top too, so a leaf clique is read back through N-1-v before
+    the lift. So verification decides the leaves (_decide_leaves) and
+    builds no product class.
     """
     spec = ColoringSpec(
         kind=KIND_PRODUCT,
@@ -364,12 +371,16 @@ def _check_exhaustive(spec: ColoringSpec) -> None:
 
 
 def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, BitGraph]:
-    """Materialize the requested color classes as graphs.
+    """Materialize the requested color classes as graphs, numbered from the top.
 
-    Blowup classes are built by pullback (_blowup_rows). Products and
-    uniform random colorings go through one color_of pass over all
-    pairs; verification never builds a product class, since it decides
-    each one on its leaves.
+    Graph vertex i is the coloring's vertex N-1-i, so has_clique_of_order,
+    which peels the highest vertex first, visits a class in the ascending
+    order of its coloring vertices, and a clique w of the graph is the
+    clique [N-1-v for v in w] of the coloring. Blowup classes are built
+    by pullback (_blowup_rows), in this numbering from the start.
+    Products and uniform random colorings go through one color_of pass
+    over all pairs; verification never builds a product class, since it
+    decides each one on its leaves.
     """
     N, ell = coloring.N, coloring.ell
     _check_materializable(N)
@@ -383,7 +394,7 @@ def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, B
         color_of = coloring.color_of
         for x in range(N):
             for y in range(x + 1, N):
-                row = rows.get(color_of(x, y))
+                row = rows.get(color_of(N - 1 - x, N - 1 - y))
                 if row is not None:
                     row[x] |= 1 << y
                     row[y] |= 1 << x
@@ -393,11 +404,13 @@ def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, B
 def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int]]:
     """Rows of the wanted blowup classes and of both leftover classes, by pullback.
 
-    The pairs f_i separates across an edge are orthogonality_rows of its
-    table (t coordinate masks); class i keeps those no earlier map took.
-    Every leftover coin of the build comes from one rng.coin_rows pass
-    over the rows of the pairs no map took, which returns the heads, so
-    coins are drawn only for pairs no map separates.
+    Rows are numbered from the top (see color_class_graphs), so the
+    pullback runs on the reversed tables. The pairs f_i separates
+    across an edge are orthogonality_rows of its table (t coordinate
+    masks); class i keeps those no earlier map took. Every leftover coin
+    of the build comes from one rng.coin_rows pass over the rows of the
+    pairs no map took, which returns the heads, so coins are drawn only
+    for pairs no map separates.
     """
     spec = coloring.spec
     N, m = spec.N, spec.m
@@ -405,7 +418,7 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
     full = (1 << N) - 1
     free = [full ^ (1 << x) for x in range(N)]  # pairs at x no map has colored so far
     for i, table in enumerate(coloring._tables, start=1):
-        pulled = orthogonality_rows(table, spec.t)  # no diagonal: codes have even weight
+        pulled = orthogonality_rows(table[::-1], spec.t)  # no diagonal: codes have even weight
         if i in wanted:
             rows[i] = [r & f for r, f in zip(pulled, free)]
         free = [f & ~r for f, r in zip(free, pulled)]
@@ -439,8 +452,9 @@ def _decide_leaves(coloring: EdgeColoring, t: int) -> list[_Decision]:
     """Decide the leaves in order, up to the first that holds a t-clique.
 
     Each leaf builds the classes _lemma1_colors(leaf, t) leaves open and
-    searches them ascending; its first clique w, in class c, is the
-    product's witness in class offset + c on [a * mult for a in w] (see
+    searches them ascending; its first clique w, in class c, numbered
+    from the top, is the leaf's clique a = N-1-v for v in w, and the
+    product's witness in class offset + c is [a * mult for those a] (see
     product_coloring). So the witness is the one a search of every
     product class, ascending, would report. A leaf on fewer than t
     vertices holds no t-clique; a leaf equal to one already found free
@@ -460,7 +474,10 @@ def _decide_leaves(coloring: EdgeColoring, t: int) -> list[_Decision]:
                 result = has_clique_of_order(graphs[c], t)
                 nodes += result.nodes
                 if result.found:
-                    witness = MonoWitness(offset + c, tuple(a * mult for a in result.witness))
+                    top = spec.N - 1
+                    witness = MonoWitness(
+                        offset + c, tuple((top - v) * mult for v in reversed(result.witness))
+                    )
                     break
             else:
                 free_leaves.add(spec)

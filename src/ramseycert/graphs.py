@@ -22,14 +22,18 @@ census's representatives and for max_clique's neighbourhoods.
 The k-clique search is branch-and-bound with greedy-coloring upper
 bounds. A node colors all its candidates but lists only the classes
 that can branch, those numbered at least kmin, the count of clique
-vertices still missing. It peels each vertex with one XOR and one AND
-against a closed row (the vertex and its neighbors cleared) built once
-per search; a child too small to hold kmin - 1 vertices peels down to
-nothing, so it lists no class and needs no test of its own. The visit
-order is fixed, so the witness and the node count are functions of the
-graph and k. The recursive helper refers to itself through its closure;
-the search clears that reference when it ends, so no garbage cycle
-keeps the helper and its rows alive until the next cyclic collection.
+vertices still missing. It peels the highest candidate first, found by
+a bit scan (int.bit_length), with one XOR and one AND against a closed
+row (the vertex and its neighbors cleared) built once per search, and
+no negative int; a child too small to hold kmin - 1 vertices peels
+down to nothing, so it lists no class and needs no test of its own.
+The visit order is fixed, so the witness and the node count are
+functions of the graph and k; a color class comes numbered from the
+top (coloring.color_class_graphs), so the search meets its vertices in
+the coloring's ascending order. The recursive helper refers to itself
+through its closure; the search clears that reference when it ends, so
+no garbage cycle keeps the helper and its rows alive until the next
+cyclic collection.
 
 max_clique asks the k-clique search for growing k. A graph may carry
 `orbits`, one vertex per orbit of a group of its automorphisms; every
@@ -221,24 +225,29 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     coloring bound, which never prunes a branch containing a k-clique).
 
     A node with `size` vertices chosen colors its candidates greedily,
-    ascending vertex order, and branches only on the classes numbered
+    highest vertex first, and branches only on the classes numbered
     kmin = k - size or more. The classes above a vertex are visited and
     removed before it, so a clique of the candidates left through a
     vertex of class c has at most c vertices, too few below kmin. The
     lower classes are still peeled, since the later classes depend on
-    them, but their members are never listed. Peeling a vertex v is
-    `rest ^= low; q &= closed[v]` with the per-search closed row
-    closed[v] = ~(adj[v] | 1 << v), restricted to the vertex set. Any
+    them, but their members are never listed. Peeling a vertex is
+    `v = q.bit_length() - 1; rest ^= bit[v]; q &= closed[v]` with the
+    per-search closed row closed[v] = ~(adj[v] | 1 << v), restricted to
+    the vertex set: a bit scan and no negative int, where the lowest bit
+    q & -q would copy the full-width candidate set three times. Any
     nonempty child is entered: one with fewer than kmin - 1 candidates
     colors them all in the peeled classes, so it lists no class, counts
     no node and returns None, and a popcount per visit to skip it would
     cost more than it saves.
 
-    The visit order is a contract: classes highest first, the lowest
+    The visit order is a contract: classes highest first, the highest
     vertex first within a class, each visited vertex counted as one node
     and removed from the candidates. The same graph gives the same
-    witness and node count, and coloring._decide_leaves maps a
-    product's witness from its leaf's clique by assuming this order.
+    witness and node count. It is the ascending order of the graph
+    numbered the other way round (vertex v as n-1-v), which is how
+    coloring.color_class_graphs numbers a class, and
+    coloring._decide_leaves maps a product's witness from its leaf's
+    clique by assuming it.
     """
     if k < 0:
         raise ValueError(f"clique order must be non-negative, got {k}")
@@ -248,7 +257,8 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
         return CliqueSearch(False, None, 0)
     adj = g.adj
     full = (1 << g.n) - 1
-    closed = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
+    bit = [1 << v for v in range(g.n)]
+    closed = [full ^ (row | b) for row, b in zip(adj, bit)]
     nodes = 0
 
     def expand(kmin: int, cand: int) -> Optional[list[int]]:
@@ -258,18 +268,17 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
         for _ in range(kmin - 1):  # classes 1..kmin-1: peeled, never listed
             q = rest
             while q:
-                low = q & -q
-                rest ^= low
-                q &= closed[low.bit_length() - 1]
+                v = q.bit_length() - 1
+                rest ^= bit[v]
+                q &= closed[v]
         classes = []  # classes kmin and up, the ones that can branch
         while rest:
             members = []
             q = rest
             while q:
-                low = q & -q
-                v = low.bit_length() - 1
+                v = q.bit_length() - 1
                 members.append(v)
-                rest ^= low
+                rest ^= bit[v]
                 q &= closed[v]
             classes.append(members)
         if kmin == 1:  # entered only with candidates, so some class is listed
@@ -284,7 +293,7 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
                     if hit:
                         hit.append(v)
                         return hit
-                cand ^= 1 << v
+                cand ^= bit[v]
         return None
 
     hit = expand(k, full)

@@ -141,38 +141,46 @@ def uniform_row(bound: int, seed: int, tag: str, i: int, n: int) -> list[int]:
 
 
 def coin_rows(seed: int, tag: str, free: list[int]) -> list[int]:
-    """The rows of the pairs x < y of `free` with uniform_below(2, seed, tag, x, y) = 1.
+    """The rows of the pairs of `free` whose coin uniform_below(2, seed, tag, x, y) is 1.
 
-    free holds the symmetric rows of a relation on range(len(free)), with
-    no diagonal; so does the result. Same bits as one uniform_below call
-    per pair: a bound of 2 never rejects, so each coin is the low bit of
-    stream64(seed, tag, x, y, 0), the low byte of its lane. Each row's key
-    stream64(seed, tag, x) is drawn in one pass for all rows. Splitting
-    row x's bits above x, lowest first, on "1" gives the gaps between its
-    partners y > x, so the gather peels no bits; whole rows are gathered
-    until a block holds at least _BLOCK lanes, and the block is drawn in
-    one call, so the lanes held stay bounded by one block plus one row.
-    The lane masks are sized to the widest draw so far, and each head is
-    ORed into both of its rows from one table of powers of two.
+    free holds the symmetric rows of a relation on n = len(free)
+    vertices, with no diagonal, numbered from the top: row i and bit i
+    stand for vertex x = n-1-i, as in coloring.color_class_graphs; so
+    does the result. Each coin is keyed by the vertices, x < y, so the
+    numbering moves no coin. Same bits as one uniform_below call per
+    pair: a bound of 2 never rejects, so each coin is the low bit of
+    stream64(seed, tag, x, y, 0), the low byte of its lane. Each
+    vertex's key stream64(seed, tag, x) is drawn in one pass for all
+    vertices. Row i's bits below i are x's partners y > x, and their
+    binary string, read from its first "1", spells them from the lowest
+    y up; split on "1" it gives the gaps between them, so the gather
+    peels no bits. Rows are gathered from i = 0 up, the highest vertex
+    first, until a block holds at least _BLOCK lanes, and the block is
+    drawn in one call, so the lanes held stay bounded by one block plus
+    one row. The lane masks are sized to the widest draw so far, and
+    each head is ORed into both of its rows from one table of powers of
+    two.
     """
     n = len(free)
     width, masks = n, _lane_masks(n)
     keyed = _mix_lanes(_mix(seed ^ _tag_constant(tag)), range(n), 1, MASK64, masks)
     keys = memoryview(keyed).cast("Q")[::2].tobytes()
-    power = [1 << y for y in range(n)]
-    heads = [0] * n
+    power = [1 << n - 1 - x for x in range(n)]  # vertex x's bit
+    heads = [0] * n  # by vertex; reversed into rows at the end
     block: list[tuple[int, int]] = []  # (x, partner count) of the rows gathered
     ys: list[int] = []
     lane_keys = bytearray()
-    for x, row in enumerate(free):
-        steps = [len(gap) + 1 for gap in format(row >> x + 1, "b")[::-1].split("1")]
+    for i, row in enumerate(free):
+        x = n - 1 - i
+        partners = row & power[x] - 1  # bits below i: the partners y > x
+        steps = [len(gap) + 1 for gap in format(partners, "b").split("1")]
         steps.pop()  # the zeros past the top partner, or the lone "0" of an empty row
         if steps:
-            steps[0] += x
+            steps[0] += n - 1 - partners.bit_length()
             ys += accumulate(steps)
             block.append((x, len(steps)))
             lane_keys += keys[8 * x : 8 * x + 8] * len(steps)
-        if len(ys) >= _BLOCK or ys and x == n - 1:
+        if len(ys) >= _BLOCK or ys and x == 0:
             if len(ys) > width:
                 width, masks = len(ys), _lane_masks(len(ys))
             coins = _mix_lanes(lane_keys, ys, 2, 1, masks)[::16]
@@ -185,4 +193,5 @@ def coin_rows(seed: int, tag: str, free: list[int]) -> list[int]:
                     heads[y] |= bit
                 heads[a] |= ahead
             block, ys, lane_keys = [], [], bytearray()
+    heads.reverse()
     return heads

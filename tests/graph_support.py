@@ -1,5 +1,5 @@
-"""Test graphs built from rows, a clique search at any target, and a reader of graph files
-that shares no code with ramseycert."""
+"""Test graphs built from rows, a clique search at any target, the renumbering of class rows,
+and a reader of graph files that shares no code with ramseycert."""
 
 import re
 from pathlib import Path
@@ -25,6 +25,41 @@ def complete_graph(n):
 def find_mono_clique(coloring, t):
     """The first monochromatic t-clique, t any target, or None when every class is free of one."""
     return _decide_leaves(coloring, t)[-1].witness
+
+
+def pair_loop_classes(coloring, colors):
+    """The rows of the classes `colors`, numbered upward, from one color_of call per pair.
+
+    The reference for color_class_graphs, which numbers the same rows from the top.
+    """
+    rows = {c: [0] * coloring.N for c in colors}
+    for x in range(coloring.N):
+        for y in range(x + 1, coloring.N):
+            row = rows.get(coloring.color_of(x, y))
+            if row is not None:
+                row[x] |= 1 << y
+                row[y] |= 1 << x
+    return rows
+
+
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def from_top(rows):
+    """The rows renumbered v -> n-1-v, n = len(rows): the list reversed, and each row's n bits.
+
+    Class rows numbered from the top, as color_class_graphs and coin_rows give them, become
+    the rows numbered upward, as the color_of pair loop gives them; and the other way round.
+    A row's bytes, little-endian, each bit-reversed and read big-endian, hold bit v at
+    8 * size - 1 - v; the shift by the padding puts it at n-1-v.
+    """
+    n = len(rows)
+    size = (n + 7) // 8
+    pad = 8 * size - n
+    return [
+        int.from_bytes(row.to_bytes(size, "little").translate(_REVERSED_BYTE), "big") >> pad
+        for row in reversed(rows)
+    ]
 
 
 def adjacent(g, u, v):

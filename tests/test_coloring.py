@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,7 @@ from ramseycert.coloring import (
 )
 from ramseycert.graphs import g0_census, has_clique_of_order
 
-from graph_support import adjacent, find_mono_clique
+from graph_support import adjacent, find_mono_clique, from_top, pair_loop_classes
 
 BLOWUP_SPEC_N9 = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=1)
 
@@ -128,16 +129,6 @@ def test_blowup_classes_are_clique_free():
             assert not has_clique_of_order(graphs[c], 4).found
 
 
-def pair_loop_classes(coloring, colors):
-    """The class rows from one color_of call per pair: the reference."""
-    rows = {c: [0] * coloring.N for c in colors}
-    for (x, y), c in all_pair_colors(coloring).items():
-        if c in rows:
-            rows[c][x] |= 1 << y
-            rows[c][y] |= 1 << x
-    return rows
-
-
 def random_coloring(rand: random.Random, depth: int = 0) -> EdgeColoring:
     """A small random blowup, uniform random or (nested) product coloring."""
     kind = rand.random()
@@ -166,7 +157,7 @@ def test_class_graphs_match_color_of_pair_loop():
             expected = pair_loop_classes(coloring, colors)
             assert sorted(graphs) == colors
             for c in colors:
-                assert graphs[c].adj == expected[c], (coloring.spec, c)
+                assert graphs[c].adj == from_top(expected[c]), (coloring.spec, c)
     assert kinds == {"blowup", "erdos", "product"}
 
 
@@ -178,7 +169,7 @@ def test_leftover_classes_over_several_coin_blocks_match_color_of_pair_loop():
     for colors in ([2, 3], [3]):
         graphs = color_class_graphs(coloring, colors)
         for c in colors:
-            assert graphs[c].adj == expected[c], c
+            assert graphs[c].adj == from_top(expected[c]), c
 
 
 def test_class_graphs_reject_colors_outside_palette():
@@ -196,14 +187,7 @@ def test_all_class_search_finds_the_same_witness():
         for t, m, N in ((4, 1, 12), (4, 2, 14), (4, 0, 9)):
             coloring = generate_blowup_coloring(t, m, N, seed)
             witness = find_mono_clique(coloring, t)
-            graphs = color_class_graphs(coloring, list(range(1, coloring.ell + 1)))
-            full = None
-            for c in sorted(graphs):
-                result = has_clique_of_order(graphs[c], t)
-                if result.found:
-                    full = MonoWitness(c, tuple(sorted(result.witness)))
-                    break
-            assert witness == full, (t, m, N, seed)
+            assert witness == all_class_witness(coloring, t), (t, m, N, seed)
             compared += witness is not None
     assert compared >= 10
 
@@ -213,8 +197,8 @@ def all_class_witness(coloring, t):
     graphs = color_class_graphs(coloring, list(range(1, coloring.ell + 1)))
     for c in sorted(graphs):
         result = has_clique_of_order(graphs[c], t)
-        if result.found:
-            return MonoWitness(c, tuple(sorted(result.witness)))
+        if result.found:  # the class is numbered from the top
+            return MonoWitness(c, tuple(sorted(coloring.N - 1 - v for v in result.witness)))
     return None
 
 
@@ -368,6 +352,24 @@ def test_repeated_sub_product_is_answered_per_leaf(monkeypatch):
     assert cert.search_stats["searched_colors"] == [2, 3, 5, 6, 8, 9, 11, 12]
 
 
+def test_equal_leaves_share_one_coloring(monkeypatch):
+    # the cube of one N=740 blowup with m=2 draws its two tables once, not once per leaf
+    drawn = []
+    uniform_row = rng.uniform_row
+
+    def counting(*args):
+        drawn.append(args)
+        return uniform_row(*args)
+
+    monkeypatch.setattr(rng, "uniform_row", counting)
+    path = Path(__file__).resolve().parents[1] / "examples" / "r8_12.cube.json"
+    spec = ColoringSpec.from_json_dict(json.loads(path.read_text(encoding="ascii")))
+    cert = verify_coloring(spec)
+    assert cert.verified and len(drawn) == 2
+    leaves = [leaf for leaf, _, _ in regenerate(spec)._leaves]
+    assert len(leaves) == 3 and all(leaf is leaves[0] for leaf in leaves)
+
+
 def test_verified_product_builds_only_factor_classes(monkeypatch):
     built, searched = [], []
     real_classes = coloring_module.color_class_graphs
@@ -485,11 +487,11 @@ def test_witnessed_product_certificate_core_is_pinned(seeds, color, vertices, di
 
 
 def test_t6_m4_leftover_class_rows_are_pinned():
-    # recorded while the draws ran one scalar splitmix64 key at a time
+    # recorded while the draws ran one scalar splitmix64 key at a time, on rows numbered upward
     graphs = color_class_graphs(generate_blowup_coloring(6, 4, 651, 2), [5, 6])
     digest = hashlib.sha256()
     for c in (5, 6):
-        for row in graphs[c].adj:
+        for row in from_top(graphs[c].adj):
             digest.update(row.to_bytes(82, "little"))
     assert digest.hexdigest() == (
         "ce3ebfe23ee56bccffcec88769472f12eedb5904db40e15965d782aecaa624f5"
@@ -497,11 +499,12 @@ def test_t6_m4_leftover_class_rows_are_pinned():
 
 
 def test_t8_m2_leftover_class_rows_are_pinned():
-    # about 70k leftover pairs, many lane blocks; recorded with one coin pass per vertex
+    # about 70k leftover pairs, many lane blocks; recorded with one coin pass per vertex, on
+    # rows numbered upward
     graphs = color_class_graphs(generate_blowup_coloring(8, 2, 740, 1), [3, 4])
     digest = hashlib.sha256()
     for c in (3, 4):
-        for row in graphs[c].adj:
+        for row in from_top(graphs[c].adj):
             digest.update(row.to_bytes(93, "little"))
     assert digest.hexdigest() == (
         "f64023eb6e13f480286b4a6bd3466587513871f1650fb7720e9ba4124c09048d"

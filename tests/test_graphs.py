@@ -91,18 +91,25 @@ def test_build_g0_rows_are_the_parity_definition(t):
         assert g.adj[i] == row
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), t=st.sampled_from([2, 4, 6, 8, 10, 12]))
+def even_code(v):
+    """G0 vertex v's code: each pair {2v, 2v + 1} holds one even-weight vector, the v-th ascending."""
+    return next(c for c in (2 * v, 2 * v + 1) if bin(c).count("1") % 2 == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), t=st.sampled_from(range(2, 31, 2)))
 def test_orthogonality_rows_are_the_pairwise_parity(data, t):
-    # a handful of distinct G0 vertices, so the table repeats entries
-    vertices = st.integers(0, (1 << (t - 1)) - 1)
+    # a handful of distinct G0 vertices, some near the last one, so the table repeats entries
+    last = (1 << (t - 1)) - 1
+    vertices = st.integers(0, last) | st.integers(max(0, last - 7), last)
     values = data.draw(st.lists(vertices, min_size=1, max_size=6))
     table = data.draw(st.lists(st.sampled_from(values), max_size=40))
-    codes = even_weight_codes(t)
+    codes = {v: even_code(v) for v in values}
     assert orthogonality_rows(table, t) == [
         sum(1 << y for y, w in enumerate(table) if bin(codes[v] & codes[w]).count("1") % 2)
         for v in table
     ]
+    assert orthogonality_rows([], t) == []
 
 
 def test_build_g0_rejects_odd_t():

@@ -1,9 +1,13 @@
 """The exact kernels against independent oracles on random graphs.
 
 The clique kernels are checked against networkx. The k-clique kernel is
-also held to the earlier kernel, kept here verbatim as
-reference_has_clique_of_order: same found flag, same witness, same node
-count. Certificates and product witnesses depend on that visit order.
+also held to an earlier kernel in its visit order, highest vertex first,
+kept here as reference_has_clique_of_order: same found flag, same
+witness, same node count. Certificates and product witnesses depend on
+that visit order. Class graphs are numbered from the top, so a search of
+one is held to ascending_has_clique_of_order, the kernel that visited
+the lowest vertex first, kept here verbatim, on the class numbered
+upward: the same search with the vertices renamed v -> N-1-v.
 
 The independent-set census, which searches one vertex per false-twin
 class, is held to the earlier census on every vertex, kept here verbatim
@@ -14,6 +18,7 @@ graphs with planted twins.
 import itertools
 import random
 from math import comb
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +37,7 @@ from ramseycert.graphs import (
     max_clique,
 )
 
-from graph_support import graph_edges, graph_from_edges
+from graph_support import from_top, graph_edges, graph_from_edges, pair_loop_classes
 
 nx = pytest.importorskip("networkx")
 
@@ -91,7 +96,7 @@ def test_has_clique_of_order_matches_networkx(graphs, k):
 
 
 def _color_sort(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set, ascending vertex order.
+    """Greedy coloring of the candidate set, highest vertex first.
 
     Returns the candidates regrouped by color class together with their
     class numbers; no clique inside `cand` can exceed the number of
@@ -106,13 +111,13 @@ def _color_sort(cand: int, adj: list[int]) -> tuple[list[int], list[int]]:
         members: list[int] = []
         q = rest
         while q:
-            low = q & -q
-            v = low.bit_length() - 1
+            v = q.bit_length() - 1
+            top = 1 << v
             members.append(v)
-            q &= ~(adj[v] | low)
-            rest ^= low
+            q &= ~(adj[v] | top)
+            rest ^= top
         # classes are consumed back to front by the searches; storing each
-        # class reversed makes ties branch on the lowest vertex index first
+        # class reversed makes ties branch on the highest vertex index first
         order.extend(reversed(members))
         bounds.extend([color] * len(members))
     return order, bounds
@@ -134,7 +139,7 @@ def reference_has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     adj = g.adj
     nodes = 0
 
-    # keep this visit order (greedy classes last to first, lowest vertex
+    # keep this visit order (greedy classes last to first, highest vertex
     # first within a class): coloring._decide_leaves maps a product's
     # witness from its leaf's clique by assuming it, so product
     # witnesses depend on it
@@ -196,6 +201,111 @@ def test_blowup_class_search_matches_reference():
     coloring = regenerate(ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=3))
     result = same_search(color_class_graphs(coloring, [5])[5], 6)
     assert (result.found, result.nodes) == (False, 246)
+
+
+def ascending_has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
+    """The k-clique kernel that greedy-colored and visited the lowest vertex first.
+
+    Classes highest first, the lowest vertex first within a class. On the
+    graph renamed v -> n-1-v it makes the visits of has_clique_of_order.
+    """
+    if k < 0:
+        raise ValueError(f"clique order must be non-negative, got {k}")
+    if k == 0:
+        return CliqueSearch(True, [], 0)
+    if k > g.n:
+        return CliqueSearch(False, None, 0)
+    adj = g.adj
+    full = (1 << g.n) - 1
+    closed = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
+    nodes = 0
+
+    def expand(kmin: int, cand: int) -> Optional[list[int]]:
+        """A kmin-clique inside cand, its vertices last chosen first, or None."""
+        nonlocal nodes
+        rest = cand
+        for _ in range(kmin - 1):  # classes 1..kmin-1: peeled, never listed
+            q = rest
+            while q:
+                low = q & -q
+                rest ^= low
+                q &= closed[low.bit_length() - 1]
+        classes = []  # classes kmin and up, the ones that can branch
+        while rest:
+            members = []
+            q = rest
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                members.append(v)
+                rest ^= low
+                q &= closed[v]
+            classes.append(members)
+        if kmin == 1:  # entered only with candidates, so some class is listed
+            nodes += 1
+            return [classes[-1][0]]
+        for members in reversed(classes):  # the visit order of the docstring
+            for v in members:
+                nodes += 1
+                child = cand & adj[v]
+                if child:
+                    hit = expand(kmin - 1, child)
+                    if hit:
+                        hit.append(v)
+                        return hit
+                cand ^= 1 << v
+        return None
+
+    hit = expand(k, full)
+    # expand's own cell refers back to it; clearing the cell frees expand
+    # and the closed rows now, not at the next cyclic collection
+    del expand
+    if hit:
+        return CliqueSearch(True, sorted(hit), nodes)
+    return CliqueSearch(False, None, nodes)
+
+
+def random_leaf_spec(rand: random.Random, max_n: int) -> ColoringSpec:
+    """A blowup or uniform random spec on up to max_n vertices."""
+    N = rand.randint(2, max_n)
+    if rand.random() < 0.7:
+        t, m = rand.choice((2, 4, 6)), rand.randint(0, 3)
+        return ColoringSpec("blowup", t, m, m + 2, N, rand.getrandbits(64))
+    return ColoringSpec("erdos", 4, 0, rand.randint(2, 4), N, rand.getrandbits(64))
+
+
+def test_class_search_from_the_top_is_the_ascending_search_upward():
+    # on blowup and uniform colorings, and on the leaves of products, each class as
+    # color_class_graphs numbers it searches like the ascending kernel on it numbered upward
+    rand = random.Random(30)
+    seen = {"blowup": 0, "erdos": 0, "leaf": 0, "found": 0, "none": 0}
+    for _ in range(70):
+        if rand.random() < 0.3:
+            factors = (random_leaf_spec(rand, 12), random_leaf_spec(rand, 12))
+            f1, f2 = factors
+            product = ColoringSpec(
+                "product", 4, 0, f1.ell + f2.ell, f1.N * f2.N, 0, factors
+            )
+            colorings = [leaf for leaf, _, _ in EdgeColoring(product)._leaves]
+            seen["leaf"] += 1
+        else:
+            colorings = [EdgeColoring(random_leaf_spec(rand, 40))]
+        for coloring in colorings:
+            seen[coloring.spec.kind] += 1
+            N, colors = coloring.N, list(range(1, coloring.ell + 1))
+            graphs = color_class_graphs(coloring, colors)
+            upward_rows = pair_loop_classes(coloring, colors)
+            for c in colors:
+                upward = BitGraph(upward_rows[c])
+                assert graphs[c].adj == from_top(upward.adj)
+                for k in (3, 4, 5):
+                    result = has_clique_of_order(graphs[c], k)
+                    expected = ascending_has_clique_of_order(upward, k)
+                    assert (result.found, result.nodes) == (expected.found, expected.nodes)
+                    if result.found:
+                        assert sorted(N - 1 - v for v in result.witness) == expected.witness
+                    seen["found" if result.found else "none"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def reference_color_of(spec: ColoringSpec):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ramseycert import rng
 
+from graph_support import from_top
+
 
 def test_stream_is_a_pure_function():
     a = rng.stream64(42, "pair", 3, 7)
@@ -136,7 +138,11 @@ def symmetric(n, pairs):
 
 
 def scalar_rows(seed, free):
-    """The rows coin_rows should return, one scalar uniform_below per pair x < y."""
+    """The heads of free, one scalar uniform_below per pair x < y, rows numbered upward.
+
+    coin_rows takes and returns rows numbered from the top: from_top(free) and
+    from_top(scalar_rows(seed, free)).
+    """
     heads = [0] * len(free)
     for x, row in enumerate(free):
         for y in range(x + 1, row.bit_length()):
@@ -162,24 +168,30 @@ def upper(x, above):
 )
 def test_pair_coins_equal_uniform_below(seed, x, above):
     free = symmetric(x + 1 + above.bit_length(), [(x, y) for y in upper(x, above)])
-    assert rng.coin_rows(seed, "pair", free) == scalar_rows(seed, free)
+    assert rng.coin_rows(seed, "pair", from_top(free)) == from_top(scalar_rows(seed, free))
 
 
 def test_coin_blocks_span_rows_and_block_edges():
-    # rows of 700 partners: row 2 takes the first block from 1400 lanes past _BLOCK to 2100
+    # rows of 700 partners, gathered from vertex 10 down: vertex 8 takes the first block from
+    # 1400 lanes past _BLOCK to 2100
     rand = random.Random(7)
     pairs = [(x, x + 1 + j) for x in range(11) if x != 5 for j in rand.sample(range(1400), 700)]
     assert len(pairs) >= 3 * rng._BLOCK and 1400 < rng._BLOCK < 2100
     free = symmetric(11 + 1400, pairs)
     seed = rand.getrandbits(64)
-    assert rng.coin_rows(seed, "pair", free) == scalar_rows(seed, free)
+    assert rng.coin_rows(seed, "pair", from_top(free)) == from_top(scalar_rows(seed, free))
 
 
 def test_coin_blocks_hold_whole_rows(monkeypatch):
-    # the first block closes exactly at _BLOCK; the next row alone is wider than _BLOCK
+    # the first block closes exactly at _BLOCK; the next row alone is wider than _BLOCK.
+    # Rows are gathered from the highest vertex down, so vertex 5 - k holds widths[k]
     rand = random.Random(11)
     widths = [1000, rng._BLOCK - 1000, rng._BLOCK + 952, 500, 0, 700]
-    pairs = [(x, x + 1 + j) for x, w in enumerate(widths) for j in rand.sample(range(4000), w)]
+    pairs = [
+        (x, x + 1 + j)
+        for x, w in zip(range(len(widths) - 1, -1, -1), widths)
+        for j in rand.sample(range(4000), w)
+    ]
     free = symmetric(len(widths) + 4000, pairs)
     drawn = []
     mix_lanes = rng._mix_lanes
@@ -192,7 +204,7 @@ def test_coin_blocks_hold_whole_rows(monkeypatch):
 
     monkeypatch.setattr(rng, "_mix_lanes", recording)
     seed = rand.getrandbits(64)
-    assert rng.coin_rows(seed, "pair", free) == scalar_rows(seed, free)
+    assert rng.coin_rows(seed, "pair", from_top(free)) == from_top(scalar_rows(seed, free))
     assert drawn == [rng._BLOCK, rng._BLOCK + 952, 1200]
     # each block is consecutive whole rows, and holds under _BLOCK lanes before its last row
     row = iter(widths)
@@ -215,5 +227,5 @@ def test_coin_masks_grow_only_for_a_wider_block(monkeypatch):
 
     monkeypatch.setattr(rng, "_mix_lanes", recording)
     free = symmetric(41, [(x, y) for x in range(41) for y in range(x + 1, 41)])
-    assert rng.coin_rows(5, "pair", free) == scalar_rows(5, free)
+    assert rng.coin_rows(5, "pair", from_top(free)) == from_top(scalar_rows(5, free))
     assert masks_seen == [(41, 128 * 40 + 1), (820, 128 * 819 + 1)]

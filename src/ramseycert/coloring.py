@@ -22,8 +22,8 @@ single replay of its verification reproduces it field by field.
 
 A blowup coloring is its m tables and builds no orthogonality graph:
 color_of takes the parity of the two codes' AND, class i's rows are
-orthogonality_rows of table i minus the earlier classes' rows, and only
-the pairs no map separates draw a coin.
+table i's fiber rows (orthogonality_rows) minus the earlier classes'
+rows, and only the pairs no map separates draw a coin.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from operator import and_, xor
 from typing import Optional
 
 from . import rng
@@ -405,12 +406,14 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
     """Rows of the wanted blowup classes and of both leftover classes, by pullback.
 
     Rows are numbered from the top (see color_class_graphs), so the
-    pullback runs on the reversed tables. The pairs f_i separates
-    across an edge are orthogonality_rows of its table (t coordinate
-    masks); class i keeps those no earlier map took. Every leftover coin
-    of the build comes from one rng.coin_rows pass over the rows of the
-    pairs no map took, which returns the heads, so coins are drawn only
-    for pairs no map separates.
+    pullback runs on the reversed tables. The pairs f_i separates across
+    an edge are orthogonality_rows of its table, one row per fiber (t
+    coordinate masks), mapped through the table; class i keeps those no
+    earlier map took, and the free rows keep a fiber row's complement
+    (it holds the diagonal, as codes have even weight). Every leftover
+    coin of the build comes from one rng.coin_rows pass over the rows of
+    the pairs no map took, which returns the heads, so coins are drawn
+    only for pairs no map separates.
     """
     spec = coloring.spec
     N, m = spec.N, spec.m
@@ -418,12 +421,14 @@ def _blowup_rows(coloring: EdgeColoring, wanted: set[int]) -> dict[int, list[int
     full = (1 << N) - 1
     free = [full ^ (1 << x) for x in range(N)]  # pairs at x no map has colored so far
     for i, table in enumerate(coloring._tables, start=1):
-        pulled = orthogonality_rows(table[::-1], spec.t)  # no diagonal: codes have even weight
+        table = table[::-1]
+        pulled = orthogonality_rows(table, spec.t)
         if i in wanted:
-            rows[i] = [r & f for r, f in zip(pulled, free)]
-        free = [f & ~r for f, r in zip(free, pulled)]
+            rows[i] = list(map(and_, free, map(pulled.__getitem__, table)))
+        apart = {v: full ^ r for v, r in pulled.items()}
+        free = list(map(and_, free, map(apart.__getitem__, table)))
     heads = rng.coin_rows(spec.seed, TAG_PAIR, free)  # pairs whose coin gives color m+2
-    rows[m + 1] = [f ^ h for f, h in zip(free, heads)]
+    rows[m + 1] = list(map(xor, free, heads))
     rows[m + 2] = heads
     return rows
 

@@ -4,7 +4,7 @@ Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so a BitGraph's vertex count is its row count
 and neighborhood intersections are single big-int ANDs.
 orthogonality_rows pulls the orthogonality relation back through any
-table of G0 vertices as XORs of coordinate masks; G0, the identity
+table of G0 vertices as fiber rows, XORs of coordinate masks; G0, the identity
 table's, is built only for graph files and for the test oracles, up to
 EXHAUSTIVE_LIMIT vertices. Its clique number (g0_clique_number, Lemma 1
 by its GF(2) rank proof) and its independent-set census (g0_census)
@@ -150,13 +150,15 @@ class BitGraph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
-def orthogonality_rows(table: Sequence[int], t: int) -> list[int]:
-    """Bit y of row x is set iff G0(t) vertices table[x] and table[y] are adjacent.
+def orthogonality_rows(table: Sequence[int], t: int) -> dict[int, int]:
+    """One row per value v of table (per fiber): bit y is set iff G0(t) has the edge {v, table[y]}.
 
-    The scalar product is linear, so with coord[b] the union of the fibers
-    {y : table[y] = v} whose code has bit b, a fiber's row is the XOR of
-    coord[b] over its code's bits, and even weight keeps it off its own
-    row: O(len(table) + fibers * t) big-int operations, and no G0.
+    Row x of the pullback is the row of table[x]. The scalar product is
+    linear, so with coord[b] the union of the fibers {y : table[y] = v}
+    whose code has bit b, a fiber's row is the XOR of coord[b] over its
+    code's bits, and even weight keeps every x off its own row:
+    O(len(table) + fibers * t) big-int operations, and no G0. Keys come
+    in the order of first appearance.
     """
     fibers: dict[int, int] = {}
     for x, v in enumerate(table):
@@ -166,8 +168,7 @@ def orthogonality_rows(table: Sequence[int], t: int) -> list[int]:
     for v, fiber in fibers.items():
         for b in bits[v]:
             coord[b] |= fiber
-    pulled = {v: reduce(xor, [coord[b] for b in bits[v]], 0) for v in fibers}
-    return [pulled[v] for v in table]
+    return {v: reduce(xor, [coord[b] for b in bits[v]], 0) for v in fibers}
 
 
 def _check_g0_order(t: int) -> int:
@@ -182,8 +183,8 @@ def build_g0(t: int) -> BitGraph:
     """The GF(2) orthogonality graph on the even-weight vectors of F_2^t.
 
     Vertex i is even_weight_code(i); the rows are orthogonality_rows of the
-    identity table. Built only for graph files and test oracles, up to
-    EXHAUSTIVE_LIMIT vertices.
+    identity table, whose fibers are the single vertices. Built only for
+    graph files and test oracles, up to EXHAUSTIVE_LIMIT vertices.
 
     Its orbits are the weight classes {w, t - w}, w even and at most t/2,
     under two kinds of automorphism. A coordinate permutation preserves
@@ -195,7 +196,7 @@ def build_g0(t: int) -> BitGraph:
     for w = 2, 4, ..., at most t/2.
     """
     n = _check_g0_order(t)
-    g = BitGraph(orthogonality_rows(range(n), t))
+    g = BitGraph(list(orthogonality_rows(range(n), t).values()))
     g.orbits = [0] + [(1 << (w - 1)) - 1 for w in range(2, t // 2 + 1, 2)]
     return g
 

@@ -15,10 +15,11 @@ under one key. The leftover coins of a whole class build (coin_rows) go
 through one pass for the keys of all rows, then through lane blocks
 that each hold the partners of whole consecutive rows, each lane
 carrying its own row's key. The caller of a draw owns its lane masks,
-so nothing is cached between draws. Lanes are packed and unpacked with
-explicit little-endian struct formats; the native-order memoryview
-casts in between only move whole 8-byte items, so the bits equal the
-scalar path's on hosts of either byte order.
+so nothing is cached between draws. A slot takes y in its low half and
+its key in its high half, and one shift by 64 XORs them. Lanes are
+packed and unpacked with explicit little-endian formats; the native-order
+memoryview casts in between only move whole 8-byte items, so the bits
+equal the scalar path's on hosts of either byte order.
 """
 
 from __future__ import annotations
@@ -61,17 +62,19 @@ def _mix_lanes(key: int | bytes, ys, rounds: int, low: int, masks: tuple[int, in
     lane, lane j's k at offset 8j; every k, y and low is below 2^64.
     Slot j of the result is ys[j]'s. masks is _lane_masks(w) for any
     w >= len(ys): an AND keeps the narrower operand's width, so a wider
-    mask is exact. The keys are XORed into the packed 8-byte words as one
-    int, which is then spread into the slots once.
+    mask is exact. Two strided stores put y in the low half of its slot
+    and k in the high half, and a shift by 64 XORs them.
     """
     n = len(ys)
     ones, lane = masks
     if isinstance(key, int):
         key = key.to_bytes(8, "little") * n
-    words = int.from_bytes(_lanes64(n).pack(*ys), "little") ^ int.from_bytes(key, "little")
     slots = bytearray(16 * n)
-    memoryview(slots).cast("Q")[::2] = memoryview(words.to_bytes(8 * n, "little")).cast("Q")
+    words = memoryview(slots).cast("Q")
+    words[::2] = memoryview(_lanes64(n).pack(*ys)).cast("Q")
+    words[1::2] = memoryview(key).cast("Q")
     z = int.from_bytes(slots, "little")
+    z = (z ^ (z >> 64)) & lane
     for _ in range(rounds):
         z = (z ^ (z >> 30)) & lane
         z = z * _M1 & lane
@@ -157,9 +160,9 @@ def coin_rows(seed: int, tag: str, free: list[int]) -> list[int]:
     peels no bits. Rows are gathered from i = 0 up, the highest vertex
     first, until a block holds at least _BLOCK lanes, and the block is
     drawn in one call, so the lanes held stay bounded by one block plus
-    one row. The lane masks are sized to the widest draw so far, and
-    each head is ORed into both of its rows from one table of powers of
-    two.
+    one row. The lane masks fit the key pass, then a wider block sizes
+    them once: to the widest full block, or to a build's one block. Each
+    head is ORed into both of its rows from one table of powers of two.
     """
     n = len(free)
     width, masks = n, _lane_masks(n)
@@ -182,7 +185,9 @@ def coin_rows(seed: int, tag: str, free: list[int]) -> list[int]:
             lane_keys += keys[8 * x : 8 * x + 8] * len(steps)
         if len(ys) >= _BLOCK or ys and x == 0:
             if len(ys) > width:
-                width, masks = len(ys), _lane_masks(len(ys))
+                # a full block holds under _BLOCK lanes before its last row, of at most n - 1
+                width = _BLOCK + n - 2 if len(ys) >= _BLOCK else len(ys)
+                masks = _lane_masks(width)
             coins = _mix_lanes(lane_keys, ys, 2, 1, masks)[::16]
             end = 0
             for a, count in block:

@@ -172,6 +172,19 @@ def test_leftover_classes_over_several_coin_blocks_match_color_of_pair_loop():
             assert graphs[c].adj == from_top(expected[c]), c
 
 
+def test_blowup_class_rows_at_t8_match_color_of_pair_loop():
+    # the random colorings above stop at t=6 and the pinned t=8 rows are leftover classes only,
+    # so this checks the fiber rows of wanted blowup classes with 8-bit codes
+    coloring = generate_blowup_coloring(8, 3, 70, 5)
+    expected = pair_loop_classes(coloring, [1, 2, 3, 4, 5])
+    assert all(any(expected[c]) for c in (1, 2, 3))
+    assert len(set(coloring._tables[0])) < 70  # some fiber holds two vertices
+    for colors in ([1, 2, 3, 4, 5], [2, 5], [3]):
+        graphs = color_class_graphs(coloring, colors)
+        for c in colors:
+            assert graphs[c].adj == from_top(expected[c]), c
+
+
 def test_class_graphs_reject_colors_outside_palette():
     coloring = generate_blowup_coloring(4, 1, 9, 0)
     for bad in (0, 4):

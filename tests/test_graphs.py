@@ -105,11 +105,13 @@ def test_orthogonality_rows_are_the_pairwise_parity(data, t):
     values = data.draw(st.lists(vertices, min_size=1, max_size=6))
     table = data.draw(st.lists(st.sampled_from(values), max_size=40))
     codes = {v: even_code(v) for v in values}
-    assert orthogonality_rows(table, t) == [
-        sum(1 << y for y, w in enumerate(table) if bin(codes[v] & codes[w]).count("1") % 2)
+    # one row per fiber, keyed by the table's values in the order they first appear
+    assert orthogonality_rows(table, t) == {
+        v: sum(1 << y for y, w in enumerate(table) if bin(codes[v] & codes[w]).count("1") % 2)
         for v in table
-    ]
-    assert orthogonality_rows([], t) == []
+    }
+    assert list(orthogonality_rows(table, t)) == list(dict.fromkeys(table))
+    assert orthogonality_rows([], t) == {}
 
 
 def test_build_g0_rejects_odd_t():

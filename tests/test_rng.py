@@ -229,3 +229,33 @@ def test_coin_masks_grow_only_for_a_wider_block(monkeypatch):
     free = symmetric(41, [(x, y) for x in range(41) for y in range(x + 1, 41)])
     assert rng.coin_rows(5, "pair", from_top(free)) == from_top(scalar_rows(5, free))
     assert masks_seen == [(41, 128 * 40 + 1), (820, 128 * 819 + 1)]
+
+
+def test_coin_masks_are_sized_at_most_twice(monkeypatch):
+    # the key pass sizes the masks, and the first full block sizes them for any later block
+    sizes = []
+    lane_masks = rng._lane_masks
+
+    def recording(n):
+        sizes.append(n)
+        return lane_masks(n)
+
+    monkeypatch.setattr(rng, "_lane_masks", recording)
+    # the fixture of test_coin_blocks_hold_whole_rows: three blocks, each narrower than the key pass
+    rand = random.Random(11)
+    widths = [1000, rng._BLOCK - 1000, rng._BLOCK + 952, 500, 0, 700]
+    pairs = [
+        (x, x + 1 + j)
+        for x, w in zip(range(len(widths) - 1, -1, -1), widths)
+        for j in rand.sample(range(4000), w)
+    ]
+    free = symmetric(len(widths) + 4000, pairs)
+    seed = rand.getrandbits(64)
+    assert rng.coin_rows(seed, "pair", from_top(free)) == from_top(scalar_rows(seed, free))
+    assert len(sizes) <= 2
+    # every pair of 150 vertices: blocks of 2080, 2106, 2142, 2057, 2055 and 735 lanes; sizing
+    # the masks to the widest block so far would size them four times
+    sizes.clear()
+    free = symmetric(150, [(x, y) for x in range(150) for y in range(x + 1, 150)])
+    assert rng.coin_rows(3, "pair", from_top(free)) == from_top(scalar_rows(3, free))
+    assert sizes == [150, rng._BLOCK + 148]

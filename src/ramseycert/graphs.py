@@ -4,7 +4,7 @@ Adjacency is stored as one Python integer per vertex (bit j of row i set
 iff {i, j} is an edge), so a BitGraph's vertex count is its row count
 and neighborhood intersections are single big-int ANDs.
 orthogonality_rows pulls the orthogonality relation back through any
-table of G0 vertices as fiber rows, XORs of coordinate masks; G0, the identity
+table of G0 vertices as fiber rows, linear in the vertex; G0, the identity
 table's, is built only for graph files and for the test oracles, up to
 EXHAUSTIVE_LIMIT vertices. Its clique number (g0_clique_number, Lemma 1
 by its GF(2) rank proof) and its independent-set census (g0_census)
@@ -22,11 +22,11 @@ census's representatives and for max_clique's neighbourhoods.
 The k-clique search is branch-and-bound with greedy-coloring upper
 bounds. A node colors all its candidates but lists only the classes
 that can branch, those numbered at least kmin, the count of clique
-vertices still missing. It peels the highest candidate first, found by
-a bit scan (int.bit_length), with one XOR and one AND against a closed
-row (the vertex and its neighbors cleared) built once per search, and
-no negative int; a child too small to hold kmin - 1 vertices peels
-down to nothing, so it lists no class and needs no test of its own.
+vertices still missing. It peels the highest candidate first, its bit
+length (int.bit_length) an index into per-search tables with one leading
+slot, by one XOR and one AND against a closed row (the vertex and its
+neighbors cleared); a node returns once its peeled classes use up the
+candidates, so a child too small to hold kmin - 1 vertices needs no test.
 The visit order is fixed, so the witness and the node count are
 functions of the graph and k; a color class comes numbered from the
 top (coloring.color_class_graphs), so the search meets its vertices in
@@ -60,10 +60,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from functools import reduce
 from itertools import compress
 from math import comb
-from operator import itemgetter, xor
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .gf2 import check_construction_t, even_weight_code, gf2_rank
@@ -153,22 +152,38 @@ class BitGraph:
 def orthogonality_rows(table: Sequence[int], t: int) -> dict[int, int]:
     """One row per value v of table (per fiber): bit y is set iff G0(t) has the edge {v, table[y]}.
 
-    Row x of the pullback is the row of table[x]. The scalar product is
-    linear, so with coord[b] the union of the fibers {y : table[y] = v}
-    whose code has bit b, a fiber's row is the XOR of coord[b] over its
-    code's bits, and even weight keeps every x off its own row:
-    O(len(table) + fibers * t) big-int operations, and no G0. Keys come
-    in the order of first appearance.
+    Row x is the row of table[x]: with coord[b] the fibers {y : table[y]
+    = u} of the values u whose code has bit b, the XOR of coord[b] over
+    its code's bits (even weight keeps x off it). The code is linear, bit
+    0 the parity, so bit j of v adds mask[j + 1] = coord[j + 1] ^ coord[0],
+    and each fiber, in order of first appearance (the keys'), takes the
+    row before it XOR the masks of the bits where the values differ:
+    O(len(table) + fibers * t) big-int operations, and no G0.
     """
     fibers: dict[int, int] = {}
     for x, v in enumerate(table):
         fibers[v] = fibers.get(v, 0) | (1 << x)
-    bits = {v: _bits_to_list(even_weight_code(v)) for v in fibers}
+    bit = [0] + [1 << j for j in range(t - 1)]  # bit[L]: value bit L - 1, code bit L
     coord = [0] * t
     for v, fiber in fibers.items():
-        for b in bits[v]:
-            coord[b] |= fiber
-    return {v: reduce(xor, [coord[b] for b in bits[v]], 0) for v in fibers}
+        if v.bit_count() & 1:
+            coord[0] |= fiber
+        while v:
+            L = v.bit_length()
+            coord[L] |= fiber
+            v ^= bit[L]
+    mask = [c ^ coord[0] for c in coord]
+    rows: dict[int, int] = {}
+    row = prev = 0
+    for v in fibers:
+        d = prev ^ v
+        while d:
+            L = d.bit_length()
+            row ^= mask[L]
+            d ^= bit[L]
+        rows[v] = row
+        prev = v
+    return rows
 
 
 def _check_g0_order(t: int) -> int:
@@ -231,15 +246,15 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     removed before it, so a clique of the candidates left through a
     vertex of class c has at most c vertices, too few below kmin. The
     lower classes are still peeled, since the later classes depend on
-    them, but their members are never listed. Peeling a vertex is
-    `v = q.bit_length() - 1; rest ^= bit[v]; q &= closed[v]` with the
-    per-search closed row closed[v] = ~(adj[v] | 1 << v), restricted to
-    the vertex set: a bit scan and no negative int, where the lowest bit
-    q & -q would copy the full-width candidate set three times. Any
-    nonempty child is entered: one with fewer than kmin - 1 candidates
-    colors them all in the peeled classes, so it lists no class, counts
-    no node and returns None, and a popcount per visit to skip it would
-    cost more than it saves.
+    them, but never listed, and a node returns None once they use up
+    its candidates. The per-search tables bit, adj and closed hold
+    vertex v in slot v + 1, so a set's bit length is its highest
+    vertex's slot and a peel is `v = q.bit_length(); rest ^= bit[v];
+    q &= closed[v]`, closed[v] = ~(adj[v] | bit[v]) on the vertex set:
+    a bit scan and no negative int, where the lowest bit q & -q would
+    copy the full-width candidate set three times; witness slot v is
+    vertex v - 1. A popcount per visit, to skip a child too small to
+    branch, saves nothing.
 
     The visit order is a contract: classes highest first, the highest
     vertex first within a class, each visited vertex counted as one node
@@ -256,28 +271,30 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
         return CliqueSearch(True, [], 0)
     if k > g.n:
         return CliqueSearch(False, None, 0)
-    adj = g.adj
     full = (1 << g.n) - 1
-    bit = [1 << v for v in range(g.n)]
-    closed = [full ^ (row | b) for row, b in zip(adj, bit)]
+    bit = [0] + [1 << v for v in range(g.n)]  # slot L holds vertex L - 1
+    adj = [0] + g.adj
+    closed = [full ^ (row | b) for row, b in zip(adj, bit)]  # slot 0 is never peeled
     nodes = 0
 
     def expand(kmin: int, cand: int) -> Optional[list[int]]:
-        """A kmin-clique inside cand, its vertices last chosen first, or None."""
+        """A kmin-clique inside cand, its slots last chosen first, or None."""
         nonlocal nodes
         rest = cand
         for _ in range(kmin - 1):  # classes 1..kmin-1: peeled, never listed
             q = rest
             while q:
-                v = q.bit_length() - 1
+                v = q.bit_length()
                 rest ^= bit[v]
                 q &= closed[v]
+            if not rest:  # no class kmin and up: nothing to list or visit
+                return None
         classes = []  # classes kmin and up, the ones that can branch
         while rest:
             members = []
             q = rest
             while q:
-                v = q.bit_length() - 1
+                v = q.bit_length()
                 members.append(v)
                 rest ^= bit[v]
                 q &= closed[v]
@@ -302,7 +319,7 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     # and the closed rows now, not at the next cyclic collection
     del expand
     if hit:
-        return CliqueSearch(True, sorted(hit), nodes)
+        return CliqueSearch(True, sorted(v - 1 for v in hit), nodes)
     return CliqueSearch(False, None, nodes)
 
 

@@ -461,6 +461,19 @@ def test_t8_m2_certificate_core_is_pinned():
     )
 
 
+def test_t10_m1_witness_and_nodes_are_pinned():
+    # the only test that searches a class at t=10, where kmin runs up to 10: class 2 holds no
+    # K_10, so its search is exhaustive, and class 3 gives the witness
+    spec = ColoringSpec(kind="blowup", t=10, m=1, ell=3, N=710, seed=1000)
+    cert = verify_coloring(spec)
+    assert cert.witness == MonoWitness(3, (68, 69, 243, 351, 387, 433, 475, 550, 620, 625))
+    assert cert.witness.holds_in(regenerate(spec))
+    stats = cert.search_stats
+    assert (stats["nodes"], stats["searched_colors"], stats["lemma1_colors"]) == (
+        39631, [2, 3], [1]
+    )
+
+
 def test_verify_product_certificate_core_is_pinned():
     # the core recorded while product classes were still searched whole
     factors = tuple(ColoringSpec(kind="blowup", t=6, m=1, ell=3, N=41, seed=s) for s in (2, 3))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseycert.bounds import BoundTableRow, ExpectationReport
@@ -96,15 +96,31 @@ def even_code(v):
     return next(c for c in (2 * v, 2 * v + 1) if bin(c).count("1") % 2 == 0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), t=st.sampled_from(range(2, 31, 2)))
-def test_orthogonality_rows_are_the_pairwise_parity(data, t):
-    # a handful of distinct G0 vertices, some near the last one, so the table repeats entries
+@st.composite
+def fiber_tables(draw):
+    """(table, t): a handful of distinct G0(t) vertices, some near the last one, repeated."""
+    t = draw(st.sampled_from(range(2, 31, 2)))
     last = (1 << (t - 1)) - 1
     vertices = st.integers(0, last) | st.integers(max(0, last - 7), last)
-    values = data.draw(st.lists(vertices, min_size=1, max_size=6))
-    table = data.draw(st.lists(st.sampled_from(values), max_size=40))
-    codes = {v: even_code(v) for v in values}
+    values = draw(st.lists(vertices, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(values), max_size=40)), t
+
+
+# every vertex of G0(8) its own fiber, in no order
+G0_8_SHUFFLED = random.Random(8).sample(range(128), 128)
+# each value followed by its complement, so consecutive fibers differ in every bit
+COMPLEMENTS_T30 = [
+    v ^ ones for v in (0, 1, 0x15555555, 0x0ACE1234) for ones in (0, (1 << 29) - 1)
+] * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fiber_tables())
+@example(case=(G0_8_SHUFFLED, 8))
+@example(case=(COMPLEMENTS_T30, 30))
+def test_orthogonality_rows_are_the_pairwise_parity(case):
+    table, t = case
+    codes = {v: even_code(v) for v in table}
     # one row per fiber, keyed by the table's values in the order they first appear
     assert orthogonality_rows(table, t) == {
         v: sum(1 << y for y, w in enumerate(table) if bin(codes[v] & codes[w]).count("1") % 2)

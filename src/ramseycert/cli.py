@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _diag(f"error: {exc}")
         return EXIT_PARAMS
-    except RecursionError:  # product factors nested past the interpreter's recursion limit
+    except RecursionError:  # JSON nested past the recursion limit of the json module's decoder
         _diag("error: input nested too deeply")
         return EXIT_PARAMS
 

@@ -13,8 +13,9 @@ Verification accounts for every color class: a blowup class i cannot
 hold a t-clique, because f_i maps one injectively onto a t-clique of the
 orthogonality graph, whose clique number is at most t-1 (Lemma 1), so
 every class is searched exhaustively or discharged by Lemma 1. A
-product's classes are decided on its leaves, and its witness is mapped
-from a leaf's clique, so no product class is ever built. The
+product's factors are its leaves, blowup or uniform colorings; its
+classes are decided on them, and its witness is mapped from a leaf's
+clique, so no product class is ever built. The
 outcome, together with the exact expectation arithmetic, goes into a
 Certificate. A verified certificate at N vertices is a concrete proof
 that r(t; m+2) >= N+1, and recheck_certificate trusts one only if a
@@ -29,6 +30,7 @@ rows, and only the pairs no map separates draw a coin.
 from __future__ import annotations
 
 import json
+import math
 import time
 from fractions import Fraction
 from operator import and_, xor
@@ -62,10 +64,8 @@ CERTIFICATE_FORMAT = "ramseycert.certificate/1"
 class ColoringSpec(Record):
     """Parameters that, with the seed, fully determine an edge coloring.
 
-    A product is read only through its leaves, the non-product specs at
-    the bottom of its factors, in order (_leaves), and its own t, which
-    every leaf is decided at: how the leaves nest and the t of an inner
-    product are never read.
+    A product's factors are its leaves: two or more blowup or uniform
+    specs, in order, all decided at the product's t.
     """
 
     kind: str
@@ -74,7 +74,7 @@ class ColoringSpec(Record):
     ell: int
     N: int
     seed: int
-    factors: Optional[tuple["ColoringSpec", "ColoringSpec"]] = None
+    factors: Optional[tuple["ColoringSpec", ...]] = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.N <= MAX_VERTICES:
@@ -100,8 +100,11 @@ class ColoringSpec(Record):
             if self.factors is not None:
                 raise ValueError("uniform random colorings have no factors")
         elif self.kind == KIND_PRODUCT:
-            if self.factors is None or len(self.factors) != 2:
-                raise ValueError("product colorings need exactly two factors")
+            if self.factors is None or len(self.factors) < 2:
+                raise ValueError("product colorings need at least two factors")
+            for i, factor in enumerate(self.factors):
+                if factor.kind == KIND_PRODUCT:
+                    raise ValueError(f"factors[{i}] is a product: list its factors in its place")
             if self.m != 0:
                 raise ValueError(f"product colorings have m = 0, got m={self.m}")
             if self.seed != 0:
@@ -109,11 +112,11 @@ class ColoringSpec(Record):
                     f"product colorings carry their randomness in the factors, so seed = 0, "
                     f"got seed={self.seed}"
                 )
-            f1, f2 = self.factors
-            if self.N != f1.N * f2.N:
-                raise ValueError(f"product N must be {f1.N * f2.N}, got {self.N}")
-            if self.ell != f1.ell + f2.ell:
-                raise ValueError(f"product ell must be {f1.ell + f2.ell}, got {self.ell}")
+            N, ell = math.prod(f.N for f in self.factors), sum(f.ell for f in self.factors)
+            if self.N != N:
+                raise ValueError(f"product N must be {N}, got {self.N}")
+            if self.ell != ell:
+                raise ValueError(f"product ell must be {ell}, got {self.ell}")
         else:
             raise ValueError(f"unknown coloring kind {self.kind!r}")
 
@@ -162,13 +165,17 @@ def _only_fields(d: dict, names, where: str) -> None:
         raise ValueError(f"{where}.{unknown[0]} is an unknown field")
 
 
-def _spec_from_json(d, where: str) -> ColoringSpec:
+def _spec_from_json(d, where: str, is_factor: bool = False) -> ColoringSpec:
     _typed(d, dict, where)
     _only_fields(d, ColoringSpec._fields, where)
     factors = _typed(d.get("factors"), list, f"{where}.factors", nullable=True)
-    if factors is not None:
-        factors = tuple(_spec_from_json(f, f"{where}.factors[{i}]") for i, f in enumerate(factors))
     kind = _field(d, "kind", str, where)
+    if is_factor and kind == KIND_PRODUCT:
+        raise ValueError(f"{where} is a product: list its factors in its place")
+    if factors is not None and not is_factor:  # a factor's own factors are refused unread
+        factors = tuple(
+            _spec_from_json(f, f"{where}.factors[{i}]", True) for i, f in enumerate(factors)
+        )
     t, m, ell, N, seed = (_field(d, key, int, where) for key in ("t", "m", "ell", "N", "seed"))
     try:
         return ColoringSpec(kind, t, m, ell, N, seed, factors)
@@ -180,9 +187,11 @@ class EdgeColoring:
     """A total symmetric coloring of the pairs of [N], values in 1..ell.
 
     Built from its spec alone: a blowup draws its m tables, a product
-    builds one coloring per distinct leaf, which its equal leaves share.
-    Immutable after construction;
-    color_of is a pure function of (spec, pair).
+    builds one coloring per distinct leaf, which its equal leaves share,
+    and keeps (leaf, mult, offset) per leaf: v // mult % N is vertex v's
+    coordinate in the leaf, mult the product of the later leaves' N, and
+    offset, the earlier leaves' ell summed, shifts its palette. Immutable
+    after construction; color_of is a pure function of (spec, pair).
     """
 
     def __init__(self, spec: ColoringSpec):
@@ -193,9 +202,12 @@ class EdgeColoring:
                 for i in range(1, spec.m + 1)
             ]
         elif spec.kind == KIND_PRODUCT:
-            leaves = _leaves(spec)
-            built = {s: EdgeColoring(s) for s in dict.fromkeys(s for s, _, _ in leaves)}
-            self._leaves = [(built[s], mult, offset) for s, mult, offset in leaves]
+            built = {leaf: EdgeColoring(leaf) for leaf in dict.fromkeys(spec.factors)}
+            self._leaves, mult, offset = [], spec.N, 0
+            for leaf in spec.factors:
+                mult //= leaf.N
+                self._leaves.append((built[leaf], mult, offset))
+                offset += leaf.ell
 
     @property
     def N(self) -> int:
@@ -228,26 +240,6 @@ class EdgeColoring:
                 return offset + leaf.color_of(a, b)
 
 
-def _leaves(spec: ColoringSpec) -> list[tuple[ColoringSpec, int, int]]:
-    """(leaf, mult, offset) for each non-product leaf of `spec`, in order.
-
-    v // mult % leaf.N is vertex v's coordinate in the leaf, however the
-    leaves nest, and offset shifts the leaf's palette into the product's:
-    mult is the product of the later leaves' N, offset the sum of the
-    earlier leaves' ell. A blowup or uniform spec is its own one leaf.
-    """
-    leaves, stack, mult, offset = [], [spec], spec.N, 0
-    while stack:
-        leaf = stack.pop()
-        if leaf.kind == KIND_PRODUCT:
-            stack.extend(reversed(leaf.factors))
-            continue
-        mult //= leaf.N
-        leaves.append((leaf, mult, offset))
-        offset += leaf.ell
-    return leaves
-
-
 def generate_blowup_coloring(t: int, m: int, N: int, seed: int) -> EdgeColoring:
     """The (m+2)-coloring of K_N drawn from m blowup maps.
 
@@ -269,18 +261,17 @@ def generate_erdos_coloring(N: int, ell: int, seed: int, t: int = 0) -> EdgeColo
     return EdgeColoring(ColoringSpec(kind=KIND_ERDOS, t=t, m=0, ell=ell, N=N, seed=seed))
 
 
-def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
-    """Palette-disjoint product on N1*N2 vertices; its spec's m and seed are 0.
+def product_coloring(*colorings: EdgeColoring) -> EdgeColoring:
+    """Palette-disjoint product of the colorings, in order; its spec's m and seed are 0.
 
-    Vertex v encodes the pair (v // N2, v % N2): pairs differing in the
-    first coordinate take the first factor's color, pairs inside a block
-    the second factor's, shifted past the first palette. Unfolded to any
-    depth, v has the coordinate v // mult % N in each leaf (_leaves), and
-    a pair takes the color, shifted by the leaf's palette offset, that
-    the first leaf whose coordinates differ gives them. So the product
-    class of a leaf's class c is one copy per block of N*mult consecutive
-    vertices (equal earlier coordinates) of the leaf's class with each
-    vertex a replaced by the mult pairwise non-adjacent twins a*mult ..
+    A product argument stands for its leaves, so product_coloring(
+    product_coloring(a, b), c) is product_coloring(a, b, c). Vertex v has
+    the coordinate v // mult % N in each leaf (EdgeColoring), and a pair
+    takes the color, shifted by the leaf's palette offset, that the first
+    leaf whose coordinates differ gives them. So the product class of a
+    leaf's class c is one copy per block of N*mult consecutive vertices
+    (equal earlier coordinates) of the leaf's class with each vertex a
+    replaced by the mult pairwise non-adjacent twins a*mult ..
     a*mult+mult-1. A K_t in it lies in one block with distinct leaf
     coordinates, so it projects onto a K_t of the leaf's class, and a
     leaf clique w lifts to [a * mult for a in w]: the product holds a
@@ -297,14 +288,15 @@ def product_coloring(c1: EdgeColoring, c2: EdgeColoring) -> EdgeColoring:
     the lift. So verification decides the leaves (_decide_leaves) and
     builds no product class.
     """
+    factors = tuple(leaf for c in colorings for leaf in c.spec.factors or (c.spec,))
     spec = ColoringSpec(
         kind=KIND_PRODUCT,
-        t=max(c1.spec.t, c2.spec.t),
+        t=max(c.spec.t for c in colorings),
         m=0,
-        ell=c1.ell + c2.ell,
-        N=c1.N * c2.N,
+        ell=sum(leaf.ell for leaf in factors),
+        N=math.prod(leaf.N for leaf in factors),
         seed=0,
-        factors=(c1.spec, c2.spec),
+        factors=factors,
     )
     return EdgeColoring(spec)
 
@@ -364,10 +356,10 @@ def _check_materializable(N: int) -> None:
 def _check_exhaustive(spec: ColoringSpec) -> None:
     """Refuse a spec whose verification would build a color class past EXHAUSTIVE_LIMIT.
 
-    Verification builds the classes of the leaves only, so a product is
-    guarded on its leaves, not on its own N (capped only by MAX_VERTICES).
+    A product is guarded on its leaves, whose classes are the only ones
+    built, not on its own N (capped only by MAX_VERTICES).
     """
-    for leaf, _, _ in _leaves(spec):
+    for leaf in spec.factors or (spec,):
         _check_materializable(leaf.N)
 
 

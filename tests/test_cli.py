@@ -338,7 +338,7 @@ ERDOS_SPEC = {"kind": "erdos", "t": 4, "m": 0, "ell": 2, "N": 9, "seed": 1}
         ({**ERDOS_SPEC, "m": 1}, "uniform random colorings have m = 0"),
         ({**ERDOS_SPEC, "t": -1}, "clique target must be non-negative, got -1"),
         ({**ERDOS_SPEC, "factors": [ERDOS_SPEC] * 2}, "uniform random colorings have no factors"),
-        (_edited(PRODUCT_SPEC, ["factors", 1]), "product colorings need exactly two factors"),
+        (_edited(PRODUCT_SPEC, ["factors", 1]), "product colorings need at least two factors"),
         (_edited(PRODUCT_SPEC, ["N"], 80), "product N must be 81, got 80"),
         (_edited(PRODUCT_SPEC, ["ell"], 5), "product ell must be 6, got 5"),
         ({**ERDOS_SPEC, "t": 1}, "clique target must be at least 2, got 1"),
@@ -349,6 +349,11 @@ ERDOS_SPEC = {"kind": "erdos", "t": 4, "m": 0, "ell": 2, "N": 9, "seed": 1}
         # verification is linear in ell; past the guard, yet small enough that an unguarded
         # run fails this case in about a second instead of exhausting memory
         ({**ERDOS_SPEC, "ell": 10**5}, "spec: ell must be at most 10000, got 100000"),
+        # a product's factors are its leaves, so a product factor is refused, not unfolded
+        (
+            {**PRODUCT_SPEC, "ell": 9, "N": 729, "factors": [PRODUCT_SPEC, BLOWUP_SPEC]},
+            "spec.factors[0] is a product: list its factors in its place",
+        ),
     ],
 )
 def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
@@ -535,9 +540,9 @@ def test_recheck_names_a_product_seed_other_than_0(capsys, tmp_path):
     assert "recheck failed: certificate.seed does not reproduce from its spec and seed" in err
 
 
-NESTED_PRODUCT_SPEC = {
+THREE_LEAF_SPEC = {
     "kind": "product", "t": 4, "m": 0, "ell": 9, "N": 729, "seed": 0,
-    "factors": [PRODUCT_SPEC, BLOWUP_SPEC],
+    "factors": [*PRODUCT_SPEC["factors"], BLOWUP_SPEC],
 }
 
 
@@ -611,18 +616,16 @@ def _recheck_outcome(capsys, cert_path, doc):
             },
         ),
         (
-            NESTED_PRODUCT_SPEC,
+            THREE_LEAF_SPEC,
             {
                 "spec.t": "t",
-                # factors are decided at the outer t, so an inner product's own t is never read
-                "spec.factors[0].t": "OK",
-                "spec.factors[0].factors[0].seed": "verified",
-                "spec.factors[0].factors[1].seed": "verified",
+                "spec.factors[0].seed": "verified",
                 "spec.factors[1].seed": "verified",
+                "spec.factors[2].seed": "verified",
             },
         ),
     ],
-    ids=["verified-blowup", "witnessed-blowup", "nested-product"],
+    ids=["verified-blowup", "witnessed-blowup", "three-leaf-product"],
 )
 def test_recheck_every_leaf_edit(capsys, tmp_path, spec, outcomes):
     # each leaf of the core edited in turn: recheck exits 1 naming the leaf (a
@@ -645,6 +648,8 @@ def test_recheck_every_leaf_edit(capsys, tmp_path, spec, outcomes):
         expected[path] = outcomes.get(path, default)
     assert outcomes.keys() <= got.keys()
     assert got == expected
+    if spec is THREE_LEAF_SPEC:  # a blowup leaf's t is read, and no factor is a product
+        assert "OK" not in got.values()
 
 
 def test_recheck_accepts_a_seed_that_also_verifies(capsys, tmp_path):

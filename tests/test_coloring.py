@@ -59,6 +59,10 @@ def test_spec_validation():
         ColoringSpec(kind="erdos", t=0, m=0, ell=1, N=5, seed=0)
     with pytest.raises(ValueError):
         ColoringSpec(kind="mystery", t=4, m=1, ell=3, N=9, seed=0)
+    leaf = BLOWUP_SPEC_N9
+    square = ColoringSpec(kind="product", t=4, m=0, ell=6, N=81, seed=0, factors=(leaf, leaf))
+    with pytest.raises(ValueError, match=r"factors\[1\] is a product: list its factors in"):
+        ColoringSpec(kind="product", t=4, m=0, ell=9, N=729, seed=0, factors=(leaf, square))
 
 
 def test_spec_json_roundtrip():
@@ -130,7 +134,7 @@ def test_blowup_classes_are_clique_free():
 
 
 def random_coloring(rand: random.Random, depth: int = 0) -> EdgeColoring:
-    """A small random blowup, uniform random or (nested) product coloring."""
+    """A small random blowup, uniform random or product coloring of up to four leaves."""
     kind = rand.random()
     if kind < 0.3 and depth < 2:
         first = random_coloring(rand, depth + 1)
@@ -216,7 +220,7 @@ def all_class_witness(coloring, t):
 
 
 def random_product(rand: random.Random) -> EdgeColoring:
-    """A product of two small random colorings, themselves possibly products; a square at times."""
+    """A product of two small random colorings, each spliced in by its leaves; at times a square."""
     while True:
         first = random_coloring(rand, 1)
         second = first if rand.random() < 0.2 else random_coloring(rand, 1)
@@ -224,19 +228,12 @@ def random_product(rand: random.Random) -> EdgeColoring:
             return product_coloring(first, second)
 
 
-def sub_specs(spec):
-    """Every factor spec below a product spec, at any depth, repeats included."""
-    if spec.factors is None:
-        return []
-    return [s for f in spec.factors for s in (f, *sub_specs(f))]
-
-
 def test_product_search_on_factors_finds_the_all_class_witness():
     # deciding product classes on their factors must not change the
     # witness or the core: compare with a search of every product class
     rand = random.Random(6)
     seen = {
-        "witness": 0, "none": 0, "nested": 0, "erdos": 0, "small_factor": 0, "below_t": 0,
+        "witness": 0, "none": 0, "three_leaves": 0, "erdos": 0, "small_factor": 0, "below_t": 0,
         "reused": 0,
     }
     for _ in range(300):
@@ -258,12 +255,11 @@ def test_product_search_on_factors_finds_the_all_class_witness():
             search_stats=cert.search_stats,
         )
         assert certificate_core(cert.to_json_dict()) == certificate_core(expected.to_json_dict())
-        below = sub_specs(spec)
-        if len(set(below)) == len(below):  # only an equal leaf is answered by another's decision
+        if len(set(factors)) == len(factors):  # no leaf repeats, so none is reused
             assert cert.search_stats["reused_factors"] == 0
         seen["witness" if reference else "none"] += 1
         seen["reused"] += cert.search_stats["reused_factors"] > 0
-        seen["nested"] += any(f.kind == "product" for f in factors)
+        seen["three_leaves"] += len(factors) > 2
         seen["erdos"] += any(f.kind == "erdos" for f in factors)
         seen["small_factor"] += any(f.N < target for f in factors)
         seen["below_t"] += target < coloring.spec.t
@@ -309,12 +305,10 @@ def test_clique_free_answers_are_keyed_by_spec(monkeypatch):
     assert decisions[1].nodes == 0
 
 
-def leaf_offsets(spec, offset=0):
-    """(leaf spec, the offset of its palette in `spec`'s) for every non-product leaf, in order."""
-    if spec.kind != "product":
-        return [(spec, offset)]
-    f1, f2 = spec.factors
-    return leaf_offsets(f1, offset) + leaf_offsets(f2, offset + f1.ell)
+def leaf_offsets(spec):
+    """(leaf spec, the offset of its palette in `spec`'s) for every leaf, in order."""
+    leaves = spec.factors or (spec,)
+    return list(zip(leaves, itertools.accumulate((leaf.ell for leaf in leaves), initial=0)))
 
 
 def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
@@ -322,10 +316,10 @@ def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
     # decisions: they must be the classes each leaf builds, palette-shifted
     built = count_class_builds(monkeypatch)
     rand = random.Random(28)
-    tied = discharged = nested = 0
+    tied = discharged = longer = 0
     while tied < 40:
         coloring = random_product(rand)
-        if rand.random() < 0.5:  # a sub-product as second factor shifts a whole palette
+        if rand.random() < 0.5:  # a product spliced in second shifts its leaves' palettes
             coloring = product_coloring(random_coloring(rand, 1), coloring)
         target = rand.randint(2, 6)
         leaves = leaf_offsets(coloring.spec)
@@ -345,18 +339,19 @@ def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
         assert cert.search_stats["lemma1_colors"] == rest, spec
         tied += 1
         discharged += bool(rest)
-        nested += len(specs) > 2
-    assert discharged >= 10 and nested >= 5
+        longer += len(specs) > 2
+    assert discharged >= 10 and longer >= 5
 
 
 def test_repeated_sub_product_is_answered_per_leaf(monkeypatch):
-    # (F x F) x (F x F): F is decided once, and its three repeats are
-    # answered from that decision, one leaf at a time
+    # (F x F) x (F x F) is the four leaves F, F, F, F: F is decided once,
+    # and its three repeats are answered from that decision, one leaf at a time
     built = count_class_builds(monkeypatch)
     factor = BLOWUP_SPEC_N9
-    square = ColoringSpec(kind="product", t=4, m=0, ell=6, N=81, seed=0, factors=(factor, factor))
-    spec = ColoringSpec(
-        kind="product", t=4, m=0, ell=12, N=81 * 81, seed=0, factors=(square, square)
+    square = product_coloring(regenerate(factor), regenerate(factor))
+    spec = product_coloring(square, square).spec
+    assert spec == ColoringSpec(
+        kind="product", t=4, m=0, ell=12, N=81 * 81, seed=0, factors=(factor,) * 4
     )
     cert = verify_coloring(spec)
     assert built == [(factor, [2, 3])]
@@ -787,15 +782,28 @@ def test_product_past_the_guard_verifies_on_its_factors(tmp_path, monkeypatch):
 
 
 def t6_m4_product(seed, power):
-    """The power-th product power of the t=6 m=4 N=651 blowup at `seed`, left-nested."""
+    """The power-th product power of the t=6 m=4 N=651 blowup at `seed`."""
     factor = ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=seed)
-    spec = factor
-    for _ in range(power - 1):
-        spec = ColoringSpec(
-            kind="product", t=6, m=0, ell=spec.ell + 6, N=spec.N * 651, seed=0,
-            factors=(spec, factor),
-        )
-    return spec
+    if power == 1:
+        return factor
+    return ColoringSpec(
+        kind="product", t=6, m=0, ell=6 * power, N=651**power, seed=0, factors=(factor,) * power
+    )
+
+
+def nested_core_digest(cert, square_first):
+    """sha256 of a cube certificate's core with its spec written as a nested product.
+
+    The cube cores were pinned when a product had two factors, the square
+    first ((F, F), F) or second (F, (F, F)); the rest of the core must
+    still hash as it did then.
+    """
+    factor = cert.spec.factors[0].to_json_dict()
+    square = {**cert.spec.to_json_dict(), "ell": 12, "N": 651**2, "factors": [factor, factor]}
+    factors = [square, factor] if square_first else [factor, square]
+    cube = {**square, "ell": 18, "N": 651**3, "factors": factors}
+    core = {**certificate_core(cert.to_json_dict()), "spec": cube}
+    return hashlib.sha256(canonical_json_bytes(core)).hexdigest()
 
 
 def test_witnessed_square_maps_the_factor_clique():
@@ -829,28 +837,25 @@ def test_product_cube_past_the_guard_verifies_on_its_factors(tmp_path, monkeypat
     save_certificate(cert, tmp_path / "cert.json")
     assert recheck_certificate(json.loads((tmp_path / "cert.json").read_text())) is None
     # the core recorded while the cube decided its factor twice
-    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
-    assert hashlib.sha256(core).hexdigest() == (
+    assert nested_core_digest(cert, square_first=True) == (
         "5b4394d1f040421d1339bcfb958d08925f87edcf6bcdaff3babf5d0a23ff2475"
     )
 
 
 def test_right_nested_cube_decides_its_factor_once(monkeypatch):
-    # F x (F x F): both leaves of the square inside the second factor are
+    # F x (F x F) is the cube's three leaves: both leaves of the square are
     # answered from the first factor's decision
     built = count_class_builds(monkeypatch)
     factor = t6_m4_product(1007, 1)
-    square = t6_m4_product(1007, 2)
-    spec = ColoringSpec(
-        kind="product", t=6, m=0, ell=18, N=651**3, seed=0, factors=(factor, square)
-    )
+    square = regenerate(t6_m4_product(1007, 2))
+    spec = product_coloring(regenerate(factor), square).spec
+    assert spec == t6_m4_product(1007, 3)
     cert = verify_coloring(spec)
     assert built == [(factor, [5, 6])]
     assert cert.verified and cert.search_stats["nodes"] == 546
     assert cert.search_stats["reused_factors"] == 2
     # the core recorded while the cube decided its factor twice
-    core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
-    assert hashlib.sha256(core).hexdigest() == (
+    assert nested_core_digest(cert, square_first=False) == (
         "b8989bae9e3f7f62b200d87fc8869e62455d34e32d966ec5ff143d14583d97ea"
     )
 
@@ -858,6 +863,15 @@ def test_right_nested_cube_decides_its_factor_once(monkeypatch):
 def test_product_fourth_power_is_refused_naming_n():
     with pytest.raises(ValueError, match="N must be in 1..4294967296, got 179607287601"):
         t6_m4_product(1007, 4)
+
+
+def test_product_of_a_product_splices_its_leaves():
+    a, b = generate_blowup_coloring(4, 1, 9, 1), generate_erdos_coloring(3, 2, 7, t=4)
+    c = generate_blowup_coloring(4, 2, 5, 3)
+    flat = product_coloring(a, b, c)
+    assert flat.spec.factors == (a.spec, b.spec, c.spec)
+    assert product_coloring(product_coloring(a, b), c).spec == flat.spec
+    assert product_coloring(a, product_coloring(b, c)).spec == flat.spec
 
 
 def test_product_past_the_vertex_capacity_is_refused_naming_n():

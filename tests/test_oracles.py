@@ -17,7 +17,7 @@ graphs with planted twins.
 
 import itertools
 import random
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import pytest
@@ -311,13 +311,17 @@ def test_class_search_from_the_top_is_the_ascending_search_upward():
 def reference_color_of(spec: ColoringSpec):
     """color_of of `spec` by the two-factor product rule, recursively.
 
-    A product vertex v is the pair divmod(v, N2): the first factor colors
+    A product is read as its first leaf times the product of the rest. A
+    product vertex v is the pair divmod(v, N2): the first factor colors
     the pairs whose first coordinates differ, the second factor, shifted
     past the first palette, the pairs inside one block.
     """
     if spec.kind != "product":
         return EdgeColoring(spec).color_of
-    f1, f2 = spec.factors
+    f1, *rest = spec.factors
+    f2 = rest[0] if len(rest) == 1 else ColoringSpec(
+        "product", spec.t, 0, sum(f.ell for f in rest), prod(f.N for f in rest), 0, tuple(rest)
+    )
     first, second = reference_color_of(f1), reference_color_of(f2)
 
     def color_of(x: int, y: int) -> int:
@@ -327,13 +331,8 @@ def reference_color_of(spec: ColoringSpec):
     return color_of
 
 
-def random_nested_spec(rand: random.Random, depth: int) -> ColoringSpec:
-    """A spec nested up to `depth` products deep, either way, over blowup and uniform leaves."""
-    if depth and rand.random() < 0.7:
-        f1, f2 = random_nested_spec(rand, depth - 1), random_nested_spec(rand, depth - 1)
-        return ColoringSpec(
-            "product", max(f1.t, f2.t), 0, f1.ell + f2.ell, f1.N * f2.N, 0, (f1, f2)
-        )
+def random_small_leaf(rand: random.Random) -> ColoringSpec:
+    """A blowup or uniform spec on 1..7 vertices, a single vertex half the time."""
     N = rand.choice((1, rand.randint(2, 7)))
     if rand.random() < 0.5:
         m = rand.randint(0, 2)
@@ -341,34 +340,23 @@ def random_nested_spec(rand: random.Random, depth: int) -> ColoringSpec:
     return ColoringSpec("erdos", 3, 0, rand.randint(2, 3), N, rand.getrandbits(64))
 
 
-def leaf_specs(spec: ColoringSpec) -> list[ColoringSpec]:
-    if spec.kind != "product":
-        return [spec]
-    return [leaf for factor in spec.factors for leaf in leaf_specs(factor)]
-
-
-def nesting_depth(spec: ColoringSpec) -> int:
-    return 0 if spec.kind != "product" else 1 + max(map(nesting_depth, spec.factors))
-
-
 def test_product_colors_by_the_first_differing_leaf_as_by_two_factors():
-    # a product colors a pair by its first leaf whose coordinates differ;
-    # on every ordered pair that must be the two-factor rule applied level by level
+    # a product colors a pair by its first leaf whose coordinates differ; on
+    # every ordered pair that must be the two-factor rule, first leaf times the rest
     rand = random.Random(29)
-    seen = {"left": 0, "right": 0, "depth3": 0, "blowup": 0, "erdos": 0, "N=1": 0}
+    seen = {2: 0, 3: 0, 4: 0, "blowup": 0, "erdos": 0, "N=1": 0}
     checked = 0
     while checked < 60:
-        spec = random_nested_spec(rand, 3)
-        if spec.kind != "product" or spec.N > 120:
+        leaves = tuple(random_small_leaf(rand) for _ in range(rand.randint(2, 4)))
+        N = prod(leaf.N for leaf in leaves)
+        if N > 120:
             continue
+        t, ell = max(leaf.t for leaf in leaves), sum(leaf.ell for leaf in leaves)
+        spec = ColoringSpec("product", t, 0, ell, N, 0, leaves)
         color_of, reference = regenerate(spec).color_of, reference_color_of(spec)
         for x, y in itertools.permutations(range(spec.N), 2):
             assert color_of(x, y) == reference(x, y), (spec, x, y)
-        leaves = leaf_specs(spec)
-        f1, f2 = spec.factors
-        seen["left"] += f1.kind == "product"
-        seen["right"] += f2.kind == "product"
-        seen["depth3"] += nesting_depth(spec) == 3
+        seen[len(leaves)] += 1
         seen["blowup"] += any(leaf.kind == "blowup" for leaf in leaves)
         seen["erdos"] += any(leaf.kind == "erdos" for leaf in leaves)
         seen["N=1"] += any(leaf.N == 1 for leaf in leaves)

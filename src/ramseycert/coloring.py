@@ -5,9 +5,10 @@ blowups of the t-dimensional orthogonality graph onto K_N: m maps
 f_1..f_m send each of the N vertices to a uniform graph vertex, a pair
 {x, y} takes the least index i whose map separates it across an edge,
 and pairs no map separates get one of two leftover colors by a fair
-deterministic coin. Colors are never stored per pair: the m tables plus
-the counter-based stream reconstruct every color on demand, so a spec
-and a seed fully determine the coloring.
+deterministic coin; a uniform coloring is the same leaf with no maps and
+a uniform coin over its ell colors. Colors are never stored per pair:
+the m tables plus the counter-based stream reconstruct every color on
+demand, so a spec and a seed fully determine the coloring.
 
 Verification accounts for every color class: a blowup class i cannot
 hold a t-clique, because f_i maps one injectively onto a t-clique of the
@@ -105,6 +106,11 @@ class ColoringSpec(Record):
             for i, factor in enumerate(self.factors):
                 if factor.kind == KIND_PRODUCT:
                     raise ValueError(f"factors[{i}] is a product: list its factors in its place")
+                if factor.kind == KIND_ERDOS and factor.t != self.t:
+                    raise ValueError(
+                        f"factors[{i}] is a uniform coloring decided at the product's "
+                        f"t={self.t}, got t={factor.t}"
+                    )
             if self.m != 0:
                 raise ValueError(f"product colorings have m = 0, got m={self.m}")
             if self.seed != 0:
@@ -186,7 +192,7 @@ def _spec_from_json(d, where: str, is_factor: bool = False) -> ColoringSpec:
 class EdgeColoring:
     """A total symmetric coloring of the pairs of [N], values in 1..ell.
 
-    Built from its spec alone: a blowup draws its m tables, a product
+    Built from its spec alone: a leaf draws its m tables, a product
     builds one coloring per distinct leaf, which its equal leaves share,
     and keeps (leaf, mult, offset) per leaf: v // mult % N is vertex v's
     coordinate in the leaf, mult the product of the later leaves' N, and
@@ -196,18 +202,18 @@ class EdgeColoring:
 
     def __init__(self, spec: ColoringSpec):
         self.spec = spec
-        if spec.kind == KIND_BLOWUP:
-            self._tables = [
-                rng.uniform_row(1 << (spec.t - 1), spec.seed, TAG_BLOWUP, i, spec.N)
-                for i in range(1, spec.m + 1)
-            ]
-        elif spec.kind == KIND_PRODUCT:
+        if spec.kind == KIND_PRODUCT:
             built = {leaf: EdgeColoring(leaf) for leaf in dict.fromkeys(spec.factors)}
             self._leaves, mult, offset = [], spec.N, 0
             for leaf in spec.factors:
                 mult //= leaf.N
                 self._leaves.append((built[leaf], mult, offset))
                 offset += leaf.ell
+        else:  # a blowup or uniform leaf; a uniform one has m = 0
+            self._tables = [
+                rng.uniform_row(1 << (spec.t - 1), spec.seed, TAG_BLOWUP, i, spec.N)
+                for i in range(1, spec.m + 1)
+            ]
 
     @property
     def N(self) -> int:
@@ -220,19 +226,16 @@ class EdgeColoring:
     def color_of(self, x: int, y: int) -> int:
         if x == y:
             raise ValueError(f"self-pairs have no color (x = y = {x})")
-        N = self.spec.N
+        spec = self.spec
+        N = spec.N
         if not (0 <= x < N and 0 <= y < N):
             raise ValueError(f"pair ({x},{y}) out of range for N={N}")
-        kind = self.spec.kind
-        if kind == KIND_BLOWUP:
+        if spec.kind != KIND_PRODUCT:  # the first map that separates the pair, else a coin
             for i, table in enumerate(self._tables, start=1):
                 if (even_weight_code(table[x]) & even_weight_code(table[y])).bit_count() & 1:
                     return i
             lo, hi = (x, y) if x < y else (y, x)
-            return self.spec.m + 1 + rng.uniform_below(2, self.spec.seed, TAG_PAIR, lo, hi)
-        if kind == KIND_ERDOS:
-            lo, hi = (x, y) if x < y else (y, x)
-            return 1 + rng.uniform_below(self.spec.ell, self.spec.seed, TAG_PAIR, lo, hi)
+            return spec.m + 1 + rng.uniform_below(spec.ell - spec.m, spec.seed, TAG_PAIR, lo, hi)
         # product: the first leaf whose coordinates differ colors the pair (see product_coloring)
         for leaf, mult, offset in self._leaves:
             a, b = x // mult % leaf.N, y // mult % leaf.N
@@ -286,12 +289,18 @@ def product_coloring(*colorings: EdgeColoring) -> EdgeColoring:
     depth is at the lowest twin in block 0. The leaf's class is numbered
     from the top too, so a leaf clique is read back through N-1-v before
     the lift. So verification decides the leaves (_decide_leaves) and
-    builds no product class.
+    builds no product class. Every leaf is decided at the product's t, so
+    a uniform leaf, whose t moves no color, is written with that t.
     """
-    factors = tuple(leaf for c in colorings for leaf in c.spec.factors or (c.spec,))
+    t = max(c.spec.t for c in colorings)
+    factors = tuple(
+        ColoringSpec(**{**vars(leaf), "t": t}) if leaf.kind == KIND_ERDOS else leaf
+        for c in colorings
+        for leaf in c.spec.factors or (c.spec,)
+    )
     spec = ColoringSpec(
         kind=KIND_PRODUCT,
-        t=max(c.spec.t for c in colorings),
+        t=t,
         m=0,
         ell=sum(leaf.ell for leaf in factors),
         N=math.prod(leaf.N for leaf in factors),
@@ -351,16 +360,6 @@ def _witness_from_json(d, where: str) -> MonoWitness:
 def _check_materializable(N: int) -> None:
     if N > EXHAUSTIVE_LIMIT:
         raise ValueError(f"N={N} exceeds the exhaustive materialization guard {EXHAUSTIVE_LIMIT}")
-
-
-def _check_exhaustive(spec: ColoringSpec) -> None:
-    """Refuse a spec whose verification would build a color class past EXHAUSTIVE_LIMIT.
-
-    A product is guarded on its leaves, whose classes are the only ones
-    built, not on its own N (capped only by MAX_VERTICES).
-    """
-    for leaf in spec.factors or (spec,):
-        _check_materializable(leaf.N)
 
 
 def color_class_graphs(coloring: EdgeColoring, colors: list[int]) -> dict[int, BitGraph]:
@@ -433,7 +432,7 @@ def _lemma1_colors(spec: ColoringSpec, t: int) -> set[int]:
     graph's clique number at t0-1, so no class i <= m holds K_t once
     t >= t0.
     """
-    return set(range(1, spec.m + 1)) if spec.kind == KIND_BLOWUP and t >= spec.t else set()
+    return set(range(1, spec.m + 1)) if t >= spec.t else set()
 
 
 class _Decision(Record):
@@ -584,13 +583,13 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     """Regenerate the coloring, search it for a K_{spec.t}, and wrap the outcome.
 
     The certificate's t is always spec.t. The expectation report is
-    attached for blowup and uniform random colorings (the closed-form
-    census of the orthogonality graph is used when m > 0 and none is
-    supplied); product colorings carry no expectation. verified is True
-    exactly when the exhaustive search found nothing. A spec that would
-    build a class past EXHAUSTIVE_LIMIT raises ValueError before the
-    coloring is drawn (_check_exhaustive; a product is checked on its
-    leaves). search_stats is read off the leaf decisions (_decide_leaves):
+    attached when ell = m + 2, to blowup and two-color uniform colorings
+    (the closed-form census of the orthogonality graph is used when m > 0
+    and none is supplied). verified is True exactly when the exhaustive
+    search found nothing. A spec that would build a class past
+    EXHAUSTIVE_LIMIT raises ValueError before the coloring is drawn; a
+    product is checked on its leaves, whose classes are the only ones
+    built. search_stats is read off the leaf decisions (_decide_leaves):
     their nodes, the colors searched and those discharged by Lemma 1 up
     to the witness's color (every color when verified), and how many
     leaves were answered by an equal leaf.
@@ -600,7 +599,8 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
         raise ValueError(f"clique target must be at least 2, got {spec.t}")
     if spec.N < spec.t:
         raise ValueError(f"N={spec.N} is below the clique target t={spec.t}")
-    _check_exhaustive(spec)
+    for leaf in spec.factors or (spec,):
+        _check_materializable(leaf.N)
     start = time.perf_counter()
     coloring = regenerate(spec, seed=used_seed)
     decisions = _decide_leaves(coloring, spec.t)
@@ -608,12 +608,11 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     witness = decisions[-1].witness
     if witness is not None and not witness.holds_in(coloring):
         raise AssertionError("search produced a witness the coloring rejects")
-    # the expectation formula covers the blowup family (m maps plus two
-    # leftover colors); a uniform random coloring is its m = 0 member only
-    # when it has exactly two colors
+    # the expectation formula covers the blowup family, m maps plus two leftover
+    # colors: a two-color uniform coloring is its m = 0 member, a product none
     expectation = None
-    if spec.kind == KIND_BLOWUP or (spec.kind == KIND_ERDOS and spec.ell == 2):
-        if spec.kind == KIND_BLOWUP and spec.m > 0 and census is None:
+    if spec.ell == spec.m + 2:
+        if spec.m > 0 and census is None:
             census = g0_census(spec.t)
         expectation = expected_mono_count(spec.t, spec.m, spec.N, census)
     asked = [c for decision in decisions for c in decision.colors]

@@ -1,10 +1,11 @@
 """Test graphs built from rows, a clique search at any target, the renumbering of class rows,
-and a reader of graph files that shares no code with ramseycert."""
+a census by subset enumeration, product leaves re-targeted to another t, and a reader of graph
+files that shares no code with ramseycert."""
 
 import re
 from pathlib import Path
 
-from ramseycert.coloring import _decide_leaves
+from ramseycert.coloring import ColoringSpec, _decide_leaves
 from ramseycert.graphs import BitGraph
 
 
@@ -25,6 +26,11 @@ def complete_graph(n):
 def find_mono_clique(coloring, t):
     """The first monochromatic t-clique, t any target, or None when every class is free of one."""
     return _decide_leaves(coloring, t)[-1].witness
+
+
+def uniform_at(leaves, t):
+    """The leaves with each uniform one written at t, as a product decided at t must hold them."""
+    return tuple(ColoringSpec(**{**vars(f), "t": t}) if f.kind == "erdos" else f for f in leaves)
 
 
 def pair_loop_classes(coloring, colors):
@@ -64,6 +70,20 @@ def from_top(rows):
 
 def adjacent(g, u, v):
     return bool(g.adj[u] >> v & 1)
+
+
+def enumerated_census(g, cap):
+    """Counts of independent sets by size up to cap, by enumerating every subset.
+
+    Independent of the search kernel: a subset is independent when no row
+    of its vertices meets it.
+    """
+    counts = [0] * (cap + 1)
+    for mask in range(1 << g.n):
+        size = mask.bit_count()
+        if size <= cap and all(not g.adj[v] & mask for v in range(g.n) if mask >> v & 1):
+            counts[size] += 1
+    return counts
 
 
 def graph_edges(g):

@@ -317,6 +317,11 @@ PRODUCT_SPEC = {
     "factors": [BLOWUP_SPEC, {**BLOWUP_SPEC, "seed": 2}],
 }
 ERDOS_SPEC = {"kind": "erdos", "t": 4, "m": 0, "ell": 2, "N": 9, "seed": 1}
+# a uniform leaf (seed 3 holds no K_4) times a blowup; it verifies
+UNIFORM_LEAF_SPEC = {
+    "kind": "product", "t": 4, "m": 0, "ell": 5, "N": 81, "seed": 0,
+    "factors": [{**ERDOS_SPEC, "seed": 3}, BLOWUP_SPEC],
+}
 
 
 @pytest.mark.parametrize(
@@ -354,6 +359,11 @@ ERDOS_SPEC = {"kind": "erdos", "t": 4, "m": 0, "ell": 2, "N": 9, "seed": 1}
             {**PRODUCT_SPEC, "ell": 9, "N": 729, "factors": [PRODUCT_SPEC, BLOWUP_SPEC]},
             "spec.factors[0] is a product: list its factors in its place",
         ),
+        # every leaf is decided at the product's t, so a uniform leaf's own t must be it
+        (
+            _edited(UNIFORM_LEAF_SPEC, ["factors", 0, "t"], 17),
+            "spec: factors[0] is a uniform coloring decided at the product's t=4, got t=17",
+        ),
     ],
 )
 def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
@@ -362,6 +372,7 @@ def test_verify_rejects_malformed_spec(capsys, tmp_path, document, message):
     code, _, err = run(capsys, "verify", "--spec-file", str(spec_path))
     assert code == 2
     assert message in err
+    assert not (tmp_path / "bad.certificate.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -624,8 +635,12 @@ def _recheck_outcome(capsys, cert_path, doc):
                 "spec.factors[2].seed": "verified",
             },
         ),
+        (
+            UNIFORM_LEAF_SPEC,
+            {"spec.factors[0].seed": "verified", "spec.factors[1].seed": "verified"},
+        ),
     ],
-    ids=["verified-blowup", "witnessed-blowup", "three-leaf-product"],
+    ids=["verified-blowup", "witnessed-blowup", "three-leaf-product", "uniform-leaf-product"],
 )
 def test_recheck_every_leaf_edit(capsys, tmp_path, spec, outcomes):
     # each leaf of the core edited in turn: recheck exits 1 naming the leaf (a
@@ -648,7 +663,7 @@ def test_recheck_every_leaf_edit(capsys, tmp_path, spec, outcomes):
         expected[path] = outcomes.get(path, default)
     assert outcomes.keys() <= got.keys()
     assert got == expected
-    if spec is THREE_LEAF_SPEC:  # a blowup leaf's t is read, and no factor is a product
+    if spec["kind"] == "product":  # every leaf's t is read, and no factor is a product
         assert "OK" not in got.values()
 
 
@@ -661,16 +676,30 @@ def test_recheck_accepts_a_seed_that_also_verifies(capsys, tmp_path):
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
+def _search_stats_but_time(doc):
+    return {k: v for k, v in doc["search_stats"].items() if k != "wall_time_sec"}
+
+
 @pytest.mark.parametrize("name", ["r8_9.product", "r8_8.square", "r8_12.cube"])
-def test_committed_example_certificate_rechecks(capsys, name):
-    # a change that moves a proved bound's core fails here, even when a fresh
-    # verify of the spec still says verified
-    cert_path = EXAMPLES / f"{name}.certificate.json"
-    doc = json.loads(cert_path.read_text(encoding="ascii"))
-    assert doc["spec"] == json.loads((EXAMPLES / f"{name}.json").read_text(encoding="ascii"))
-    assert doc["verified"]
-    code, out, _ = run(capsys, "recheck", "--certificate-file", str(cert_path))
-    assert code == 0 and "recheck: OK" in out
+def test_committed_example_certificate_rechecks(capsys, tmp_path, name):
+    # the one proof of each committed bound: a fresh verify of the spec must print
+    # the bound and reproduce the committed core. Every example is a product, which
+    # replays at its seed 0, so this is what a recheck of the committed file does;
+    # it also pins the search_stats, wall time aside, which a recheck ignores
+    spec_path, fresh_path = EXAMPLES / f"{name}.json", tmp_path / "fresh.certificate.json"
+    spec = json.loads(spec_path.read_text(encoding="ascii"))
+    committed = json.loads((EXAMPLES / f"{name}.certificate.json").read_text(encoding="ascii"))
+    coloring.Certificate.from_json_dict(committed)
+    assert committed["spec"] == spec
+    code, out, _ = run(
+        capsys, "verify", "--spec-file", str(spec_path), "--certificate-out", str(fresh_path)
+    )
+    assert code == 0
+    assert out.startswith(f"verified: r({spec['t']};{spec['ell']}) >= {spec['N'] + 1} ")
+    fresh = json.loads(fresh_path.read_text(encoding="ascii"))
+    core = coloring.canonical_json_bytes(certificate_core(committed))
+    assert coloring.canonical_json_bytes(certificate_core(fresh)) == core
+    assert _search_stats_but_time(fresh) == _search_stats_but_time(committed)
 
 
 def _nested_spec(depth):

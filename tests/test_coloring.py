@@ -32,7 +32,7 @@ from ramseycert.coloring import (
 )
 from ramseycert.graphs import g0_census, has_clique_of_order
 
-from graph_support import adjacent, find_mono_clique, from_top, pair_loop_classes
+from graph_support import adjacent, find_mono_clique, from_top, pair_loop_classes, uniform_at
 
 BLOWUP_SPEC_N9 = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=1)
 
@@ -63,6 +63,10 @@ def test_spec_validation():
     square = ColoringSpec(kind="product", t=4, m=0, ell=6, N=81, seed=0, factors=(leaf, leaf))
     with pytest.raises(ValueError, match=r"factors\[1\] is a product: list its factors in"):
         ColoringSpec(kind="product", t=4, m=0, ell=9, N=729, seed=0, factors=(leaf, square))
+    uniform = ColoringSpec(kind="erdos", t=17, m=0, ell=2, N=5, seed=131)
+    message = r"factors\[1\] is a uniform coloring decided at the product's t=4, got t=17"
+    with pytest.raises(ValueError, match=message):
+        ColoringSpec(kind="product", t=4, m=0, ell=5, N=45, seed=0, factors=(leaf, uniform))
 
 
 def test_spec_json_roundtrip():
@@ -239,7 +243,7 @@ def test_product_search_on_factors_finds_the_all_class_witness():
     for _ in range(300):
         coloring = random_product(rand)
         target = rand.randint(2, min(coloring.N, 6))
-        factors = coloring.spec.factors
+        factors = uniform_at(coloring.spec.factors, target)
         spec = ColoringSpec("product", target, 0, coloring.ell, coloring.N, 0, factors)
         cert = verify_coloring(spec)
         reference = all_class_witness(coloring, target)
@@ -322,12 +326,12 @@ def test_search_stats_colors_are_the_colors_each_leaf_searches(monkeypatch):
         if rand.random() < 0.5:  # a product spliced in second shifts its leaves' palettes
             coloring = product_coloring(random_coloring(rand, 1), coloring)
         target = rand.randint(2, 6)
-        leaves = leaf_offsets(coloring.spec)
+        factors = uniform_at(coloring.spec.factors, target)
+        spec = ColoringSpec("product", target, 0, coloring.ell, coloring.N, 0, factors)
+        leaves = leaf_offsets(spec)
         specs = [leaf for leaf, _ in leaves]
         if len(set(specs)) < len(specs) or any(leaf.N < target for leaf in specs):
             continue  # a repeat is answered by an equal leaf, a small leaf is not built
-        factors = coloring.spec.factors
-        spec = ColoringSpec("product", target, 0, coloring.ell, coloring.N, 0, factors)
         built.clear()
         cert = verify_coloring(spec)
         if not cert.verified:
@@ -872,6 +876,15 @@ def test_product_of_a_product_splices_its_leaves():
     assert flat.spec.factors == (a.spec, b.spec, c.spec)
     assert product_coloring(product_coloring(a, b), c).spec == flat.spec
     assert product_coloring(a, product_coloring(b, c)).spec == flat.spec
+
+
+def test_product_writes_its_t_into_uniform_leaves():
+    # a uniform leaf is decided at the product's t, and its t moves no color
+    uniform, blowup = generate_erdos_coloring(5, 2, 1), generate_blowup_coloring(4, 1, 9, 1)
+    prod = product_coloring(uniform, blowup)
+    leaf = ColoringSpec(kind="erdos", t=4, m=0, ell=2, N=5, seed=1)
+    assert prod.spec.t == 4 and prod.spec.factors == (leaf, blowup.spec)
+    assert all_pair_colors(regenerate(leaf)) == all_pair_colors(uniform)
 
 
 def test_product_past_the_vertex_capacity_is_refused_naming_n():

@@ -29,6 +29,7 @@ from ramseycert.graphs import (
 from graph_support import (
     adjacent,
     complete_graph,
+    enumerated_census,
     graph_edges,
     graph_from_edges,
     parse_graph_file,
@@ -267,19 +268,6 @@ def test_has_clique_rejects_negative_order(g0_4):
         has_clique_of_order(g0_4, -1)
 
 
-def census_oracle(g, cap):
-    """Exhaustive subset enumeration, independent of the search kernel."""
-    counts = [0] * (cap + 1)
-    counts[0] = 1
-    for mask in range(1, 1 << g.n):
-        verts = [v for v in range(g.n) if (mask >> v) & 1]
-        if len(verts) <= cap and all(
-            not adjacent(g, a, b) for a, b in itertools.combinations(verts, 2)
-        ):
-            counts[len(verts)] += 1
-    return counts
-
-
 def test_census_g0_2():
     dfs = count_independent_sets(build_g0(2), 2)
     for census in (dfs, g0_census(2)):
@@ -291,7 +279,7 @@ def test_census_g0_2():
 
 def test_census_g0_4_matches_exhaustive_oracle(g0_4, census_4):
     for census in (census_4, g0_census(4)):
-        assert list(census.counts) == census_oracle(g0_4, 4)
+        assert list(census.counts) == enumerated_census(g0_4, 4)
         assert census.counts == (1, 8, 16, 12, 3)
         assert census.total_nonempty == 39
     assert g0_census(4).fingerprint() == census_4.fingerprint()
@@ -363,7 +351,7 @@ def test_census_random_graphs_match_oracle():
         n = 8 + seed
         g = random_graph(n, 0.4, 100 + seed)
         census = count_independent_sets(g, n)
-        assert list(census.counts) == census_oracle(g, n)
+        assert list(census.counts) == enumerated_census(g, n)
 
 
 @settings(max_examples=120, deadline=None)
@@ -376,7 +364,7 @@ def test_census_every_cap_matches_oracle(n, p, seed):
     # sparse graphs with small caps reach one candidate set with several
     # rooms, so a memo hit must never answer a larger room than it holds
     g = random_graph(n, p, seed)
-    full = census_oracle(g, n)
+    full = enumerated_census(g, n)
     for cap in range(n + 2):
         expected = (full + [0])[: cap + 1]
         assert list(count_independent_sets(g, cap).counts) == expected

@@ -37,7 +37,14 @@ from ramseycert.graphs import (
     max_clique,
 )
 
-from graph_support import from_top, graph_edges, graph_from_edges, pair_loop_classes
+from graph_support import (
+    enumerated_census,
+    from_top,
+    graph_edges,
+    graph_from_edges,
+    pair_loop_classes,
+    uniform_at,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -352,7 +359,7 @@ def test_product_colors_by_the_first_differing_leaf_as_by_two_factors():
         if N > 120:
             continue
         t, ell = max(leaf.t for leaf in leaves), sum(leaf.ell for leaf in leaves)
-        spec = ColoringSpec("product", t, 0, ell, N, 0, leaves)
+        spec = ColoringSpec("product", t, 0, ell, N, 0, uniform_at(leaves, t))
         color_of, reference = regenerate(spec).color_of, reference_color_of(spec)
         for x, y in itertools.permutations(range(spec.N), 2):
             assert color_of(x, y) == reference(x, y), (spec, x, y)
@@ -421,16 +428,6 @@ def reference_count_independent_sets(g: BitGraph, max_size: int) -> IndependentS
     packed = sizes((1 << g.n) - 1, max_size)
     counts = tuple((packed >> (k * width)) & keep[0] for k in range(max_size + 1))
     return IndependentSetCensus(t=max_size, n=g.n, counts=counts)
-
-
-def enumerated_census(g: BitGraph, cap: int) -> list[int]:
-    """Counts of independent sets by size up to cap, by enumerating every subset."""
-    counts = [0] * (cap + 1)
-    for mask in range(1 << g.n):
-        size = mask.bit_count()
-        if size <= cap and all(not g.adj[v] & mask for v in _bits_to_list(mask)):
-            counts[size] += 1
-    return counts
 
 
 @st.composite

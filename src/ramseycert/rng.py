@@ -55,18 +55,18 @@ def _lane_masks(n: int) -> tuple[int, int]:
     return ones, ones * MASK64
 
 
-def _mix_lanes(key: int | bytes, ys, rounds: int, low: int, masks: tuple[int, int]) -> bytes:
-    """`rounds` splitmix64 finalizer rounds on k ^ y, then & low, in 16 little-endian bytes per y.
+def _mix_lanes(key: int | bytes, ys, rounds: int, keep: int, lane: int) -> bytes:
+    """`rounds` splitmix64 finalizer rounds on k ^ y, then & keep, in 16 little-endian bytes per y.
 
     key is either one int k for every lane or 8 little-endian bytes per
-    lane, lane j's k at offset 8j; every k, y and low is below 2^64.
-    Slot j of the result is ys[j]'s. masks is _lane_masks(w) for any
-    w >= len(ys): an AND keeps the narrower operand's width, so a wider
-    mask is exact. Two strided stores put y in the low half of its slot
-    and k in the high half, and a shift by 64 XORs them.
+    lane, lane j's k at offset 8j; every k and y is below 2^64. Slot j of
+    the result is ys[j]'s. lane is _lane_masks(w)[1], keep the caller's
+    mask of w slots, for any w >= len(ys): an AND keeps the narrower
+    operand's width, so a wider mask is exact. Two strided stores put y in
+    the low half of its slot and k in the high half, and a shift by 64
+    XORs them.
     """
     n = len(ys)
-    ones, lane = masks
     if isinstance(key, int):
         key = key.to_bytes(8, "little") * n
     slots = bytearray(16 * n)
@@ -81,7 +81,7 @@ def _mix_lanes(key: int | bytes, ys, rounds: int, low: int, masks: tuple[int, in
         z = (z ^ (z >> 27)) & lane
         z = z * _M2 & lane
         z = (z ^ (z >> 31)) & lane
-    return (z & (ones if low == 1 else low * ones)).to_bytes(16 * n, "little")
+    return (z & keep).to_bytes(16 * n, "little")
 
 
 _TAG_CONSTANTS: dict[str, int] = {}
@@ -139,7 +139,8 @@ def uniform_row(bound: int, seed: int, tag: str, i: int, n: int) -> list[int]:
         raise ValueError(f"bound must be a power of two, got {bound}")
     if n < 0:
         raise ValueError(f"row length must be non-negative, got {n}")
-    lanes = _mix_lanes(stream64(seed, tag, i), range(n), 2, (bound - 1) & MASK64, _lane_masks(n))
+    ones, lane = _lane_masks(n)
+    lanes = _mix_lanes(stream64(seed, tag, i), range(n), 2, ((bound - 1) & MASK64) * ones, lane)
     return list(_lanes64(n).unpack(memoryview(lanes).cast("Q")[::2].tobytes()))
 
 
@@ -160,13 +161,15 @@ def coin_rows(seed: int, tag: str, free: list[int]) -> list[int]:
     peels no bits. Rows are gathered from i = 0 up, the highest vertex
     first, until a block holds at least _BLOCK lanes, and the block is
     drawn in one call, so the lanes held stay bounded by one block plus
-    one row. The lane masks fit the key pass, then a wider block sizes
-    them once: to the widest full block, or to a build's one block. Each
-    head is ORed into both of its rows from one table of powers of two.
+    one row. The lane masks are sized once, to the key pass's n lanes or
+    the widest block: at most the pairs, and under _BLOCK lanes plus a
+    last row of at most n - 1. Each draw keeps the caller's mask, whole
+    lanes for the keys and the low bit for the coins. Each head is ORed
+    into both of its rows from one table of powers of two.
     """
     n = len(free)
-    width, masks = n, _lane_masks(n)
-    keyed = _mix_lanes(_mix(seed ^ _tag_constant(tag)), range(n), 1, MASK64, masks)
+    ones, lane = _lane_masks(max(n, min(sum(map(int.bit_count, free)) // 2, _BLOCK + n - 2)))
+    keyed = _mix_lanes(_mix(seed ^ _tag_constant(tag)), range(n), 1, lane, lane)
     keys = memoryview(keyed).cast("Q")[::2].tobytes()
     power = [1 << n - 1 - x for x in range(n)]  # vertex x's bit
     heads = [0] * n  # by vertex; reversed into rows at the end
@@ -184,11 +187,7 @@ def coin_rows(seed: int, tag: str, free: list[int]) -> list[int]:
             block.append((x, len(steps)))
             lane_keys += keys[8 * x : 8 * x + 8] * len(steps)
         if len(ys) >= _BLOCK or ys and x == 0:
-            if len(ys) > width:
-                # a full block holds under _BLOCK lanes before its last row, of at most n - 1
-                width = _BLOCK + n - 2 if len(ys) >= _BLOCK else len(ys)
-                masks = _lane_masks(width)
-            coins = _mix_lanes(lane_keys, ys, 2, 1, masks)[::16]
+            coins = _mix_lanes(lane_keys, ys, 2, ones, lane)[::16]
             end = 0
             for a, count in block:
                 start, end = end, end + count

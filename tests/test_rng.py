@@ -95,8 +95,9 @@ def test_packed_lanes_equal_scalar_rounds(key, pairs):
     ys = [y for _, y in pairs]
     lane_keys = [k for k, _ in pairs]
     packed = struct.pack(f"<{len(ys)}Q", *lane_keys)
+    ones, lane = rng._lane_masks(len(ys))
     for keyed, keys in ((key, [key] * len(ys)), (packed, lane_keys)):
-        lanes = rng._mix_lanes(keyed, ys, 2, rng.MASK64, rng._lane_masks(len(ys)))
+        lanes = rng._mix_lanes(keyed, ys, 2, rng.MASK64 * ones, lane)
         assert slot_words(lanes, len(ys)) == [rng._mix(rng._mix(k ^ y)) for k, y in zip(keys, ys)]
 
 
@@ -110,7 +111,8 @@ def test_draw_narrower_than_its_masks_equals_scalar_rounds(pairs, wider, low):
     ys = [y for _, y in pairs]
     keys = [k for k, _ in pairs]
     packed = struct.pack(f"<{len(ys)}Q", *keys)
-    lanes = rng._mix_lanes(packed, ys, 2, low, rng._lane_masks(len(ys) + wider))
+    ones, lane = rng._lane_masks(len(ys) + wider)
+    lanes = rng._mix_lanes(packed, ys, 2, low * ones, lane)
     assert len(lanes) == 16 * len(ys)
     scalar = [rng._mix(rng._mix(k ^ y)) & low for k, y in zip(keys, ys)]
     assert slot_words(lanes, len(ys)) == scalar
@@ -124,7 +126,8 @@ ROWS = st.integers(0, 7) | st.integers((1 << 32) - 8, (1 << 32) - 1) | st.intege
 def test_row_keys_equal_stream64(seed, xs):
     # coin_rows' key pass: one int key, a lane per row x
     key = rng._mix(seed ^ rng._tag_constant("pair"))
-    lanes = rng._mix_lanes(key, xs, 1, rng.MASK64, rng._lane_masks(len(xs)))
+    ones, lane = rng._lane_masks(len(xs))
+    lanes = rng._mix_lanes(key, xs, 1, rng.MASK64 * ones, lane)
     assert slot_words(lanes, len(xs)) == [rng.stream64(seed, "pair", x) for x in xs]
 
 
@@ -166,7 +169,7 @@ def upper(x, above):
     | st.integers(0, (1 << 200) - 1)
     | st.just((1 << 4096) - 1),
 )
-def test_pair_coins_equal_uniform_below(seed, x, above):
+def test_coin_rows_equal_uniform_below(seed, x, above):
     free = symmetric(x + 1 + above.bit_length(), [(x, y) for y in upper(x, above)])
     assert rng.coin_rows(seed, "pair", from_top(free)) == from_top(scalar_rows(seed, free))
 
@@ -196,11 +199,11 @@ def test_coin_blocks_hold_whole_rows(monkeypatch):
     drawn = []
     mix_lanes = rng._mix_lanes
 
-    def recording(key, ys, rounds, low, masks):
-        assert masks[0].bit_length() > 128 * (len(ys) - 1)  # the masks are never narrower
+    def recording(key, ys, rounds, keep, lane):
+        assert lane.bit_length() > 128 * (len(ys) - 1)  # the masks are never narrower
         if rounds == 2:
             drawn.append(len(ys))
-        return mix_lanes(key, ys, rounds, low, masks)
+        return mix_lanes(key, ys, rounds, keep, lane)
 
     monkeypatch.setattr(rng, "_mix_lanes", recording)
     seed = rand.getrandbits(64)
@@ -216,23 +219,9 @@ def test_coin_blocks_hold_whole_rows(monkeypatch):
     assert next(row, None) is None
 
 
-def test_coin_masks_grow_only_for_a_wider_block(monkeypatch):
-    # 41 rows: the key pass sizes the masks to 41 lanes, the one block of 820 lanes widens them
-    masks_seen = []
-    mix_lanes = rng._mix_lanes
-
-    def recording(key, ys, rounds, low, masks):
-        masks_seen.append((len(ys), masks[0].bit_length()))
-        return mix_lanes(key, ys, rounds, low, masks)
-
-    monkeypatch.setattr(rng, "_mix_lanes", recording)
-    free = symmetric(41, [(x, y) for x in range(41) for y in range(x + 1, 41)])
-    assert rng.coin_rows(5, "pair", from_top(free)) == from_top(scalar_rows(5, free))
-    assert masks_seen == [(41, 128 * 40 + 1), (820, 128 * 819 + 1)]
-
-
-def test_coin_masks_are_sized_at_most_twice(monkeypatch):
-    # the key pass sizes the masks, and the first full block sizes them for any later block
+def test_coin_masks_are_sized_once_per_build(monkeypatch):
+    # to the widest draw a build can hold: the key pass's n lanes, or a block of at most every
+    # pair and under _BLOCK lanes plus a last row of at most n - 1
     sizes = []
     lane_masks = rng._lane_masks
 
@@ -241,21 +230,17 @@ def test_coin_masks_are_sized_at_most_twice(monkeypatch):
         return lane_masks(n)
 
     monkeypatch.setattr(rng, "_lane_masks", recording)
-    # the fixture of test_coin_blocks_hold_whole_rows: three blocks, each narrower than the key pass
-    rand = random.Random(11)
-    widths = [1000, rng._BLOCK - 1000, rng._BLOCK + 952, 500, 0, 700]
-    pairs = [
-        (x, x + 1 + j)
-        for x, w in zip(range(len(widths) - 1, -1, -1), widths)
-        for j in rand.sample(range(4000), w)
-    ]
-    free = symmetric(len(widths) + 4000, pairs)
-    seed = rand.getrandbits(64)
-    assert rng.coin_rows(seed, "pair", from_top(free)) == from_top(scalar_rows(seed, free))
-    assert len(sizes) <= 2
-    # every pair of 150 vertices: blocks of 2080, 2106, 2142, 2057, 2055 and 735 lanes; sizing
-    # the masks to the widest block so far would size them four times
+    # every pair of 41 vertices: one block of 820 lanes
+    free = symmetric(41, [(x, y) for x in range(41) for y in range(x + 1, 41)])
+    assert rng.coin_rows(5, "pair", from_top(free)) == from_top(scalar_rows(5, free))
+    assert sizes == [820]
+    # every pair of 150 vertices: blocks of 2080, 2106, 2142, 2057, 2055 and 735 lanes
     sizes.clear()
     free = symmetric(150, [(x, y) for x in range(150) for y in range(x + 1, 150)])
     assert rng.coin_rows(3, "pair", from_top(free)) == from_top(scalar_rows(3, free))
-    assert sizes == [150, rng._BLOCK + 148]
+    assert sizes == [rng._BLOCK + 148]
+    # one pair of 4096 vertices: the key pass is the widest draw
+    sizes.clear()
+    free = symmetric(4096, [(0, 4095)])
+    assert rng.coin_rows(9, "pair", from_top(free)) == from_top(scalar_rows(9, free))
+    assert sizes == [4096]

@@ -10,12 +10,12 @@ EXHAUSTIVE_LIMIT vertices. Its clique number (g0_clique_number, Lemma 1
 by its GF(2) rank proof) and its independent-set census (g0_census)
 have closed forms; max_clique and the census of an arbitrary graph
 (count_independent_sets) are kept as their test oracles. That census
-groups the vertices with identical rows into false-twin classes and
-runs an ascending extension, memoized on the candidate set, over one
-vertex per class, which weighs the class's nonempty subsets,
-(1+x)^k - 1 for k twins. The classes come from the rows alone, not
-from GF(2), so the oracle stays independent of the closed form; on
-G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
+groups the vertices with identical rows into false-twin classes and,
+memoized on the candidate set, peels the highest of one vertex per
+class, its bit length a slot in per-call tables, weighing the class's
+nonempty subsets, (1+x)^k - 1 for k twins. The classes come from the
+rows alone, not from GF(2), so the oracle stays independent of the
+closed form; on G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
 _induced_rows re-indexes rows onto an ascending vertex list, for the
 census's representatives and for max_clique's neighbourhoods.
 
@@ -425,12 +425,15 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     {v, v + 1}, 1 the all-ones vector, so the search runs on half the
     vertices.
 
-    Ascending extension over the representatives, memoized on the
+    A descending peel over the representatives, memoized on the
     candidate set. sizes(cand, room) counts the independent subsets of
-    the classes in `cand` of each size 0..room: each is its least
+    the classes in `cand` of each size 0..room: each is its highest
     representative v's class's share, counted by v's weight, times an
-    independent subset of the candidates above v that miss N(v), which
+    independent subset of the candidates below v that miss N(v), which
     is the deletion recurrence I(G) = I(G-v) + w(v) I(G-N[v]) unrolled.
+    The tables bit, apart (v's row complemented) and weight hold v in
+    slot v + 1, so v = rest.bit_length() and a peel is one XOR and one
+    AND, no negative int; a child, below v, is narrower than one above.
     At room 1 the count is the number of vertices in the classes. The
     counts travel packed in one int, `width` bits per size, wide enough
     for C(n, k) at every k <= max_size, so the counts up to room never
@@ -458,9 +461,11 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     if max_size == 0:
         return IndependentSetCensus(t=0, n=g.n, counts=(1,))
     classes = _twin_classes(g)
-    adj = _induced_rows(g, [members[0] for members in classes])
+    full = (1 << len(classes)) - 1
+    bit = [0] + [1 << v for v in range(len(classes))]  # slot v + 1 holds representative v
+    apart = [0] + [full ^ row for row in _induced_rows(g, [members[0] for members in classes])]
     width = max(comb(g.n, k) for k in range(max_size + 1)).bit_length()
-    weight = [
+    weight = [0] + [
         sum(comb(len(members), j) << j * width for j in range(1, min(len(members), max_size) + 1))
         for members in classes
     ]
@@ -485,16 +490,16 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
         total = 0
         rest = cand
         while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            child = rest & ~adj[v]
+            v = rest.bit_length()
+            rest ^= bit[v]
+            child = rest & apart[v]
             total += weight[v] * sizes(child, room - 1) if child else weight[v]
         packed = (1 + total) & keep[room]
         memo[cand] = packed | (room if packed >> room * width else max_size) << top
         return packed
 
-    packed = sizes((1 << len(classes)) - 1, max_size)
+    packed = sizes(full, max_size)
+    del sizes  # as in has_clique_of_order: frees the memo now, not at the next cyclic collection
     counts = tuple((packed >> (k * width)) & keep[0] for k in range(max_size + 1))
     return IndependentSetCensus(t=max_size, n=g.n, counts=counts)
 

@@ -1,6 +1,8 @@
+import collections
 import functools
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramseycert.bounds import BoundTableRow, ExpectationReport
+from ramseycert.bounds import BoundTableRow, ExpectationReport, exact_independence_probability
 from ramseycert.coloring import Certificate, ColoringSpec, MonoWitness
 from ramseycert.graphs import (
     BitGraph,
@@ -263,6 +265,18 @@ def test_has_clique_leaves_no_garbage_cycle():
         gc.enable()
 
 
+def test_census_leaves_no_garbage_cycle():
+    # the census's recursive closure, like the clique search's, holds its memo
+    g = build_g0(6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_independent_sets(g, 6) == g0_census(6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_has_clique_rejects_negative_order(g0_4):
     with pytest.raises(ValueError):
         has_clique_of_order(g0_4, -1)
@@ -305,6 +319,54 @@ def test_census_t8_matches_closed_form():
     closed = g0_census(8)
     assert census.counts == closed.counts
     assert census.fingerprint() == closed.fingerprint()
+
+
+def test_census_t10_matches_closed_form():
+    # over the 256 twin classes of G0(10), in full and truncated at size 4: about 0.9 s
+    g, closed = build_g0(10), g0_census(10)
+    assert count_independent_sets(g, 10) == closed
+    assert count_independent_sets(g, 4).counts == closed.counts[:5]
+
+
+def dimension_walk(t, distinct):
+    """Ordered tuples of pairwise-orthogonal even-weight vectors of F_2^t, by length 0..t.
+
+    A tuple spans a totally isotropic d-space S, with o = 1 iff S holds the
+    all-ones vector 1; the walk counts tuples by (d, o). The next vector
+    lies in (S + <1>)^perp, 2^(t - d - 1 + o) vectors as the form is
+    nondegenerate: 2^d in S, 2^d in 1 + S when o = 0 (they add 1 to the
+    span), and the rest add a new dimension only. With `distinct`, a
+    vector in S may not repeat one of the j chosen before it.
+    """
+    walk = {(0, 0): 1}
+    totals = [1]
+    for j in range(t):
+        step = collections.Counter()
+        for (d, o), tuples in walk.items():
+            step[d, o] += tuples * ((1 << d) - (j if distinct else 0))
+            new = (1 << (t - d - 1 + o)) - (1 << d)  # orthogonal to S and 1, outside S
+            if o:
+                step[d + 1, 1] += tuples * new
+            else:
+                step[d + 1, 1] += tuples << d
+                step[d + 1, 0] += tuples * (new - (1 << d))
+        walk = {state: tuples for state, tuples in step.items() if tuples}
+        totals.append(sum(walk.values()))
+    return totals
+
+
+@pytest.mark.parametrize("t", range(2, 31, 2))
+def test_g0_census_matches_the_dimension_walk(t):
+    # a second derivation of the census, with no subspace count, Moebius sum
+    # or surjection count: distinct tuples are the independent sets, each in
+    # k! orders, and tuples with repeats are the maps of t points with an
+    # independent image
+    closed = g0_census(t)
+    ordered = dimension_walk(t, distinct=True)
+    assert all(tuples % math.factorial(k) == 0 for k, tuples in enumerate(ordered))
+    assert tuple(tuples // math.factorial(k) for k, tuples in enumerate(ordered)) == closed.counts
+    maps = dimension_walk(t, distinct=False)[t]
+    assert Fraction(maps, closed.n**t) == exact_independence_probability(closed, t)
 
 
 @pytest.mark.parametrize("t", range(4, 11, 2))
@@ -385,8 +447,6 @@ def test_census_rejects_a_negative_cap_and_malformed_counts(g0_4):
 
 
 def test_growth_against_slack_bound(census_4, census_6):
-    import math
-
     for census, t in ((census_4, 4), (census_6, 6)):
         assert math.log2(census.total_nonempty) <= 5 * t * t / 8 + 2 * t
 

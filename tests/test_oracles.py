@@ -12,7 +12,8 @@ upward: the same search with the vertices renamed v -> N-1-v.
 The independent-set census, which searches one vertex per false-twin
 class, is held to the earlier census on every vertex, kept here verbatim
 as reference_count_independent_sets, and to subset enumeration, on
-graphs with planted twins.
+graphs with planted twins, and to the reference alone on fixed graphs
+whose candidate sets span two or three int digits.
 """
 
 import itertools
@@ -430,6 +431,19 @@ def reference_count_independent_sets(g: BitGraph, max_size: int) -> IndependentS
     return IndependentSetCensus(t=max_size, n=g.n, counts=counts)
 
 
+def random_twin_graph(sizes, p, seed):
+    """A G(len(sizes), p) base graph, base vertex i blown up into sizes[i] false twins, shuffled."""
+    rand = random.Random(seed)
+    labels = list(range(sum(sizes)))
+    rand.shuffle(labels)
+    blown = [[labels.pop() for _ in range(k)] for k in sizes]
+    edges = []
+    for a, b in itertools.combinations(range(len(sizes)), 2):
+        if rand.random() < p:
+            edges += itertools.product(blown[a], blown[b])
+    return graph_from_edges(sum(sizes), edges)
+
+
 @st.composite
 def twin_graphs(draw, max_n):
     """A random base graph with each vertex blown up into 1-4 false twins, labels shuffled.
@@ -440,16 +454,7 @@ def twin_graphs(draw, max_n):
     copies = draw(st.lists(st.integers(1, 4), max_size=8))
     while sum(copies) > max_n:
         copies.pop()
-    p = draw(st.floats(0.0, 1.0))
-    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
-    labels = list(range(sum(copies)))
-    rand.shuffle(labels)
-    blown = [[labels.pop() for _ in range(k)] for k in copies]
-    edges = []
-    for a, b in itertools.combinations(range(len(copies)), 2):
-        if rand.random() < p:
-            edges += itertools.product(blown[a], blown[b])
-    return graph_from_edges(sum(copies), edges)
+    return random_twin_graph(copies, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32 - 1)))
 
 
 def same_census(g: BitGraph) -> None:
@@ -479,6 +484,20 @@ def test_census_of_twin_free_cycles(n):
     cycle = graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
     assert len(_twin_classes(cycle)) == n
     same_census(cycle)
+
+
+@pytest.mark.parametrize(
+    "sizes, p, seed",
+    [([1] * 40, 0.3, 1), ([1] * 64, 0.2, 2), ([1] * 22 + [2] * 9 + [3] * 4 + [4] * 3, 0.3, 3)],
+    ids=["twin-free-40", "twin-free-64", "twins-64"],
+)
+def test_census_of_candidate_sets_past_one_int_digit(sizes, p, seed):
+    # a CPython int digit holds 30 bits: 40 and 64 twin-free vertices, and 38
+    # representatives of 64 vertices, put the candidate sets past one and two digits
+    g = random_twin_graph(sizes, p, seed)
+    assert sorted(map(len, _twin_classes(g))) == sorted(sizes)
+    for cap in (3, 4):
+        assert count_independent_sets(g, cap) == reference_count_independent_sets(g, cap)
 
 
 def test_census_puts_every_isolated_vertex_in_one_class():

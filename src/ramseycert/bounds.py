@@ -155,30 +155,31 @@ def certify_max_N(
 ) -> tuple[Optional[int], ExpectationReport]:
     """Largest N with expected monochromatic-clique count below 1.
 
-    The expectation is strictly increasing in N, so the threshold is found
-    by doubling then bisection. A verified coloring at the returned N
-    proves r(t; m+2) >= N+1. Returns (None, report at N=t) if even the
-    smallest sensible N fails.
+    E(n) = C(n, t) * per_set_mono is strictly increasing in n, so the
+    threshold is found by doubling then bisection, on integers: E(n) < 1
+    is comb(n, t) * num < den for per_set_mono = num/den. The report at
+    the returned N reuses the N = t report's p_ind, per_set_mono and
+    fingerprint. A verified coloring at the returned N proves
+    r(t; m+2) >= N+1. Returns (None, report at N=t) if even N = t fails.
     """
     report = expected_mono_count(t, m, t, census)
     if report.expected_count >= 1:
         return None, report
     per_set = report.per_set_mono
-
-    def expectation(n: int) -> Fraction:
-        return comb(n, t) * per_set
-
+    num, den = per_set.numerator, per_set.denominator
     lo, hi = t, 2 * t
-    while expectation(hi) < 1:
+    while comb(hi, t) * num < den:
         lo, hi = hi, 2 * hi
-    # expectation(lo) < 1 <= expectation(hi)
+    # E(lo) < 1 <= E(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if expectation(mid) < 1:
+        if comb(mid, t) * num < den:
             lo = mid
         else:
             hi = mid
-    return lo, expected_mono_count(t, m, lo, census)
+    return lo, ExpectationReport(
+        t, m, lo, report.p_ind, per_set, comb(lo, t) * per_set, report.census_fingerprint
+    )
 
 
 SOURCE_ERDOS = "erdos"

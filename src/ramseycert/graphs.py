@@ -12,12 +12,12 @@ have closed forms; max_clique and the census of an arbitrary graph
 (count_independent_sets) are kept as their test oracles. That census
 groups the vertices with identical rows into false-twin classes and,
 memoized on the candidate set, peels the highest of one vertex per
-class, its bit length a slot in per-call tables, weighing the class's
-nonempty subsets, (1+x)^k - 1 for k twins. The classes come from the
-rows alone, not from GF(2), so the oracle stays independent of the
-closed form; on G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
-_induced_rows re-indexes rows onto an ascending vertex list, for the
-census's representatives and for max_clique's neighbourhoods.
+class in the graph's own numbering, nothing re-indexed, weighing the
+class's nonempty subsets, (1+x)^k - 1 for k twins; its peel loop
+answers memo hits itself. The classes come from the rows alone, not
+from GF(2), so the oracle stays independent of the closed form; on
+G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}. _induced_rows
+re-indexes rows onto an ascending vertex list, for max_clique only.
 
 The k-clique search is branch-and-bound with greedy-coloring upper
 bounds. A node colors all its candidates but lists only the classes
@@ -417,13 +417,13 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     """Exact counts of independent sets of each size up to max_size.
 
     The search runs on one representative per false-twin class (see
-    _twin_classes), its least vertex, with the rows re-indexed onto the
-    representatives. Each independent set of g takes a nonempty subset
-    of every class in one independent set of representatives, so a
-    class of k twins weighs (1+x)^k - 1, truncated at max_size, where a
-    lone vertex weighs x. On G0(t) the classes are the pairs of codes
-    {v, v + 1}, 1 the all-ones vector, so the search runs on half the
-    vertices.
+    _twin_classes), its least vertex, in the graph's own numbering: the
+    candidate sets are subsets of the representatives, never re-indexed.
+    Each independent set of g takes a nonempty subset of every class in
+    one independent set of representatives, so a class of k twins weighs
+    (1+x)^k - 1, truncated at max_size, where a lone vertex weighs x. On
+    G0(t) the classes are the pairs of codes {v, v + 1}, 1 the all-ones
+    vector, so the search runs on half the vertices.
 
     A descending peel over the representatives, memoized on the
     candidate set. sizes(cand, room) counts the independent subsets of
@@ -431,25 +431,26 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     representative v's class's share, counted by v's weight, times an
     independent subset of the candidates below v that miss N(v), which
     is the deletion recurrence I(G) = I(G-v) + w(v) I(G-N[v]) unrolled.
-    The tables bit, apart (v's row complemented) and weight hold v in
-    slot v + 1, so v = rest.bit_length() and a peel is one XOR and one
-    AND, no negative int; a child, below v, is narrower than one above.
-    At room 1 the count is the number of vertices in the classes. The
-    counts travel packed in one int, `width` bits per size, wide enough
-    for C(n, k) at every k <= max_size, so the counts up to room never
-    carry into one another; a product's carries above room are masked
-    off.
+    The tables bit, apart (the representatives off v's row) and weight
+    hold vertex v in slot v + 1, so v = rest.bit_length() and a peel is
+    one XOR and one AND, no negative int; a child, below v, is narrower
+    than one above. At room 1 the count is the number of vertices in
+    the classes. The counts travel packed in one int, `width` bits per
+    size, wide enough for C(n, k) at every k <= max_size, so the counts
+    up to room never carry into one another; a product's carries above
+    room are masked off.
 
     Many branches reach the same candidate set, and each distinct set is
     counted once per call. The memo stores, above the counts, the largest
     room they answer: the room they were counted for, or max_size when
     they are complete, that is when no set has `room` vertices (the
     independent sets are closed under subsets, so none has more). A hit
-    answers any request with a room no larger, by masking, and a larger
-    room recounts and overwrites. Counting only up to the requested room
-    keeps a small max_size cheap: a memo that counts every set to its
-    full depth, so that any later room can be served, is many times
-    slower than no memo at all on a sparse graph with a small max_size.
+    answers any request with a room no larger, masked, in the parent's
+    peel loop, so sizes runs once per set recounted or room-1 child
+    (never stored); a larger room recounts and overwrites. Counting only
+    up to the requested room keeps a small max_size cheap: a memo that
+    counts every set to full depth, to serve any later room, is many
+    times slower than none on a sparse graph with a small max_size.
 
     The twin classes are read off the rows alone, so this search knows
     nothing of GF(2), of codes or of orbits: it stays an independent test
@@ -461,22 +462,24 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     if max_size == 0:
         return IndependentSetCensus(t=0, n=g.n, counts=(1,))
     classes = _twin_classes(g)
-    full = (1 << len(classes)) - 1
-    bit = [0] + [1 << v for v in range(len(classes))]  # slot v + 1 holds representative v
-    apart = [0] + [full ^ row for row in _induced_rows(g, [members[0] for members in classes])]
+    reps = sum(1 << members[0] for members in classes)
+    bit = [0] + [1 << v for v in range(g.n)]  # slot v + 1 holds vertex v
+    apart = [0] + [reps ^ (row & reps) for row in g.adj]
     width = max(comb(g.n, k) for k in range(max_size + 1)).bit_length()
-    weight = [0] + [
-        sum(comb(len(members), j) << j * width for j in range(1, min(len(members), max_size) + 1))
-        for members in classes
-    ]
+    weight = [0] * (g.n + 1)
+    for members in classes:
+        weight[members[0] + 1] = sum(
+            comb(len(members), j) << j * width for j in range(1, min(len(members), max_size) + 1)
+        )
     # twins[j - 1]: the representatives of classes of more than j vertices
     twins = [
-        sum(1 << i for i, members in enumerate(classes) if len(members) > j)
+        sum(1 << members[0] for members in classes if len(members) > j)
         for j in range(1, max(map(len, classes), default=1))
     ]
     top = (max_size + 1) * width
     keep = [(1 << (room + 1) * width) - 1 for room in range(max_size + 1)]
     memo: dict[int, int] = {}
+    get = memo.get
 
     def sizes(cand: int, room: int) -> int:
         if room == 1:
@@ -484,21 +487,26 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
             for layer in twins:
                 size += (cand & layer).bit_count()
             return 1 + (size << width)
-        entry = memo.get(cand)
-        if entry is not None and entry >> top >= room:
-            return entry & keep[room]
         total = 0
         rest = cand
+        below, mask = room - 1, keep[room - 1]
         while rest:
             v = rest.bit_length()
             rest ^= bit[v]
             child = rest & apart[v]
-            total += weight[v] * sizes(child, room - 1) if child else weight[v]
+            if child:
+                entry = get(child) if below > 1 else None
+                if entry is None or entry >> top < below:
+                    total += weight[v] * sizes(child, below)
+                else:
+                    total += weight[v] * (entry & mask)
+            else:
+                total += weight[v]
         packed = (1 + total) & keep[room]
         memo[cand] = packed | (room if packed >> room * width else max_size) << top
         return packed
 
-    packed = sizes(full, max_size)
+    packed = sizes(reps, max_size)
     del sizes  # as in has_clique_of_order: frees the memo now, not at the next cyclic collection
     counts = tuple((packed >> (k * width)) & keep[0] for k in range(max_size + 1))
     return IndependentSetCensus(t=max_size, n=g.n, counts=counts)

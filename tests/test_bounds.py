@@ -22,7 +22,7 @@ from ramseycert.bounds import (
     write_bounds_csv,
 )
 from ramseycert.coloring import _expectation_from_json
-from ramseycert.graphs import BitGraph, build_g0, count_independent_sets
+from ramseycert.graphs import BitGraph, build_g0, count_independent_sets, g0_census
 
 from graph_support import adjacent, complete_graph
 
@@ -178,6 +178,19 @@ def test_certify_max_n(census_4):
     assert best0 == 6
     assert report0.expected_count == Fraction(15, 32)
     assert expected_mono_count(4, 0, 7).expected_count == Fraction(35, 32)
+
+
+@pytest.mark.parametrize("t", range(4, 31, 2))
+def test_certify_max_n_is_the_threshold_and_reports_it(t):
+    census = g0_census(t)
+    for m in range(7):
+        best, report = certify_max_N(t, m, census)
+        assert report == expected_mono_count(t, m, best, census)
+        assert report.expected_count < 1 <= expected_mono_count(t, m, best + 1, census).expected_count
+
+
+def test_certify_max_n_at_t30_m6():
+    assert certify_max_N(30, 6, g0_census(30))[0] == 2114051280183694639621115
 
 
 def test_certify_monotone_in_m(census_4):

@@ -16,29 +16,32 @@ class in the graph's own numbering, nothing re-indexed, weighing the
 class's nonempty subsets, (1+x)^k - 1 for k twins; its peel loop
 answers memo hits itself. The classes come from the rows alone, not
 from GF(2), so the oracle stays independent of the closed form; on
-G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}. _induced_rows
-re-indexes rows onto an ascending vertex list, for max_clique only.
+G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
 
 The k-clique search is branch-and-bound with greedy-coloring upper
 bounds. A node colors all its candidates but lists only the classes
 that can branch, those numbered at least kmin, the count of clique
 vertices still missing. It peels the highest candidate first, its bit
-length (int.bit_length) an index into per-search tables with one leading
+length (int.bit_length) an index into per-graph tables with one leading
 slot, by one XOR and one AND against a closed row (the vertex and its
 neighbors cleared); a node returns once its peeled classes use up the
 candidates, so a child too small to hold kmin - 1 vertices needs no test.
+The tables are built once per graph (_clique_search), and a search may
+start from any candidate mask: it is then the search of the subgraph
+the mask induces, in the graph's own numbering, nothing re-indexed.
 The visit order is fixed, so the witness and the node count are
-functions of the graph and k; a color class comes numbered from the
-top (coloring.color_class_graphs), so the search meets its vertices in
-the coloring's ascending order. The recursive helper refers to itself
-through its closure; the search clears that reference when it ends, so
-no garbage cycle keeps the helper and its rows alive until the next
+functions of the graph, the mask and k; a color class comes numbered
+from the top (coloring.color_class_graphs), so the search meets its
+vertices in the coloring's ascending order. The recursive helper refers
+to itself through its closure; each search clears that reference when
+it ends, so no garbage cycle keeps the helper alive until the next
 cyclic collection.
 
-max_clique asks the k-clique search for growing k. A graph may carry
-`orbits`, one vertex per orbit of a group of its automorphisms; every
-clique then maps onto one through a representative, so max_clique
-searches only the representatives' neighbourhoods. build_g0 is the one
+max_clique builds the tables once and asks the search for growing k. A
+graph may carry `orbits`, one vertex per orbit of a group of its
+automorphisms; every clique then maps onto one through a
+representative, so max_clique searches only the representatives'
+neighbourhoods, each its row as the candidate mask. build_g0 is the one
 source of orbits.
 
 Record is the base of the package's immutable values (clique searches
@@ -62,8 +65,7 @@ import hashlib
 import re
 from itertools import compress
 from math import comb
-from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .gf2 import check_construction_t, even_weight_code, gf2_rank
 
@@ -216,15 +218,6 @@ def build_g0(t: int) -> BitGraph:
     return g
 
 
-def _bits_to_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class CliqueSearch(Record):
     """Outcome of a k-clique existence search."""
 
@@ -239,6 +232,8 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     Returns as soon as one witness is found; when it reports False the
     search was exhaustive (every branch either explored or pruned by the
     coloring bound, which never prunes a branch containing a k-clique).
+    It builds the graph's tables (_clique_search) and searches from the
+    full vertex set.
 
     A node with `size` vertices chosen colors its candidates greedily,
     highest vertex first, and branches only on the classes numbered
@@ -247,14 +242,13 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     vertex of class c has at most c vertices, too few below kmin. The
     lower classes are still peeled, since the later classes depend on
     them, but never listed, and a node returns None once they use up
-    its candidates. The per-search tables bit, adj and closed hold
-    vertex v in slot v + 1, so a set's bit length is its highest
-    vertex's slot and a peel is `v = q.bit_length(); rest ^= bit[v];
-    q &= closed[v]`, closed[v] = ~(adj[v] | bit[v]) on the vertex set:
-    a bit scan and no negative int, where the lowest bit q & -q would
-    copy the full-width candidate set three times; witness slot v is
-    vertex v - 1. A popcount per visit, to skip a child too small to
-    branch, saves nothing.
+    its candidates. The tables bit, adj and closed hold vertex v in slot
+    v + 1, so a set's bit length is its highest vertex's slot and a peel
+    is `v = q.bit_length(); rest ^= bit[v]; q &= closed[v]`, closed[v] =
+    ~(adj[v] | bit[v]) on the vertex set: a bit scan and no negative int,
+    where the lowest bit q & -q would copy the full-width candidate set
+    three times; witness slot v is vertex v - 1. A popcount per visit,
+    to skip a child too small to branch, saves nothing.
 
     The visit order is a contract: classes highest first, the highest
     vertex first within a class, each visited vertex counted as one node
@@ -267,106 +261,108 @@ def has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
     """
     if k < 0:
         raise ValueError(f"clique order must be non-negative, got {k}")
-    if k == 0:
-        return CliqueSearch(True, [], 0)
-    if k > g.n:
-        return CliqueSearch(False, None, 0)
+    return _clique_search(g)(k, (1 << g.n) - 1)
+
+
+def _clique_search(g: BitGraph) -> Callable[[int, int], CliqueSearch]:
+    """g's k-clique search from a candidate mask, search(k, cand) for k >= 0, on tables built once.
+
+    search(k, cand) is has_clique_of_order on the subgraph that cand
+    induces, its vertices left in g's numbering: a re-indexing in
+    ascending order would keep every visit, so the found flag, the node
+    count and the witness, here named in g, are that search's. Every
+    search of g shares the tables; each makes its own recursive helper.
+    """
     full = (1 << g.n) - 1
     bit = [0] + [1 << v for v in range(g.n)]  # slot L holds vertex L - 1
     adj = [0] + g.adj
     closed = [full ^ (row | b) for row, b in zip(adj, bit)]  # slot 0 is never peeled
-    nodes = 0
 
-    def expand(kmin: int, cand: int) -> Optional[list[int]]:
-        """A kmin-clique inside cand, its slots last chosen first, or None."""
-        nonlocal nodes
-        rest = cand
-        for _ in range(kmin - 1):  # classes 1..kmin-1: peeled, never listed
-            q = rest
-            while q:
-                v = q.bit_length()
-                rest ^= bit[v]
-                q &= closed[v]
-            if not rest:  # no class kmin and up: nothing to list or visit
-                return None
-        classes = []  # classes kmin and up, the ones that can branch
-        while rest:
-            members = []
-            q = rest
-            while q:
-                v = q.bit_length()
-                members.append(v)
-                rest ^= bit[v]
-                q &= closed[v]
-            classes.append(members)
-        if kmin == 1:  # entered only with candidates, so some class is listed
-            nodes += 1
-            return [classes[-1][0]]
-        for members in reversed(classes):  # the visit order of the docstring
-            for v in members:
+    def search(k: int, cand: int) -> CliqueSearch:
+        if k == 0:
+            return CliqueSearch(True, [], 0)
+        if k > cand.bit_count():  # an empty cand too, which expand must not be given
+            return CliqueSearch(False, None, 0)
+        nodes = 0
+
+        def expand(kmin: int, cand: int) -> Optional[list[int]]:
+            """A kmin-clique inside cand, its slots last chosen first, or None."""
+            nonlocal nodes
+            rest = cand
+            for _ in range(kmin - 1):  # classes 1..kmin-1: peeled, never listed
+                q = rest
+                while q:
+                    v = q.bit_length()
+                    rest ^= bit[v]
+                    q &= closed[v]
+                if not rest:  # no class kmin and up: nothing to list or visit
+                    return None
+            classes = []  # classes kmin and up, the ones that can branch
+            while rest:
+                members = []
+                q = rest
+                while q:
+                    v = q.bit_length()
+                    members.append(v)
+                    rest ^= bit[v]
+                    q &= closed[v]
+                classes.append(members)
+            if kmin == 1:  # entered only with candidates, so some class is listed
                 nodes += 1
-                child = cand & adj[v]
-                if child:
-                    hit = expand(kmin - 1, child)
-                    if hit:
-                        hit.append(v)
-                        return hit
-                cand ^= bit[v]
-        return None
+                return [classes[-1][0]]
+            for members in reversed(classes):  # the visit order of has_clique_of_order
+                for v in members:
+                    nodes += 1
+                    child = cand & adj[v]
+                    if child:
+                        hit = expand(kmin - 1, child)
+                        if hit:
+                            hit.append(v)
+                            return hit
+                    cand ^= bit[v]
+            return None
 
-    hit = expand(k, full)
-    # expand's own cell refers back to it; clearing the cell frees expand
-    # and the closed rows now, not at the next cyclic collection
-    del expand
-    if hit:
-        return CliqueSearch(True, sorted(v - 1 for v in hit), nodes)
-    return CliqueSearch(False, None, nodes)
+        hit = expand(k, cand)
+        # expand's own cell refers back to it; clearing the cell frees expand
+        # now, not at the next cyclic collection (the tables stay with search)
+        del expand
+        if hit:
+            return CliqueSearch(True, sorted(v - 1 for v in hit), nodes)
+        return CliqueSearch(False, None, nodes)
+
+    return search
 
 
 def max_clique(g: BitGraph) -> tuple[int, list[int]]:
     """Exact maximum clique size and one witness clique.
 
-    One incumbent `best` runs over the parts of the graph. Without
-    orbits the one part is the whole graph, searched for a clique one
-    larger than `best`. With orbits each representative r gives a part,
-    N(r) re-indexed in ascending order, searched for a clique as large as
-    `best`, which with r becomes the new `best`. That suffices: an
-    automorphism carries any clique onto one through a representative r,
-    and the rest of the image is a clique of N(r). Each part asks
-    has_clique_of_order for growing k until the answer is no; that last
-    search is exhaustive, so when every part has answered no, `best` is a
-    maximum clique. One branch-and-bound kernel serves both questions,
-    and the witness is as deterministic as its searches.
+    One incumbent `best` runs over the parts of the graph, each a
+    candidate mask searched in place by one _clique_search of g, so the
+    tables are built once. Without orbits the one part is the whole
+    graph, searched for a clique one larger than `best`. With orbits
+    each representative r gives a part, its neighbourhood N(r) = adj[r],
+    searched for a clique as large as `best`, which with r becomes the
+    new `best`; vertex 0 of G0 is isolated, so its part is empty. That
+    suffices: an automorphism carries any clique onto one through a
+    representative r, and the rest of the image is a clique of N(r).
+    Each part is searched for growing k until the answer is no; that
+    last search is exhaustive, so when every part has answered no,
+    `best` is a maximum clique. The witness is as deterministic as the
+    searches.
     """
+    search = _clique_search(g)
+    if g.orbits is None:
+        parts = [([], (1 << g.n) - 1)]
+    else:
+        parts = [([r], g.adj[r]) for r in g.orbits]
     best: list[int] = []
-    for root, vertices, part in _clique_parts(g):
+    for root, cand in parts:
         while True:
-            result = has_clique_of_order(part, len(best) + 1 - len(root))
+            result = search(len(best) + 1 - len(root), cand)
             if not result.found:
                 break
-            best = sorted(root + [vertices[v] for v in result.witness])
+            best = sorted(root + result.witness)
     return len(best), best
-
-
-def _clique_parts(g: BitGraph) -> Iterator[tuple[list[int], Sequence[int], BitGraph]]:
-    """max_clique's parts as (root, its vertices in g, the part's graph)."""
-    if g.orbits is None:
-        yield [], range(g.n), g
-        return
-    for r in g.orbits:
-        vertices = _bits_to_list(g.adj[r])
-        yield [r], vertices, BitGraph(_induced_rows(g, vertices))
-
-
-def _induced_rows(g: BitGraph, vertices: list[int]) -> list[int]:
-    """The rows of g restricted to the ascending `vertices`, re-indexed 0, 1, ..."""
-    if not vertices:
-        return []
-    width = f"0{g.n}b"
-    # bit v of a row is character n-1-v of its binary string; picked
-    # highest vertex first, those characters spell the re-indexed row
-    pick = itemgetter(*[g.n - 1 - v for v in reversed(vertices)])
-    return [int("".join(pick(format(g.adj[v], width))), 2) for v in vertices]
 
 
 def _twin_classes(g: BitGraph) -> list[list[int]]:

@@ -1,8 +1,9 @@
 """Test graphs built from rows, a clique search at any target, the renumbering of class rows,
-a census by subset enumeration, product leaves re-targeted to another t, and a reader of graph
-files that shares no code with ramseycert."""
+induced subgraphs re-indexed, a census by subset enumeration, product leaves re-targeted to
+another t, and a reader of graph files that shares no code with ramseycert."""
 
 import re
+from operator import itemgetter
 from pathlib import Path
 
 from ramseycert.coloring import ColoringSpec, _decide_leaves
@@ -66,6 +67,31 @@ def from_top(rows):
         int.from_bytes(row.to_bytes(size, "little").translate(_REVERSED_BYTE), "big") >> pad
         for row in reversed(rows)
     ]
+
+
+def bits_to_list(mask):
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def induced_rows(g, vertices):
+    """The rows of g restricted to the ascending `vertices`, re-indexed 0, 1, ...
+
+    The oracle of the clique search from a candidate mask, which searches the same
+    subgraph without re-indexing it.
+    """
+    if not vertices:
+        return []
+    width = f"0{g.n}b"
+    # bit v of a row is character n-1-v of its binary string; picked
+    # highest vertex first, those characters spell the re-indexed row
+    pick = itemgetter(*[g.n - 1 - v for v in reversed(vertices)])
+    return [int("".join(pick(format(g.adj[v], width))), 2) for v in vertices]
 
 
 def adjacent(g, u, v):

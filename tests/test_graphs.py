@@ -186,6 +186,21 @@ def test_g0_orbits_are_the_weight_classes(t):
     assert [len(orbit & set(g.orbits)) for orbit in weight_classes] == [1] * len(weight_classes)
 
 
+@pytest.mark.parametrize(
+    "t, witness",
+    [
+        (2, [0]),
+        (4, [1, 4, 5]),
+        (6, [1, 17, 22, 26, 28]),
+        (8, [1, 65, 82, 84, 88, 110, 112]),
+        (10, [1, 268, 323, 337, 342, 346, 365, 435, 461]),
+    ],
+)
+def test_max_clique_of_g0_is_pinned(t, witness):
+    # the witnesses of the search that re-indexed each orbit's neighbourhood
+    assert max_clique(build_g0(t)) == (t - 1, witness)
+
+
 @pytest.mark.parametrize("t", [2, 4, 6, 8])
 def test_max_clique_by_orbits_matches_the_plain_path(t):
     g = build_g0(t)
@@ -260,6 +275,19 @@ def test_has_clique_leaves_no_garbage_cycle():
     try:
         assert has_clique_of_order(g, 5).found
         assert not has_clique_of_order(g, 6).found
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_max_clique_leaves_no_garbage_cycle():
+    # the tables serve every search of the graph; each search's closure must still go
+    g = build_g0(6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert max_clique(g) == (5, [1, 17, 22, 26, 28])
+        assert max_clique(BitGraph(list(g.adj)))[0] == 5
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -7,7 +7,10 @@ witness, same node count. Certificates and product witnesses depend on
 that visit order. Class graphs are numbered from the top, so a search of
 one is held to ascending_has_clique_of_order, the kernel that visited
 the lowest vertex first, kept here verbatim, on the class numbered
-upward: the same search with the vertices renamed v -> N-1-v.
+upward: the same search with the vertices renamed v -> N-1-v. A search
+from a candidate mask is held to the search of the subgraph the mask
+induces, re-indexed, and max_clique, which searches each part in place,
+to parts_max_clique, which built a graph per part.
 
 The independent-set census, which searches one vertex per false-twin
 class, is held to the earlier census on every vertex, kept here verbatim
@@ -22,7 +25,7 @@ from math import comb, prod
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseycert.coloring import ColoringSpec, EdgeColoring, color_class_graphs, regenerate
@@ -30,7 +33,7 @@ from ramseycert.graphs import (
     BitGraph,
     CliqueSearch,
     IndependentSetCensus,
-    _bits_to_list,
+    _clique_search,
     _twin_classes,
     build_g0,
     count_independent_sets,
@@ -39,10 +42,13 @@ from ramseycert.graphs import (
 )
 
 from graph_support import (
+    bits_to_list,
+    complete_graph,
     enumerated_census,
     from_top,
     graph_edges,
     graph_from_edges,
+    induced_rows,
     pair_loop_classes,
     uniform_at,
 )
@@ -172,7 +178,7 @@ def reference_has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:
 
     hit = expand(0, 0, (1 << g.n) - 1)
     if hit:
-        return CliqueSearch(True, _bits_to_list(hit), nodes)
+        return CliqueSearch(True, bits_to_list(hit), nodes)
     return CliqueSearch(False, None, nodes)
 
 
@@ -209,6 +215,53 @@ def test_blowup_class_search_matches_reference():
     coloring = regenerate(ColoringSpec(kind="blowup", t=6, m=4, ell=6, N=651, seed=3))
     result = same_search(color_class_graphs(coloring, [5])[5], 6)
     assert (result.found, result.nodes) == (False, 246)
+
+
+@st.composite
+def masked_graphs(draw):
+    """A bit_graphs graph and a mask of its vertices, possibly empty."""
+    g = draw(bit_graphs())
+    return g, draw(st.integers(0, (1 << g.n) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=masked_graphs(), k=st.integers(0, 10))
+@example(case=(complete_graph(6), 0), k=0)
+@example(case=(complete_graph(6), 0), k=1)
+@example(case=(complete_graph(6), 0b101101), k=5)  # k larger than the mask
+def test_search_from_a_mask_is_the_search_of_its_induced_subgraph(case, k):
+    # same flag, same nodes, and the witness named in g: re-indexing keeps the visits
+    g, mask = case
+    vertices = bits_to_list(mask)
+    sub = has_clique_of_order(BitGraph(induced_rows(g, vertices)), k)
+    result = _clique_search(g)(k, mask)
+    assert (result.found, result.nodes) == (sub.found, sub.nodes)
+    assert result.witness == (None if sub.witness is None else [vertices[v] for v in sub.witness])
+
+
+def parts_max_clique(g: BitGraph) -> tuple[int, list[int]]:
+    """max_clique with a graph per part: each orbit's neighbourhood re-indexed, searched alone."""
+    if g.orbits is None:
+        parts = [([], list(range(g.n)))]
+    else:
+        parts = [([r], bits_to_list(g.adj[r])) for r in g.orbits]
+    best: list[int] = []
+    for root, vertices in parts:
+        part = BitGraph(induced_rows(g, vertices))
+        while True:
+            result = has_clique_of_order(part, len(best) + 1 - len(root))
+            if not result.found:
+                break
+            best = sorted(root + [vertices[v] for v in result.witness])
+    return len(best), best
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=bit_graphs(), by_orbits=st.booleans())
+def test_max_clique_matches_a_graph_per_part(g, by_orbits):
+    # every vertex its own orbit: the trivial automorphism group
+    g.orbits = list(range(g.n)) if by_orbits else None
+    assert max_clique(g) == parts_max_clique(g)
 
 
 def ascending_has_clique_of_order(g: BitGraph, k: int) -> CliqueSearch:

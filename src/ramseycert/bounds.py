@@ -51,9 +51,8 @@ def paper_upper_bound_p_ind(t: int) -> Fraction:
     """Union-bound estimate of the independence probability for comparison.
 
     Bounds every per-image probability by (t / 2^(t-1))^t and multiplies by
-    the nonempty total of the closed-form census g0_census(t), which
-    refuses a t the construction does not cover; always at least the
-    exact value.
+    the nonempty total of the census g0_census(t), which refuses a t the
+    construction does not cover; always at least the exact value.
     """
     return g0_census(t).total_nonempty * Fraction(t, 2 ** (t - 1)) ** t
 
@@ -128,6 +127,8 @@ def expected_mono_count(
     images, independently of one another. With m = 0 no census is
     consulted, so p_ind and the fingerprint are None even when one is passed.
     """
+    if t < 2:
+        raise ValueError(f"clique target must be at least 2, got {t}")
     if N < t:
         raise ValueError(f"N={N} is below the clique target t={t}")
     if m < 0:

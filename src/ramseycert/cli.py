@@ -1,11 +1,12 @@
 """Command-line frontend for the whole pipeline.
 
 Subcommands: build-graph, census, certify, generate, verify, bounds-table,
-recheck, verify-g0. Every census and Lemma 1's clique number come from
-closed forms on the orthogonality graph (graphs.g0_census and
-graphs.g0_clique_number); the exhaustive census and clique search are
-test oracles only. `verify-g0`, the one reader of graph files, checks
-that a file is the bytes of the construction Lemma 1's proof covers.
+recheck, verify-g0. Every census comes from a walk over isotropic spans
+(graphs.g0_census) and Lemma 1's clique number from its GF(2) rank proof
+(graphs.g0_clique_number), both without building the orthogonality
+graph; the exhaustive census and clique search are test oracles only.
+`verify-g0`, the one reader of graph files, checks that a file is the
+bytes of the construction Lemma 1's proof covers.
 `recheck` validates a certificate file, replays its verification once
 and names the first field, in certificate order, that does not reproduce.
 Exit codes: 0 success/verified, 1 unverified outcome, failed recheck or

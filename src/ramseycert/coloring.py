@@ -584,7 +584,7 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
 
     The certificate's t is always spec.t. The expectation report is
     attached when ell = m + 2, to blowup and two-color uniform colorings
-    (the closed-form census of the orthogonality graph is used when m > 0
+    (the orthogonality graph's census g0_census(t) is used when m > 0
     and none is supplied). verified is True exactly when the exhaustive
     search found nothing. A spec that would build a class past
     EXHAUSTIVE_LIMIT raises ValueError before the coloring is drawn; a

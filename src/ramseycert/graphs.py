@@ -6,17 +6,17 @@ and neighborhood intersections are single big-int ANDs.
 orthogonality_rows pulls the orthogonality relation back through any
 table of G0 vertices as fiber rows, linear in the vertex; G0, the identity
 table's, is built only for graph files and for the test oracles, up to
-EXHAUSTIVE_LIMIT vertices. Its clique number (g0_clique_number, Lemma 1
-by its GF(2) rank proof) and its independent-set census (g0_census)
-have closed forms; max_clique and the census of an arbitrary graph
-(count_independent_sets) are kept as their test oracles. That census
-groups the vertices with identical rows into false-twin classes and,
-memoized on the candidate set, peels the highest of one vertex per
-class in the graph's own numbering, nothing re-indexed, weighing the
-class's nonempty subsets, (1+x)^k - 1 for k twins; its peel loop
-answers memo hits itself. The classes come from the rows alone, not
-from GF(2), so the oracle stays independent of the closed form; on
-G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
+EXHAUSTIVE_LIMIT vertices. Its clique number comes by Lemma 1's GF(2)
+rank proof (g0_clique_number) and its independent-set census by a walk
+over isotropic spans (g0_census); max_clique and the census of an
+arbitrary graph (count_independent_sets) are kept as their test
+oracles. That census groups the vertices with identical rows into
+false-twin classes and, memoized on the candidate set, peels the
+highest of one vertex per class in the graph's own numbering, nothing
+re-indexed, weighing the class's nonempty subsets, (1+x)^k - 1 for k
+twins; its peel loop answers memo hits itself. The classes come from
+the rows alone, not from GF(2), so the oracle stays independent of the
+walk; on G0(t) they are the 2^(t-2) pairs of codes {v, v + 1}.
 
 The k-clique search is branch-and-bound with greedy-coloring upper
 bounds. A node colors all its candidates but lists only the classes
@@ -63,8 +63,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from itertools import compress
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .gf2 import check_construction_t, even_weight_code, gf2_rank
@@ -450,8 +451,8 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
 
     The twin classes are read off the rows alone, so this search knows
     nothing of GF(2), of codes or of orbits: it stays an independent test
-    oracle for the closed form g0_census, and nothing in the
-    certification pipeline runs it.
+    oracle for g0_census, the walk over isotropic spans, and nothing in
+    the certification pipeline runs it.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be non-negative, got {max_size}")
@@ -508,54 +509,38 @@ def count_independent_sets(g: BitGraph, max_size: int) -> IndependentSetCensus:
     return IndependentSetCensus(t=max_size, n=g.n, counts=counts)
 
 
-def _gaussian_binomial(n: int, k: int) -> int:
-    """Number of k-dimensional subspaces of F_2^n."""
-    count = 1
-    for i in range(k):
-        # each partial product is itself a Gaussian binomial, so the division is exact
-        count = count * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)
-    return count
-
-
 def g0_census(t: int) -> IndependentSetCensus:
-    """Closed-form census of build_g0(t): equal to count_independent_sets(build_g0(t), t).
+    """Census of build_g0(t) by a walk over isotropic spans: count_independent_sets(build_g0(t), t).
 
-    The independent sets are the sets of pairwise-orthogonal even-weight
-    vectors, i.e. the subsets of totally isotropic subspaces of the
-    even-weight space E. E has radical <1>, and E/<1> is symplectic of
-    dimension 2n with n = (t-2)/2, where
-      I(k) = [n choose k]_2 * prod_{i<k} (2^(n-i) + 1)
-    counts the isotropic k-subspaces. An isotropic d-subspace of E either
-    contains 1 (I(d-1) of them) or is one of 2^d complements of <1> over
-    an isotropic d-subspace of the quotient, so S(d) = I(d-1) + 2^d I(d).
-    Moebius inversion over the subspace lattice counts the k-subsets that
-    span F_2^d:
-      span(k, d) = sum_j (-1)^(d-j) 2^C(d-j, 2) [d choose j]_2 C(2^j, k),
-    and counts[k] = sum_d S(d) span(k, d). Exact integers throughout.
+    The vertices are the even-weight vectors of F_2^t, those orthogonal to
+    the all-ones vector 1, each orthogonal to itself; an independent set
+    is a set of pairwise-orthogonal vertices. List its vertices in order.
+    Those chosen so far span a totally isotropic d-space S, with o = 1 iff
+    S holds 1. The next vertex lies in (S + <1>)^perp, which has
+    2^(t - d - 1 + o) vectors as the form is nondegenerate, and holds S,
+    and 1 + S when o = 0. So the k-th vertex stays in S in 2^d - (k - 1)
+    ways, as it repeats none of the k - 1 before it; enters 1 + S in 2^d
+    ways when o = 0, to (d + 1, 1); and in the rest of (S + <1>)^perp adds
+    a dimension, to (d + 1, o). The walk counts the ordered k-tuples by
+    (d, o); each independent k-set is listed in k! orders, so counts[k] is
+    the k-tuples over k!. Exact integers throughout.
     """
     check_construction_t(t)
-    n = (t - 2) // 2
-
-    def isotropic(k: int) -> int:
-        if not 0 <= k <= n:
-            return 0
-        count = _gaussian_binomial(n, k)
-        for i in range(k):
-            count *= (1 << (n - i)) + 1
-        return count
-
-    counts = [0] * (t + 1)
-    for d in range(n + 2):
-        subspaces = isotropic(d - 1) + (1 << d) * isotropic(d)
-        for k in range(t + 1):
-            spanning = sum(
-                (-1) ** (d - j)
-                * (1 << comb(d - j, 2))
-                * _gaussian_binomial(d, j)
-                * comb(1 << j, k)
-                for j in range(d + 1)
-            )
-            counts[k] += subspaces * spanning
+    walk = {(0, 0): 1}  # (d, o) -> ordered tuples of distinct vertices
+    counts = [1]
+    for k in range(1, t + 1):
+        step: Counter[tuple[int, int]] = Counter()
+        for (d, o), tuples in walk.items():
+            span = 1 << d
+            rest = (1 << (t - d - 1 + o)) - span  # (S + <1>)^perp outside S
+            step[d, o] += tuples * (span - (k - 1))
+            if o:
+                step[d + 1, 1] += tuples * rest
+            else:
+                step[d + 1, 1] += tuples * span
+                step[d + 1, 0] += tuples * (rest - span)
+        walk = {state: tuples for state, tuples in step.items() if tuples}
+        counts.append(sum(walk.values()) // factorial(k))
     return IndependentSetCensus(t=t, n=1 << (t - 1), counts=tuple(counts))
 
 

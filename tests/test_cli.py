@@ -92,6 +92,14 @@ def test_certify_nothing_certifiable(capsys):
     assert "no certifiable N" in err
 
 
+@pytest.mark.parametrize("t", [-2, 0, 1])
+def test_certify_rejects_a_clique_target_below_2(capsys, t):
+    # with m = 0 no census refuses t first, so the expectation names the clique target itself
+    code, _, err = run(capsys, "certify", "--t", str(t), "--m", "0")
+    assert code == 2
+    assert f"error: clique target must be at least 2, got {t}" in err
+
+
 def test_generate_writes_spec_and_echoes_seed(capsys, tmp_path):
     spec_path = tmp_path / "spec.json"
     code, out, err = run(

@@ -356,22 +356,70 @@ def test_census_t10_matches_closed_form():
     assert count_independent_sets(g, 4).counts == closed.counts[:5]
 
 
-def dimension_walk(t, distinct):
-    """Ordered tuples of pairwise-orthogonal even-weight vectors of F_2^t, by length 0..t.
+def gaussian_binomial(n, k):
+    """Number of k-dimensional subspaces of F_2^n."""
+    count = 1
+    for i in range(k):
+        # each partial product is itself a Gaussian binomial, so the division is exact
+        count = count * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)
+    return count
+
+
+def subspace_lattice_census(t):
+    """Closed-form census of build_g0(t), a reference for g0_census's walk over isotropic spans.
+
+    The independent sets are the sets of pairwise-orthogonal even-weight
+    vectors, i.e. the subsets of totally isotropic subspaces of the
+    even-weight space E. E has radical <1>, and E/<1> is symplectic of
+    dimension 2n with n = (t-2)/2, where
+      I(k) = [n choose k]_2 * prod_{i<k} (2^(n-i) + 1)
+    counts the isotropic k-subspaces. An isotropic d-subspace of E either
+    contains 1 (I(d-1) of them) or is one of 2^d complements of <1> over
+    an isotropic d-subspace of the quotient, so S(d) = I(d-1) + 2^d I(d).
+    Moebius inversion over the subspace lattice counts the k-subsets that
+    span F_2^d:
+      span(k, d) = sum_j (-1)^(d-j) 2^C(d-j, 2) [d choose j]_2 C(2^j, k),
+    and counts[k] = sum_d S(d) span(k, d). Exact integers throughout.
+    """
+    n = (t - 2) // 2
+
+    def isotropic(k):
+        if not 0 <= k <= n:
+            return 0
+        count = gaussian_binomial(n, k)
+        for i in range(k):
+            count *= (1 << (n - i)) + 1
+        return count
+
+    counts = [0] * (t + 1)
+    for d in range(n + 2):
+        subspaces = isotropic(d - 1) + (1 << d) * isotropic(d)
+        for k in range(t + 1):
+            spanning = sum(
+                (-1) ** (d - j)
+                * (1 << math.comb(d - j, 2))
+                * gaussian_binomial(d, j)
+                * math.comb(1 << j, k)
+                for j in range(d + 1)
+            )
+            counts[k] += subspaces * spanning
+    return IndependentSetCensus(t=t, n=1 << (t - 1), counts=tuple(counts))
+
+
+def dimension_walk(t):
+    """Ordered t-tuples, repeats allowed, of pairwise-orthogonal even-weight vectors of F_2^t.
 
     A tuple spans a totally isotropic d-space S, with o = 1 iff S holds the
     all-ones vector 1; the walk counts tuples by (d, o). The next vector
     lies in (S + <1>)^perp, 2^(t - d - 1 + o) vectors as the form is
     nondegenerate: 2^d in S, 2^d in 1 + S when o = 0 (they add 1 to the
-    span), and the rest add a new dimension only. With `distinct`, a
-    vector in S may not repeat one of the j chosen before it.
+    span), and the rest add a new dimension only.
     """
     walk = {(0, 0): 1}
-    totals = [1]
-    for j in range(t):
+    for _ in range(t):
         step = collections.Counter()
         for (d, o), tuples in walk.items():
-            step[d, o] += tuples * ((1 << d) - (j if distinct else 0))
+            step[d, o] += tuples << d
             new = (1 << (t - d - 1 + o)) - (1 << d)  # orthogonal to S and 1, outside S
             if o:
                 step[d + 1, 1] += tuples * new
@@ -379,22 +427,17 @@ def dimension_walk(t, distinct):
                 step[d + 1, 1] += tuples << d
                 step[d + 1, 0] += tuples * (new - (1 << d))
         walk = {state: tuples for state, tuples in step.items() if tuples}
-        totals.append(sum(walk.values()))
-    return totals
+    return sum(walk.values())
 
 
 @pytest.mark.parametrize("t", range(2, 31, 2))
 def test_g0_census_matches_the_dimension_walk(t):
-    # a second derivation of the census, with no subspace count, Moebius sum
-    # or surjection count: distinct tuples are the independent sets, each in
-    # k! orders, and tuples with repeats are the maps of t points with an
-    # independent image
-    closed = g0_census(t)
-    ordered = dimension_walk(t, distinct=True)
-    assert all(tuples % math.factorial(k) == 0 for k, tuples in enumerate(ordered))
-    assert tuple(tuples // math.factorial(k) for k, tuples in enumerate(ordered)) == closed.counts
-    maps = dimension_walk(t, distinct=False)[t]
-    assert Fraction(maps, closed.n**t) == exact_independence_probability(closed, t)
+    # g0_census walks the distinct tuples; the reference counts subspaces and
+    # their spanning subsets with no walk, and tuples with repeats are the
+    # maps of t points with an independent image
+    census = g0_census(t)
+    assert census == subspace_lattice_census(t)
+    assert Fraction(dimension_walk(t), census.n**t) == exact_independence_probability(census, t)
 
 
 @pytest.mark.parametrize("t", range(4, 11, 2))

@@ -446,8 +446,9 @@ def reference_count_independent_sets(g: BitGraph, max_size: int) -> IndependentS
     a memo that counts every set to its full depth, so that any later
     room can be served, is many times slower than no memo at all on a
     sparse graph with a small max_size.
-    This search knows nothing of GF(2), so it is the test oracle for the
-    closed form g0_census; nothing in the certification pipeline runs it.
+    This search knows nothing of GF(2), so it is the test oracle for
+    g0_census, the walk over isotropic spans; nothing in the
+    certification pipeline runs it.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be non-negative, got {max_size}")

@@ -124,8 +124,10 @@ def expected_mono_count(
     E = C(N,t) * 2^(1-C(t,2)) * p_ind^m. Only the last two colors can host
     a monochromatic set, each of the C(t,2) pairs independently takes one
     of them, and the m blowup maps must all send the set to independent
-    images, independently of one another. With m = 0 no census is
-    consulted, so p_ind and the fingerprint are None even when one is passed.
+    images, independently of one another. The orthogonality graph's census
+    g0_census(t) is used when m > 0 and none is supplied. With m = 0 no
+    census is consulted, so p_ind and the fingerprint are None even when
+    one is passed.
     """
     if t < 2:
         raise ValueError(f"clique target must be at least 2, got {t}")
@@ -133,10 +135,10 @@ def expected_mono_count(
         raise ValueError(f"N={N} is below the clique target t={t}")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    if m > 0 and census is None:
-        raise ValueError("a census of the orthogonality graph is required when m > 0")
     if m == 0:
         census = None
+    elif census is None:
+        census = g0_census(t)
     p_ind = None if census is None else exact_independence_probability(census, t)
     same_color = Fraction(2) ** (1 - comb(t, 2))
     per_set = same_color * (p_ind**m if m > 0 else 1)
@@ -160,8 +162,10 @@ def certify_max_N(
     threshold is found by doubling then bisection, on integers: E(n) < 1
     is comb(n, t) * num < den for per_set_mono = num/den. The report at
     the returned N reuses the N = t report's p_ind, per_set_mono and
-    fingerprint. A verified coloring at the returned N proves
-    r(t; m+2) >= N+1. Returns (None, report at N=t) if even N = t fails.
+    fingerprint. The orthogonality graph's census g0_census(t) is used
+    when m > 0 and none is supplied. A verified coloring at the returned N
+    proves r(t; m+2) >= N+1. Returns (None, report at N=t) if even N = t
+    fails.
     """
     report = expected_mono_count(t, m, t, census)
     if report.expected_count >= 1:

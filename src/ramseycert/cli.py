@@ -88,8 +88,7 @@ def cmd_census(args) -> int:
 
 def cmd_certify(args) -> int:
     _echo_params(args)
-    census = g0_census(args.t) if args.m > 0 else None
-    best_n, report = certify_max_N(args.t, args.m, census)
+    best_n, report = certify_max_N(args.t, args.m)
     if report.p_ind is not None:
         print(f"p_ind = {report.p_ind} (~{exact_decimal(report.p_ind)})")
     if best_n is None:

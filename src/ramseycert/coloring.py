@@ -44,7 +44,6 @@ from .graphs import (
     EXHAUSTIVE_LIMIT,
     BitGraph,
     Record,
-    g0_census,
     has_clique_of_order,
     orthogonality_rows,
 )
@@ -583,16 +582,14 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     """Regenerate the coloring, search it for a K_{spec.t}, and wrap the outcome.
 
     The certificate's t is always spec.t. The expectation report is
-    attached when ell = m + 2, to blowup and two-color uniform colorings
-    (the orthogonality graph's census g0_census(t) is used when m > 0
-    and none is supplied). verified is True exactly when the exhaustive
-    search found nothing. A spec that would build a class past
-    EXHAUSTIVE_LIMIT raises ValueError before the coloring is drawn; a
-    product is checked on its leaves, whose classes are the only ones
-    built. search_stats is read off the leaf decisions (_decide_leaves):
-    their nodes, the colors searched and those discharged by Lemma 1 up
-    to the witness's color (every color when verified), and how many
-    leaves were answered by an equal leaf.
+    attached when ell = m + 2, to blowup and two-color uniform colorings.
+    verified is True exactly when the exhaustive search found nothing. A
+    spec that would build a class past EXHAUSTIVE_LIMIT raises ValueError
+    before the coloring is drawn; a product is checked on its leaves,
+    whose classes are the only ones built. search_stats is read off the
+    leaf decisions (_decide_leaves): their nodes, the colors searched and
+    those discharged by Lemma 1 up to the witness's color (every color
+    when verified), and how many leaves were answered by an equal leaf.
     """
     used_seed = spec.seed if seed is None else rng.check_seed(seed)
     if spec.t < 2:
@@ -612,8 +609,6 @@ def verify_coloring(spec: ColoringSpec, seed: Optional[int] = None, census=None)
     # colors: a two-color uniform coloring is its m = 0 member, a product none
     expectation = None
     if spec.ell == spec.m + 2:
-        if spec.m > 0 and census is None:
-            census = g0_census(spec.t)
         expectation = expected_mono_count(spec.t, spec.m, spec.N, census)
     asked = [c for decision in decisions for c in decision.colors]
     last = spec.ell if witness is None else witness.color

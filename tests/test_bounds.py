@@ -164,8 +164,24 @@ def test_expected_mono_count_monte_carlo_over_colorings(census_4):
 def test_expected_mono_count_validations(census_4):
     with pytest.raises(ValueError):
         expected_mono_count(4, 1, 3, census_4)  # N below t
-    with pytest.raises(ValueError):
-        expected_mono_count(4, 1, 9)  # census required when m > 0
+
+
+def test_census_defaults_to_g0_census():
+    # without a census, m > 0 reads g0_census(t): the same reports as the DFS oracle's census
+    for t in range(2, 9, 2):
+        oracle = count_independent_sets(build_g0(t), t)
+        for m in range(4):
+            for n in (t, 3 * t):
+                assert expected_mono_count(t, m, n) == expected_mono_count(t, m, n, oracle)
+            assert certify_max_N(t, m) == certify_max_N(t, m, oracle)
+    # and refuses, with the construction's message, a t that has no G0
+    for t in (5, 32):
+        with pytest.raises(ValueError) as expected:
+            build_g0(t)
+        for call in (lambda: expected_mono_count(t, 1, 40), lambda: certify_max_N(t, 1)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
 
 
 def test_certify_max_n(census_4):

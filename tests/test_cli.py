@@ -94,10 +94,11 @@ def test_certify_nothing_certifiable(capsys):
 
 @pytest.mark.parametrize("t", [-2, 0, 1])
 def test_certify_rejects_a_clique_target_below_2(capsys, t):
-    # with m = 0 no census refuses t first, so the expectation names the clique target itself
-    code, _, err = run(capsys, "certify", "--t", str(t), "--m", "0")
-    assert code == 2
-    assert f"error: clique target must be at least 2, got {t}" in err
+    # the expectation checks t before it reads a census, so every m names the clique target
+    for m in ("0", "1"):
+        code, _, err = run(capsys, "certify", "--t", str(t), "--m", m)
+        assert code == 2
+        assert f"error: clique target must be at least 2, got {t}" in err
 
 
 def test_generate_writes_spec_and_echoes_seed(capsys, tmp_path):

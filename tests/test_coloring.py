@@ -30,7 +30,7 @@ from ramseycert.coloring import (
     verify_coloring,
     write_edge_dump,
 )
-from ramseycert.graphs import g0_census, has_clique_of_order
+from ramseycert.graphs import has_clique_of_order
 
 from graph_support import adjacent, find_mono_clique, from_top, pair_loop_classes, uniform_at
 
@@ -425,8 +425,8 @@ def test_target_below_spec_t_searches_blowup_classes():
     assert witness.color == 1 and witness.holds_in(coloring)
 
 
-def test_search_stats_name_searched_and_discharged_colors(census_4):
-    cert = verify_coloring(BLOWUP_SPEC_N9, census=census_4)
+def test_search_stats_name_searched_and_discharged_colors():
+    cert = verify_coloring(BLOWUP_SPEC_N9)
     assert cert.verified
     assert cert.search_stats["searched_colors"] == [2, 3]
     assert cert.search_stats["lemma1_colors"] == [1]
@@ -452,7 +452,7 @@ def test_search_stats_name_searched_and_discharged_colors(census_4):
 def test_t8_m2_certificate_core_is_pinned():
     # the core recorded before the blowup classes were discharged by Lemma 1
     spec = ColoringSpec(kind="blowup", t=8, m=2, ell=4, N=740, seed=1)
-    cert = verify_coloring(spec, census=g0_census(8))
+    cert = verify_coloring(spec)
     assert cert.verified
     core = canonical_json_bytes(certificate_core(cert.to_json_dict()))
     assert hashlib.sha256(core).hexdigest() == (
@@ -611,8 +611,8 @@ def test_find_mono_clique_on_constant_coloring():
     assert witness == MonoWitness(color=1, vertices=(0, 1, 2, 3))
 
 
-def test_verified_certificate(census_4, tmp_path):
-    cert = verify_coloring(BLOWUP_SPEC_N9, census=census_4)
+def test_verified_certificate(tmp_path):
+    cert = verify_coloring(BLOWUP_SPEC_N9)
     assert cert.verified and cert.exhaustive and cert.witness is None
     assert cert.expectation.expected_count == Fraction(2898, 4096)
     assert cert.certified_bound() == 10
@@ -626,17 +626,17 @@ def test_verified_certificate(census_4, tmp_path):
     assert (tmp_path / "cert2.json").read_bytes() == path.read_bytes()
 
 
-def test_failed_certificate_has_witness(census_4):
+def test_failed_certificate_has_witness():
     spec = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=0)
-    cert = verify_coloring(spec, census=census_4)
+    cert = verify_coloring(spec)
     assert not cert.verified
     assert cert.witness is not None
     assert cert.witness.holds_in(regenerate(spec))
 
 
-def test_retry_loop_logs_failures(census_4):
+def test_retry_loop_logs_failures():
     spec = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=0)
-    cert, failures = produce_certificate(spec, max_tries=8, census=census_4)
+    cert, failures = produce_certificate(spec, max_tries=8)
     assert cert.verified
     assert cert.seed == 1
     assert cert.search_stats["tries"] == 2
@@ -663,8 +663,8 @@ def test_t6_m4_retry_loop_is_pinned():
     )
 
 
-def test_certificates_match_ignores_timing(census_4):
-    cert = verify_coloring(BLOWUP_SPEC_N9, census=census_4)
+def test_certificates_match_ignores_timing():
+    cert = verify_coloring(BLOWUP_SPEC_N9)
     d1 = cert.to_json_dict()
     d2 = cert.to_json_dict()
     d2["search_stats"]["wall_time_sec"] = 99.0
@@ -675,10 +675,10 @@ def test_certificates_match_ignores_timing(census_4):
     assert certificate_core(loaded.to_json_dict()) == certificate_core(d1)
 
 
-def test_recheck_guards_before_drawing_the_witness_coloring(census_4):
+def test_recheck_guards_before_drawing_the_witness_coloring():
     # a witness in range for a t=4 m=1 spec at N=2^32 must not draw its 2^32 table entries
     spec = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=9, seed=0)
-    cert = verify_coloring(spec, census=census_4)
+    cert = verify_coloring(spec)
     assert cert.witness is not None
     fields = {name: getattr(cert, name) for name in Certificate._fields}
     fields["spec"] = ColoringSpec(kind="blowup", t=4, m=1, ell=3, N=1 << 32, seed=0)

@@ -342,14 +342,14 @@ def test_g0_census_t8_matches_recorded_dfs_counts():
     assert census.n == 128
 
 
-def test_census_t8_matches_closed_form():
+def test_census_t8_matches_span_walk():
     census = count_independent_sets(build_g0(8), 8)
     closed = g0_census(8)
     assert census.counts == closed.counts
     assert census.fingerprint() == closed.fingerprint()
 
 
-def test_census_t10_matches_closed_form():
+def test_census_t10_matches_span_walk():
     # over the 256 twin classes of G0(10), in full and truncated at size 4: about 0.9 s
     g, closed = build_g0(10), g0_census(10)
     assert count_independent_sets(g, 10) == closed
@@ -464,9 +464,9 @@ def test_census_of_g0_read_back_matches_closed_form(tmp_path, t):
 def test_g0_census_rejects_what_build_g0_rejects(t):
     with pytest.raises(ValueError) as expected:
         build_g0(t)
-    for closed_form in (g0_census, g0_clique_number):
+    for graph_free in (g0_census, g0_clique_number):
         with pytest.raises(ValueError) as got:
-            closed_form(t)
+            graph_free(t)
         assert str(got.value) == str(expected.value)
     assert str(expected.value) in (
         "construction requires even t",
